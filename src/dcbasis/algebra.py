@@ -81,6 +81,22 @@ def _straighten(word: Word, scalar: LaurentPoly,
             stack.append((w[:i] + mid + w[i + 2:], shifted * _V_INV_MINUS_V))
 
 
+def _from_words(words: dict[Word, LaurentPoly]) -> "AlgebraElement":
+    """The element with the given straightened words: each sorted word is
+    v^(binom_sum) E*(m) for its multisegment m, so it contributes its
+    coefficient times v^(-binom_sum) to E*(m)."""
+    out: dict[Multisegment, LaurentPoly] = {}
+    for w, c in words.items():
+        label = Multisegment(w)
+        coef = c * LaurentPoly.v_power(-label.binom_sum())
+        s = out.get(label, ZERO) + coef
+        if s:
+            out[label] = s
+        else:
+            out.pop(label, None)
+    return AlgebraElement(out)
+
+
 class AlgebraElement:
     """A Z[v,v^-1]-linear combination of basis vectors E*(m)."""
 
@@ -165,16 +181,7 @@ class AlgebraElement:
             for n, cn in other._terms.items():
                 scalar = pre * cn * LaurentPoly.v_power(n.binom_sum())
                 _straighten(lhs + n.segments, scalar, words)
-        out: dict[Multisegment, LaurentPoly] = {}
-        for w, c in words.items():
-            label = Multisegment(w)
-            coef = c * LaurentPoly.v_power(-label.binom_sum())
-            s = out.get(label, ZERO) + coef
-            if s:
-                out[label] = s
-            else:
-                out.pop(label, None)
-        return AlgebraElement(out)
+        return _from_words(words)
 
     def div_v_minus_vinv(self) -> "AlgebraElement":
         """Divide every coefficient exactly by v - v^-1."""
@@ -267,16 +274,7 @@ def quantum_minor(rows: Iterable[int], cols: Iterable[int]) -> AlgebraElement:
             inv = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
             _straighten(tuple(word), LaurentPoly.v_power(inv, (-1) ** inv),
                         words)
-    out: dict[Multisegment, LaurentPoly] = {}
-    for w, c in words.items():
-        label = Multisegment(w)
-        coef = c * LaurentPoly.v_power(-label.binom_sum())
-        s = out.get(label, ZERO) + coef
-        if s:
-            out[label] = s
-        else:
-            out.pop(label, None)
-    return AlgebraElement(out)
+    return _from_words(words)
 
 
 def minor_multisegment(rows: Iterable[int], cols: Iterable[int]) -> Multisegment:

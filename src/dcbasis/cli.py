@@ -17,6 +17,7 @@ refusals).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import re
 import sys
@@ -120,7 +121,9 @@ def cmd_dcb(args: argparse.Namespace) -> int:
                 raise _UsageError(
                     f"cache file {cache_path} does not match weight {weight}")
     if table is None:
-        table = dcb_table(weight, _make_cache(args))
+        # The class size was checked above.  The table also memoizes
+        # lower-degree labels, so the memo itself is left uncapped.
+        table = dcb_table(weight, BasisCache())
         if cache_path is not None:
             cache_path.write_text(json.dumps(table.to_json_obj()))
     lines = [
@@ -243,19 +246,15 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return OK
 
 
-_SUITE_DEFAULTS = {
-    "eqrei": {"max_degree": 4},
-    "positivity": {"max_degree": 4},
-    "triangular": {"max_degree": 5},
-    "oracle": {"max_part_sum": 2, "shift_range": (-4, 4)},
-    "minors": {"index_range": (1, 4), "max_cols": None},
-    "frank": {"samples": 40, "max_factors": 3, "max_entry": 6, "seed": 0},
-    "hooks": {"max_size": 6, "max_shift": 12},
-}
+def _suite_defaults(suite) -> dict:
+    """The suite's keyword defaults, read from its signature (no cache)."""
+    return {name: p.default
+            for name, p in inspect.signature(suite).parameters.items()
+            if name != "cache"}
 
 
 def _suite_kwargs(args: argparse.Namespace) -> dict:
-    kwargs = dict(_SUITE_DEFAULTS[args.suite])
+    kwargs = _suite_defaults(SUITES[args.suite])
     flags = {
         "max_degree": args.max_degree,
         "max_part_sum": args.max_part_sum,

@@ -4,9 +4,13 @@ A segment is an integer interval [i, j] with i <= j.  Segments are totally
 ordered by (end, start).  A multisegment is a finite multiset of segments;
 its weight counts how many segments cover each position.  Replacing two
 linked segments by their union and (if non-empty) intersection is an
-elementary move; the partial order "m dominates to n" is reachability by
-such moves.  Weight classes are enumerated in a fixed linear extension of
-that order so downstream output is reproducible.
+elementary move; the partial order "m dominates n" is reachability by
+such moves.  Write r_ij(m) for the number of segments of m that contain
+[i, j].  By the rank characterization of this order (Zelevinsky 1981;
+Abeasis-Del Fra 1980), m dominates n iff m and n have the same weight and
+r_ij(m) <= r_ij(n) for all i <= j; ``dominates`` tests exactly that.
+Weight classes are enumerated in a fixed linear extension of the order so
+downstream output is reproducible.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ __all__ = [
     "Multisegment",
     "Weight",
     "EMPTY",
-    "compare_segments",
     "segment_key",
     "linked",
     "segment_union",
@@ -56,12 +59,6 @@ class Segment(NamedTuple):
 def segment_key(s: Segment) -> tuple[int, int]:
     """Sort key realizing the segment order: compare ends, then starts."""
     return (s.end, s.start)
-
-
-def compare_segments(a: Segment, b: Segment) -> int:
-    """-1, 0, or 1 as a precedes, equals, or follows b."""
-    ka, kb = segment_key(a), segment_key(b)
-    return (ka > kb) - (ka < kb)
 
 
 def _check_segment(s: Segment) -> Segment:
@@ -306,31 +303,29 @@ def _removed_two(segs: tuple[Segment, ...], a: Segment, b: Segment):
             yield s
 
 
-@lru_cache(maxsize=None)
-def _reachable(m: Multisegment) -> frozenset[Multisegment]:
-    """All labels reachable from m by elementary moves, m included."""
-    seen = {m}
-    frontier = [m]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in elementary_moves(x):
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
+def _rank(m: Multisegment, i: int, j: int) -> int:
+    """r_ij(m): the number of segments of m that contain [i, j]."""
+    return sum(1 for s in m.segments if s.start <= i and j <= s.end)
 
 
 def dominates(m: Multisegment, n: Multisegment) -> bool:
-    """True iff n is reachable from m by elementary moves (reflexively)."""
+    """True iff n is reachable from m by elementary moves (reflexively).
+
+    Decided by the rank characterization (Zelevinsky 1981; Abeasis-Del Fra
+    1980): m dominates n iff wt m = wt n and r_ij(m) <= r_ij(n) for all
+    i <= j, where r_ij counts the segments containing [i, j].  As a function
+    of i, r_ij only changes at segment starts, and as a function of j only
+    at segment ends, so i ranges over the starts and j over the ends of the
+    segments of m and n.
+    """
     if m == n:
         return True
     if m.weight() != n.weight():
         return False
-    if m.sq_length_sum() >= n.sq_length_sum():
-        return False
-    return n in _reachable(m)
+    segs = m.segments + n.segments
+    ends = {s.end for s in segs}
+    return all(_rank(m, i, j) <= _rank(n, i, j)
+               for i in {s.start for s in segs} for j in ends if i <= j)
 
 
 def _generate(d: dict[int, int], bound: tuple[int, int] | None):

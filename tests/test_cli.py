@@ -7,7 +7,8 @@ import subprocess
 import pytest
 
 from dcbasis.canonical import dcb_table, structure_constants
-from dcbasis.cli import main
+from dcbasis.checks import SUITES
+from dcbasis.cli import _suite_defaults, main
 from dcbasis.laurent import LaurentPoly
 from dcbasis.multisegment import parse_multisegment, parse_weight
 
@@ -100,6 +101,19 @@ def test_dcb_class_size_guard(capsys):
     assert code == 2
     assert err == ("error: weight class 0:1,1:2,2:1 has 5 labels, above the "
                    "cap of 4; raise --max-class-size\n")
+
+
+def test_dcb_class_at_the_size_cap(capsys):
+    # The 65-label class memoizes 154 labels; the cap bounds the class only.
+    code, capped, err = run_cli(capsys, "dcb", "--weight",
+                                "0:1,1:2,2:2,3:2,4:1", "--max-class-size",
+                                "65", "--json")
+    assert (code, err) == (0, "")
+    code, default, _ = run_cli(capsys, "dcb", "--weight",
+                               "0:1,1:2,2:2,3:2,4:1", "--json")
+    assert code == 0
+    assert capped == default
+    assert len(json.loads(capped)["basis"]) == 65
 
 
 # -- decompose --------------------------------------------------------------------
@@ -272,6 +286,20 @@ def test_verify_minors_window(capsys):
                            "--index-range", "1:3")
     assert code == 0
     assert out == "PASS minors: 19 case(s)\n"
+
+
+def test_verify_defaults_from_suite_signatures():
+    assert {name: _suite_defaults(suite)
+            for name, suite in SUITES.items()} == {
+        "eqrei": {"max_degree": 4},
+        "positivity": {"max_degree": 4},
+        "triangular": {"max_degree": 5},
+        "oracle": {"max_part_sum": 2, "shift_range": (-4, 4)},
+        "minors": {"index_range": (1, 4), "max_cols": None},
+        "frank": {"samples": 40, "max_factors": 3, "max_entry": 6,
+                  "seed": 0},
+        "hooks": {"max_size": 6, "max_shift": 12},
+    }
 
 
 def test_verify_unknown_suite(capsys):

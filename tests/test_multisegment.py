@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from dcbasis.checks import window_weights
 from dcbasis.multisegment import (
     EMPTY,
     Multisegment,
@@ -12,7 +13,6 @@ from dcbasis.multisegment import (
     Weight,
     b_form,
     cartan_pairing,
-    compare_segments,
     dominates,
     elementary_moves,
     enumerate_by_weight,
@@ -52,11 +52,15 @@ def test_segment_basics():
     assert segment_key(s) == (3, 1)
 
 
-def test_compare_segments_orders_by_end_then_start():
-    assert compare_segments(Segment(0, 1), Segment(2, 2)) == -1
-    assert compare_segments(Segment(0, 2), Segment(1, 2)) == -1
-    assert compare_segments(Segment(1, 2), Segment(1, 2)) == 0
-    assert compare_segments(Segment(3, 3), Segment(0, 2)) == 1
+def test_segment_key_orders_by_end_then_start():
+    assert sorted([Segment(2, 2), Segment(0, 1)], key=segment_key) == \
+        [Segment(0, 1), Segment(2, 2)]
+    assert sorted([Segment(1, 2), Segment(0, 2)], key=segment_key) == \
+        [Segment(0, 2), Segment(1, 2)]
+    assert sorted([Segment(1, 2), Segment(1, 2)], key=segment_key) == \
+        [Segment(1, 2), Segment(1, 2)]
+    assert sorted([Segment(3, 3), Segment(0, 2)], key=segment_key) == \
+        [Segment(0, 2), Segment(3, 3)]
 
 
 def test_linked_truth_table():
@@ -223,6 +227,34 @@ def test_dominates_pinned():
     assert not dominates(m3, m2)
     assert not dominates(m5, m4)
     assert not dominates(m1, parse_multisegment("[0]"))  # different weight
+
+
+def _reachable(m):
+    """Reference dominance: the BFS closure of m under elementary moves."""
+    seen = {m}
+    frontier = [m]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in elementary_moves(x):
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def test_rank_test_matches_move_closure_exhaustive():
+    pairs = dominated = 0
+    for w in window_weights(6, 0, 5):
+        labels = enumerate_by_weight(w)
+        closures = {m: _reachable(m) for m in labels}
+        for m, n in itertools.product(labels, repeat=2):
+            reached = n in closures[m]
+            assert dominates(m, n) == reached, (m, n)
+            pairs += 1
+            dominated += reached
+    assert (pairs, dominated) == (19432, 8744)
 
 
 def test_dominance_is_a_partial_order():
