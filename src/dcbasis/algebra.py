@@ -245,11 +245,11 @@ def unit() -> AlgebraElement:
 
 def _check_indices(rows: tuple[int, ...], cols: tuple[int, ...]) -> None:
     if len(rows) != len(cols):
-        raise ValueError("row and column index lists differ in length")
+        raise ValueError("row and column index lists must have equal length")
     if any(a >= b for a, b in zip(rows, rows[1:])):
-        raise ValueError(f"row indices not strictly increasing: {rows}")
+        raise ValueError("row indices must be strictly increasing")
     if any(a >= b for a, b in zip(cols, cols[1:])):
-        raise ValueError(f"column indices not strictly increasing: {cols}")
+        raise ValueError("column indices must be strictly increasing")
 
 
 def quantum_minor(rows: Iterable[int], cols: Iterable[int]) -> AlgebraElement:

@@ -26,6 +26,7 @@ from .multisegment import (
 
 __all__ = [
     "BasisCache",
+    "InvariantError",
     "DcbTable",
     "dual_canonical",
     "aux_vector",
@@ -38,22 +39,22 @@ __all__ = [
 ]
 
 
+class InvariantError(Exception):
+    """A computed basis vector breaks unitriangularity (an internal fault)."""
+
+
 class BasisCache:
     """Memoized computation of the corrected basis.
 
     order_key must be a linear extension of dominance on multisegments (the
     default compares squared-length sums, then sorted segment lists); any
     such extension yields the same basis, which a property test exercises.
-    max_labels, when set, caps how many labels may be memoized before a
-    RuntimeError aborts the computation (a size guard for the CLI).
     """
 
     def __init__(self,
-                 order_key: Callable[[Multisegment], tuple] | None = None,
-                 max_labels: int | None = None):
+                 order_key: Callable[[Multisegment], tuple] | None = None):
         self._memo: dict[Multisegment, AlgebraElement] = {}
         self.order_key = order_key or Multisegment.extension_key
-        self.max_labels = max_labels
 
     def labels_computed(self) -> int:
         return len(self._memo)
@@ -83,13 +84,7 @@ class BasisCache:
         hit = self._memo.get(m)
         if hit is not None:
             return hit
-        if self.max_labels is not None and len(self._memo) >= self.max_labels:
-            raise RuntimeError(
-                f"label budget of {self.max_labels} exceeded; "
-                "raise the cap to continue")
         x = self.aux_vector(m)
-        assert x.coefficient(m) == ONE, f"leading coefficient broken at {m}"
-        key_m = self.order_key(m)
         done = {m}
         while True:
             todo = [n for n in x.support() if n not in done]
@@ -100,13 +95,18 @@ class BasisCache:
             if gamma:
                 x = x - self.dual_canonical(n).scaled(gamma)
             done.add(n)
+        # One check per finished vector.  The loop above never changes the
+        # coefficient of m, so this also checks that of aux_vector(m).
+        key_m = self.order_key(m)
         for n, c in x.items():
-            if n == m:
-                assert c == ONE
-            else:
-                assert self.order_key(n) > key_m, f"support below {m} at {n}"
-                assert c.only_positive_exponents(), \
-                    f"off-diagonal coefficient {c} not in v*Z[v]"
+            if n != m and not (self.order_key(n) > key_m
+                               and c.only_positive_exponents()):
+                raise InvariantError(
+                    f"G*({m}) has coefficient {c} at {n}: off-diagonal "
+                    f"terms must lie above {m}, with coefficients in v*Z[v]")
+        if x.coefficient(m) != ONE:
+            raise InvariantError(
+                f"G*({m}) has coefficient {x.coefficient(m)} at {m}, not 1")
         self._memo[m] = x
         return x
 

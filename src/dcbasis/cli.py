@@ -9,9 +9,11 @@ Six subcommands share one executable:
 * ``verify``     -- run one of the property-verification suites
 * ``minor``      -- straighten a quantum minor and confirm its basis label
 
-Every command accepts ``--json``.  Exit codes: 0 on success, 1 when a
+Every command accepts ``--json``.  ``dcb`` and ``decompose`` enumerate a
+weight class; ``--max-class-size N`` refuses a class of more than N labels
+before any basis vector is computed.  Exit codes: 0 on success, 1 when a
 property or cross-check fails, 2 on usage errors (including size-guard
-refusals).
+refusals), 3 on an internal fault.
 """
 
 from __future__ import annotations
@@ -38,12 +40,14 @@ from .criteria import evaluation_multisegment
 from .laurent import LaurentPoly
 from .multisegment import (
     Multisegment,
+    Weight,
+    class_exceeds,
     enumerate_by_weight,
     parse_multisegment,
     parse_weight,
 )
 
-OK, PROPERTY_FAILURE, USAGE_ERROR = 0, 1, 2
+OK, PROPERTY_FAILURE, USAGE_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 
 
 class _UsageError(Exception):
@@ -75,20 +79,12 @@ def _coef_json(c: LaurentPoly) -> list[list[int]]:
     return [list(pair) for pair in c.items()]
 
 
-def _make_cache(args: argparse.Namespace) -> BasisCache:
-    return BasisCache(max_labels=args.max_class_size)
-
-
-def _ordered_support(expansion: dict[Multisegment, LaurentPoly],
-                     cap: int) -> list[Multisegment]:
-    """Support labels in class enumeration order (key order on overflow)."""
-    if not expansion:
-        return []
-    weight = next(iter(expansion)).weight()
-    labels = enumerate_by_weight(weight)
-    if len(labels) <= cap:
-        return [m for m in labels if m in expansion]
-    return sorted(expansion, key=Multisegment.extension_key)
+def _weight_class(weight: Weight, cap: int) -> tuple[Multisegment, ...]:
+    """The labels of the class, refused before any work above the cap."""
+    if class_exceeds(weight, cap):
+        raise _UsageError(f"weight class {weight} has more than {cap} "
+                          "labels; raise --max-class-size")
+    return enumerate_by_weight(weight)
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
@@ -103,11 +99,7 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
 
 def cmd_dcb(args: argparse.Namespace) -> int:
     weight = parse_weight(args.weight)
-    labels = enumerate_by_weight(weight)
-    if len(labels) > args.max_class_size:
-        raise _UsageError(
-            f"weight class {weight} has {len(labels)} labels, above the "
-            f"cap of {args.max_class_size}; raise --max-class-size")
+    labels = _weight_class(weight, args.max_class_size)
     table: DcbTable | None = None
     cache_path: Path | None = None
     if args.cache_dir is not None:
@@ -121,8 +113,6 @@ def cmd_dcb(args: argparse.Namespace) -> int:
                 raise _UsageError(
                     f"cache file {cache_path} does not match weight {weight}")
     if table is None:
-        # The class size was checked above.  The table also memoizes
-        # lower-degree labels, so the memo itself is left uncapped.
         table = dcb_table(weight, BasisCache())
         if cache_path is not None:
             cache_path.write_text(json.dumps(table.to_json_obj()))
@@ -137,12 +127,12 @@ def cmd_dcb(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     m = parse_multisegment(args.m)
     n = parse_multisegment(args.n)
-    cache = _make_cache(args)
+    labels = _weight_class((m + n).weight(), args.max_class_size)
+    cache = BasisCache()
     product = cache.dual_canonical(m) * cache.dual_canonical(n)
     expansion = expand_in_dcb(product, cache)
-    order = _ordered_support(expansion, args.max_class_size)
     simple = membership_up_to_power(product, cache) is not None
-    rows = [(p, expansion[p]) for p in order]
+    rows = [(p, expansion[p]) for p in labels if p in expansion]
     verdict = "SIMPLE" if simple else "NOT SIMPLE"
     lines = [f"G*({m}) * G*({n}) ="]
     lines += [f"  {c}  G*({p})   [multiplicity {c.at_one()}]" for p, c in rows]
@@ -190,7 +180,7 @@ def cmd_irred(args: argparse.Namespace) -> int:
     text = "IRREDUCIBLE" if verdict else f"REDUCIBLE {_pattern_text(witness)}"
     if args.verify:
         algebraic = _algebraic_irreducible(
-            alpha, args.a, beta, args.b, _make_cache(args))
+            alpha, args.a, beta, args.b, BasisCache())
         payload["verified"] = algebraic == verdict
         if algebraic != verdict:
             _emit(args, payload, text)
@@ -206,7 +196,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     alpha = parse_partition(args.alpha)
     beta = parse_partition(args.beta)
     lo, hi = _parse_range(args.range)
-    cache = _make_cache(args) if args.verify else None
+    cache = BasisCache() if args.verify else None
     rows = []
     disagreements = []
     for shift in range(lo, hi + 1):
@@ -297,19 +287,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_minor(args: argparse.Namespace) -> int:
     rows = _parse_int_list(args.rows)
     cols = _parse_int_list(args.cols)
-    if len(rows) != len(cols):
-        raise _UsageError("row and column index lists must have equal length")
-    if sorted(rows) != list(rows) or len(set(rows)) != len(rows):
-        raise _UsageError("row indices must be strictly increasing")
-    if sorted(cols) != list(cols) or len(set(cols)) != len(cols):
-        raise _UsageError("column indices must be strictly increasing")
     minor = quantum_minor(rows, cols)
     if not minor:
         payload = {"rows": list(rows), "cols": list(cols), "zero": True}
         _emit(args, payload, "0")
         return OK
     label = minor_multisegment(rows, cols)
-    confirmed = minor == _make_cache(args).dual_canonical(label)
+    confirmed = minor == BasisCache().dual_canonical(label)
     payload = {
         "rows": list(rows),
         "cols": list(cols),
@@ -340,27 +324,29 @@ def _build_parser() -> argparse.ArgumentParser:
                     "criteria for induction products.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser,
+                   class_cap: bool = False) -> None:
         p.add_argument("--json", action="store_true",
                        help="emit JSON instead of text")
-        p.add_argument("--max-class-size", type=int, default=5000,
-                       metavar="N",
-                       help="refuse weight classes larger than N "
-                            "(default 5000)")
+        if class_cap:
+            p.add_argument("--max-class-size", type=int, default=5000,
+                           metavar="N",
+                           help="refuse a weight class of more than N labels "
+                                "before any work (default 5000)")
 
     p = sub.add_parser("dcb", help="print the basis of one weight class")
     p.add_argument("--weight", required=True, metavar="POS:CNT,...",
                    help="weight as position:count pairs, e.g. 0:1,1:2,2:1")
     p.add_argument("--cache-dir", metavar="DIR",
                    help="directory of per-weight JSON tables to reuse")
-    add_common(p)
+    add_common(p, class_cap=True)
     p.set_defaults(func=cmd_dcb)
 
     p = sub.add_parser("decompose",
                        help="expand a product of two basis vectors")
     p.add_argument("--m", required=True, help='first label, e.g. "[1]+[2,3]"')
     p.add_argument("--n", required=True, help="second label")
-    add_common(p)
+    add_common(p, class_cap=True)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("irred", help="decide one induction product")
@@ -408,8 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="largest column index (frank)")
     p.add_argument("--seed", type=int, metavar="S",
                    help="random seed (frank)")
-    p.add_argument("--json", action="store_true",
-                   help="emit JSON instead of text")
+    add_common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("minor", help="straighten one quantum minor")
@@ -424,6 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _DASH_VALUE_FLAGS = {
+    "--weight": re.compile(r"-?\d+:\d+(,-?\d+:\d+)*$"),
     "--range": re.compile(r"-?\d+:-?\d+$"),
     "--shift-range": re.compile(r"-?\d+:-?\d+$"),
     "--index-range": re.compile(r"-?\d+:-?\d+$"),
@@ -463,9 +449,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

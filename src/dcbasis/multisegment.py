@@ -355,6 +355,13 @@ def _generate(d: dict[int, int], bound: tuple[int, int] | None):
             yield rest + (seg,)
 
 
+def class_exceeds(w: Weight, cap: int) -> bool:
+    """True iff the weight class of w has more than cap labels.  Draws at
+    most cap + 1 labels, whatever the size of the class."""
+    labels = _generate(dict(w.items()), None)
+    return sum(1 for _ in itertools.islice(labels, max(cap + 1, 0))) > cap
+
+
 @lru_cache(maxsize=None)
 def enumerate_by_weight(w: Weight) -> tuple[Multisegment, ...]:
     """All multisegments of weight w in a fixed linear extension of dominance.

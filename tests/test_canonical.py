@@ -2,9 +2,14 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dcbasis
 from dcbasis.canonical import (
     BasisCache,
     aux_vector,
@@ -198,7 +203,7 @@ def test_basis_is_independent_of_the_linear_extension():
             assert other.dual_canonical(m) == dual_canonical(m)
 
 
-# -- caching and the label budget --------------------------------------------------------
+# -- caching and invariants ----------------------------------------------------
 
 
 def test_labels_computed():
@@ -208,12 +213,67 @@ def test_labels_computed():
     assert cache.labels_computed() == 1
 
 
-def test_label_budget_guard():
-    cache = BasisCache(max_labels=1)
-    with pytest.raises(RuntimeError, match="label budget"):
-        cache.dual_canonical(pm("[0]+[1]"))
-    roomy = BasisCache(max_labels=100)
-    assert roomy.dual_canonical(pm("[0]+[1]")) == dual_canonical(pm("[0]+[1]"))
+# Each case breaks one invariant of G*([0]+[1]), whose only other label is
+# [0,1]; the script prints what dual_canonical raised, one line per case.
+_BROKEN_CACHES = """
+import sys
+from dcbasis.algebra import dual_pbw
+from dcbasis.canonical import BasisCache, InvariantError
+from dcbasis.laurent import LaurentPoly
+from dcbasis.multisegment import parse_multisegment
+
+TOP, LOW = parse_multisegment("[0]+[1]"), parse_multisegment("[0,1]")
+
+
+class Diagonal(BasisCache):
+    def aux_vector(self, m):
+        return super().aux_vector(m).scaled(LaurentPoly.v_power(1))
+
+
+class Below(BasisCache):
+    def aux_vector(self, m):
+        x = super().aux_vector(m)
+        if m == LOW:
+            x = x + dual_pbw(TOP).scaled(LaurentPoly.v_power(1))
+        return x
+
+
+class NotInVZv(BasisCache):
+    def aux_vector(self, m):
+        if m == TOP:
+            return dual_pbw(TOP) + dual_pbw(LOW)
+        return super().aux_vector(m)
+
+    def dual_canonical(self, m):
+        if m == LOW:
+            return dual_pbw(LOW).scaled(LaurentPoly({0: 2}))
+        return super().dual_canonical(m)
+
+
+print("optimize", sys.flags.optimize)
+for cls, label in ((Diagonal, LOW), (Below, LOW), (NotInVZv, TOP)):
+    try:
+        cls().dual_canonical(label)
+        print(cls.__name__, "no error")
+    except InvariantError as exc:
+        print(cls.__name__, exc)
+"""
+
+
+def test_invariant_checks_survive_python_O():
+    src = str(Path(dcbasis.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_CACHES], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines() == [
+        "optimize 1",
+        "Diagonal G*([0,1]) has coefficient v at [0,1], not 1",
+        "Below G*([0,1]) has coefficient v at [0]+[1]: off-diagonal terms "
+        "must lie above [0,1], with coefficients in v*Z[v]",
+        "NotInVZv G*([0]+[1]) has coefficient -1 at [0,1]: off-diagonal "
+        "terms must lie above [0]+[1], with coefficients in v*Z[v]",
+    ]
 
 
 def test_default_cache_is_shared():

@@ -3,11 +3,13 @@
 import json
 import shutil
 import subprocess
+import time
 
 import pytest
 
 from dcbasis.canonical import dcb_table, structure_constants
 from dcbasis.checks import SUITES
+from dcbasis import cli
 from dcbasis.cli import _suite_defaults, main
 from dcbasis.laurent import LaurentPoly
 from dcbasis.multisegment import parse_multisegment, parse_weight
@@ -28,6 +30,13 @@ def test_dcb_two_label_class(capsys):
     assert err == ""
     assert out == ("G*([0]+[1]) = E*([0]+[1]) - v E*([0,1])\n"
                    "G*([0,1]) = E*([0,1])\n")
+
+
+def test_dcb_negative_positions(capsys):
+    code, out, err = run_cli(capsys, "dcb", "--weight", "-1:1,0:1")
+    assert (code, err) == (0, "")
+    assert out == ("G*([-1]+[0]) = E*([-1]+[0]) - v E*([-1,0])\n"
+                   "G*([-1,0]) = E*([-1,0])\n")
 
 
 def test_dcb_singleton_class(capsys):
@@ -99,8 +108,27 @@ def test_dcb_class_size_guard(capsys):
     code, _, err = run_cli(capsys, "dcb", "--weight", "0:1,1:2,2:1",
                            "--max-class-size", "4")
     assert code == 2
-    assert err == ("error: weight class 0:1,1:2,2:1 has 5 labels, above the "
-                   "cap of 4; raise --max-class-size\n")
+    assert err == ("error: weight class 0:1,1:2,2:1 has more than 4 labels; "
+                   "raise --max-class-size\n")
+
+
+# 1,767,200 labels, far too many to enumerate in a test.
+HUGE_WEIGHT = ("-3:1,-2:1,-1:2,0:2,1:2,2:2,3:1,4:1,5:1,6:1,7:2,8:2,9:2,10:2,"
+               "11:1,12:1")
+HUGE_PAIR = ("[0,4]+[-1,2]+[-2,-1]+[-3]", "[8,12]+[7,10]+[6,7]+[5]")
+
+
+@pytest.mark.parametrize("argv", [
+    ("dcb", "--weight", HUGE_WEIGHT),
+    ("decompose", "--m", HUGE_PAIR[0], "--n", HUGE_PAIR[1]),
+])
+def test_class_guard_refuses_before_any_work(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err == (f"error: weight class {HUGE_WEIGHT} has more than 5000 "
+                   "labels; raise --max-class-size\n")
 
 
 def test_dcb_class_at_the_size_cap(capsys):
@@ -160,11 +188,25 @@ def test_decompose_json_round_trip(capsys):
 
 
 def test_decompose_label_budget(capsys):
+    # The product's class (weight 0:2,1:1) has 2 labels.
     code, _, err = run_cli(capsys, "decompose", "--m", "[0]+[1]",
                            "--n", "[0]", "--max-class-size", "1")
     assert code == 2
-    assert err == ("error: label budget of 1 exceeded; "
-                   "raise the cap to continue\n")
+    assert err == ("error: weight class 0:2,1:1 has more than 1 labels; "
+                   "raise --max-class-size\n")
+
+
+def test_decompose_class_at_the_size_cap(capsys):
+    # The class has 7 labels; the computation memoizes more than that.
+    argv = ("decompose", "--m", "[0]+[1]+[2]", "--n", "[1]+[2]")
+    code, capped, err = run_cli(capsys, *argv, "--max-class-size", "7")
+    assert (code, err) == (0, "")
+    code, default, _ = run_cli(capsys, *argv)
+    assert capped == default
+    code, _, err = run_cli(capsys, *argv, "--max-class-size", "6")
+    assert code == 2
+    assert err == ("error: weight class 0:1,1:2,2:2 has more than 6 labels; "
+                   "raise --max-class-size\n")
 
 
 def test_decompose_malformed_label(capsys):
@@ -206,6 +248,15 @@ def test_irred_verified_json(capsys):
     assert payload["irreducible"] is True
     assert payload["pattern"] is None
     assert payload["verified"] is True
+
+
+def test_irred_has_no_class_size_option(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["irred", "--alpha", "3", "--beta", "3",
+              "--max-class-size", "10"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --max-class-size 10" in \
+        capsys.readouterr().err
 
 
 def test_irred_empty_partition(capsys):
@@ -349,6 +400,9 @@ def test_minor_index_errors(capsys):
     code, _, err = run_cli(capsys, "minor", "--rows", "2,1", "--cols", "1,2")
     assert code == 2
     assert err == "error: row indices must be strictly increasing\n"
+    code, _, err = run_cli(capsys, "minor", "--rows", "1,2", "--cols", "3,3")
+    assert code == 2
+    assert err == "error: column indices must be strictly increasing\n"
 
 
 def test_minor_json(capsys):
@@ -363,6 +417,24 @@ def test_minor_json(capsys):
         {"label": "[1]+[2]", "coef": [[0, 1]]},
         {"label": "[1,2]", "coef": [[1, -1]]},
     ]
+
+
+# -- exit codes ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fault", [
+    RecursionError("maximum recursion depth exceeded"),
+    ZeroDivisionError("division by zero"),
+])
+def test_internal_fault_has_its_own_exit_code(capsys, monkeypatch, fault):
+    def broken(args):
+        raise fault
+
+    monkeypatch.setattr(cli, "cmd_irred", broken)
+    code, out, err = run_cli(capsys, "irred", "--alpha", "3", "--beta", "3")
+    assert (code, out) == (cli.INTERNAL_ERROR, "")
+    assert cli.INTERNAL_ERROR == 3
+    assert err == f"internal error: {type(fault).__name__}: {fault}\n"
 
 
 # -- installed script ---------------------------------------------------------------
