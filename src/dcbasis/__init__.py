@@ -24,7 +24,6 @@ from .multisegment import (
     b_form,
     cartan_pairing,
     dominates,
-    elementary_moves,
     enumerate_by_weight,
     linked,
     parse_multisegment,
@@ -100,7 +99,6 @@ __all__ = [
     "dominates",
     "dual_canonical",
     "dual_pbw",
-    "elementary_moves",
     "enumerate_by_weight",
     "evaluation_multisegment",
     "evaluation_set",

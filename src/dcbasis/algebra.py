@@ -117,6 +117,10 @@ class AlgebraElement:
     def items(self) -> list[tuple[Multisegment, LaurentPoly]]:
         return [(m, self._terms[m]) for m in self.support()]
 
+    def unordered_items(self) -> Iterable[tuple[Multisegment, LaurentPoly]]:
+        """A read-only view of the (label, coefficient) pairs, unsorted."""
+        return self._terms.items()
+
     def is_zero(self) -> bool:
         return not self._terms
 

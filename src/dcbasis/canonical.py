@@ -10,23 +10,29 @@ whose off-diagonal coefficients all lie in v*Z[v].
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 from dataclasses import dataclass
+from operator import index
 from pathlib import Path
 from typing import Callable
 
 from .algebra import AlgebraElement, dual_pbw
-from .laurent import LaurentPoly, ONE
+from .laurent import LaurentPoly, ONE, ZERO
 from .multisegment import (
     Multisegment,
     Weight,
     b_form,
     enumerate_by_weight,
+    parse_multisegment,
+    parse_weight,
 )
 
 __all__ = [
     "BasisCache",
     "InvariantError",
+    "check_unitriangular",
     "DcbTable",
     "dual_canonical",
     "aux_vector",
@@ -40,7 +46,24 @@ __all__ = [
 
 
 class InvariantError(Exception):
-    """A computed basis vector breaks unitriangularity (an internal fault)."""
+    """A basis vector breaks unitriangularity."""
+
+
+def check_unitriangular(m: Multisegment, x: AlgebraElement,
+                        order_key: Callable[[Multisegment], tuple]) -> None:
+    """Raise InvariantError unless x has the shape of G*(m): coefficient 1
+    at m, every other label above m under order_key, with its coefficient
+    in v*Z[v]."""
+    key_m = order_key(m)
+    for n, c in x.items():
+        if n != m and not (order_key(n) > key_m
+                           and c.only_positive_exponents()):
+            raise InvariantError(
+                f"G*({m}) has coefficient {c} at {n}: off-diagonal "
+                f"terms must lie above {m}, with coefficients in v*Z[v]")
+    if x.coefficient(m) != ONE:
+        raise InvariantError(
+            f"G*({m}) has coefficient {x.coefficient(m)} at {m}, not 1")
 
 
 class BasisCache:
@@ -49,6 +72,8 @@ class BasisCache:
     order_key must be a linear extension of dominance on multisegments (the
     default compares squared-length sums, then sorted segment lists); any
     such extension yields the same basis, which a property test exercises.
+    The correction loop and expand_in_dcb share one elimination, an upward
+    sweep along order_key.
     """
 
     def __init__(self,
@@ -84,31 +109,36 @@ class BasisCache:
         hit = self._memo.get(m)
         if hit is not None:
             return hit
-        x = self.aux_vector(m)
-        done = {m}
-        while True:
-            todo = [n for n in x.support() if n not in done]
-            if not todo:
-                break
-            n = min(todo, key=self.order_key)
-            gamma = x.coefficient(n).symmetric_part()
-            if gamma:
-                x = x - self.dual_canonical(n).scaled(gamma)
-            done.add(n)
-        # One check per finished vector.  The loop above never changes the
+        x, _ = self._sweep(self.aux_vector(m), m, LaurentPoly.symmetric_part)
+        # One check per finished vector.  The sweep never changes the
         # coefficient of m, so this also checks that of aux_vector(m).
-        key_m = self.order_key(m)
-        for n, c in x.items():
-            if n != m and not (self.order_key(n) > key_m
-                               and c.only_positive_exponents()):
-                raise InvariantError(
-                    f"G*({m}) has coefficient {c} at {n}: off-diagonal "
-                    f"terms must lie above {m}, with coefficients in v*Z[v]")
-        if x.coefficient(m) != ONE:
-            raise InvariantError(
-                f"G*({m}) has coefficient {x.coefficient(m)} at {m}, not 1")
+        check_unitriangular(m, x, self.order_key)
         self._memo[m] = x
         return x
+
+    def _sweep(self, x: AlgebraElement, skip: Multisegment | None,
+               part: Callable[[LaurentPoly], LaurentPoly]
+               ) -> tuple[AlgebraElement, dict[Multisegment, LaurentPoly]]:
+        """Walk the support of x upward along order_key, subtracting t G*(n)
+        at each label n but skip, with t = part(coefficient at n).  G*(n)
+        adds only labels above n, so a heap of pending labels meets each
+        label once, after all labels below it.  Returns what is left of x
+        and the nonzero t's, in walk order."""
+        coeffs = dict(x.unordered_items())
+        tie = itertools.count()  # labels never compare, even on equal keys
+        heap = [(self.order_key(n), next(tie), n) for n in coeffs]
+        heapq.heapify(heap)
+        steps: dict[Multisegment, LaurentPoly] = {}
+        while heap:
+            n = heapq.heappop(heap)[2]
+            if n == skip or not (t := part(coeffs[n])):
+                continue
+            steps[n] = t
+            for p, c in self.dual_canonical(n).unordered_items():
+                if p not in coeffs:
+                    heapq.heappush(heap, (self.order_key(p), next(tie), p))
+                coeffs[p] = coeffs.get(p, ZERO) - t * c
+        return AlgebraElement(coeffs), steps
 
 
 _DEFAULT = BasisCache()
@@ -164,8 +194,6 @@ def dcb_table(w: Weight, cache: BasisCache | None = None) -> DcbTable:
 
 def load_table(path: Path) -> DcbTable:
     """Rebuild a table from the JSON emitted by DcbTable.to_json_obj."""
-    from .multisegment import parse_multisegment, parse_weight
-
     obj = json.loads(Path(path).read_text())
     labels = []
     expansions = {}
@@ -174,7 +202,7 @@ def load_table(path: Path) -> DcbTable:
         labels.append(m)
         expansions[m] = AlgebraElement({
             parse_multisegment(entry["label"]):
-                LaurentPoly({e: c for e, c in entry["coef"]})
+                LaurentPoly({index(e): index(c) for e, c in entry["coef"]})
             for entry in row["expansion"]
         })
     return DcbTable(parse_weight(obj["weight"]), tuple(labels), expansions)
@@ -183,21 +211,15 @@ def load_table(path: Path) -> DcbTable:
 def expand_in_dcb(x: AlgebraElement,
                   cache: BasisCache | None = None
                   ) -> dict[Multisegment, LaurentPoly]:
-    """Coefficients of x over the corrected basis, by triangular elimination.
+    """Coefficients of x over the corrected basis, in order_key order.
 
-    Repeatedly strips the extension-least support label; unitriangularity
-    makes the loop terminate with exactly the basis coefficients.
+    One upward sweep of the cache strips the whole coefficient at each
+    label; unitriangularity leaves nothing behind, and the stripped
+    coefficients are exactly the basis coefficients.
     """
     if not x.is_homogeneous():
         raise ValueError("can only expand homogeneous elements")
-    cache = cache or _DEFAULT
-    out: dict[Multisegment, LaurentPoly] = {}
-    while x:
-        n = min(x.support(), key=cache.order_key)
-        c = x.coefficient(n)
-        out[n] = c
-        x = x - cache.dual_canonical(n).scaled(c)
-    return out
+    return (cache or _DEFAULT)._sweep(x, None, lambda c: c)[1]
 
 
 def structure_constants(m: Multisegment, n: Multisegment,

@@ -362,11 +362,6 @@ def check_minors(index_range: tuple[int, int] = (1, 4),
     return report
 
 
-def _precedes(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Every element of a lies below every element of b (vacuously so)."""
-    return not a or not b or max(a) < min(b)
-
-
 def _must_precede(x: frozenset[int], y: frozenset[int]) -> bool:
     """x is forced before y: both differences exist and y's sits lower."""
     d_yx, d_xy = y - x, x - y

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -29,6 +30,8 @@ from .algebra import minor_multisegment, quantum_minor, render_combination
 from .canonical import (
     BasisCache,
     DcbTable,
+    InvariantError,
+    check_unitriangular,
     dcb_table,
     expand_in_dcb,
     load_table,
@@ -87,6 +90,26 @@ def _weight_class(weight: Weight, cap: int) -> tuple[Multisegment, ...]:
     return enumerate_by_weight(weight)
 
 
+def _load_cached(path: Path, weight: Weight,
+                 labels: tuple[Multisegment, ...]) -> DcbTable:
+    """The table at path, refused unless it is a unitriangular table of
+    exactly this weight class."""
+    try:
+        table = load_table(path)
+        for m in table.labels:
+            check_unitriangular(m, table.expansion(m),
+                                Multisegment.extension_key)
+            if not table.expansion(m).is_homogeneous():
+                raise ValueError(f"the row of {m} mixes weights")
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            InvariantError) as exc:
+        raise _UsageError(f"cache file {path} is not a valid table: "
+                          f"{type(exc).__name__}: {exc}") from exc
+    if table.weight != weight or table.labels != labels:
+        raise _UsageError(f"cache file {path} does not match weight {weight}")
+    return table
+
+
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -108,14 +131,17 @@ def cmd_dcb(args: argparse.Namespace) -> int:
         stem = str(weight).replace(":", "-").replace(",", "_")
         cache_path = directory / f"weight_{stem}.json"
         if cache_path.exists():
-            table = load_table(cache_path)
-            if table.weight != weight or tuple(table.labels) != labels:
-                raise _UsageError(
-                    f"cache file {cache_path} does not match weight {weight}")
+            table = _load_cached(cache_path, weight, labels)
     if table is None:
         table = dcb_table(weight, BasisCache())
         if cache_path is not None:
-            cache_path.write_text(json.dumps(table.to_json_obj()))
+            # Renamed into place, so the cache path never holds half a table.
+            tmp = cache_path.with_name(f"{cache_path.name}.{os.getpid()}.tmp")
+            try:
+                tmp.write_text(json.dumps(table.to_json_obj()))
+                os.replace(tmp, cache_path)
+            finally:
+                tmp.unlink(missing_ok=True)
     lines = [
         f"G*({m}) = {render_combination(table.expansion(m).items(), 'E*')}"
         for m in table.labels
@@ -443,10 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_glue_dash_values(list(argv)))
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:

@@ -9,13 +9,14 @@ such moves.  Write r_ij(m) for the number of segments of m that contain
 [i, j].  By the rank characterization of this order (Zelevinsky 1981;
 Abeasis-Del Fra 1980), m dominates n iff m and n have the same weight and
 r_ij(m) <= r_ij(n) for all i <= j; ``dominates`` tests exactly that.
-Weight classes are enumerated in a fixed linear extension of the order so
-downstream output is reproducible.
+Weight classes are enumerated sorted by the lexicographic order on the
+(end, start)-sorted segment lists, which every elementary move strictly
+increases: a linear extension of dominance, so downstream output is
+reproducible.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import re
 from functools import lru_cache
@@ -33,7 +34,6 @@ __all__ = [
     "segment_pairing",
     "cartan_pairing",
     "b_form",
-    "elementary_moves",
     "dominates",
     "enumerate_by_weight",
     "parse_segment",
@@ -270,39 +270,6 @@ def b_form(m: Multisegment, n: Multisegment) -> int:
     return total
 
 
-def elementary_moves(m: Multisegment) -> list[Multisegment]:
-    """All one-step dominance successors of m, deduplicated and sorted.
-
-    Each linked pair of distinct segments of m is replaced by its union and
-    (when non-empty) intersection.
-    """
-    support = [s for s, _ in m.counts()]
-    out = set()
-    for a, b in itertools.combinations(support, 2):
-        if not linked(a, b):
-            continue
-        u = segment_union(a, b)
-        i = segment_intersection(a, b)
-        repl = [u] if i is None else [u, i]
-        n = Multisegment(
-            [s for s in _removed_two(m.segments, a, b)] + repl)
-        # squared-length sum must strictly increase along every move
-        assert n.sq_length_sum() > m.sq_length_sum()
-        out.add(n)
-    return sorted(out, key=Multisegment.sort_key)
-
-
-def _removed_two(segs: tuple[Segment, ...], a: Segment, b: Segment):
-    removed_a = removed_b = False
-    for s in segs:
-        if not removed_a and s == a:
-            removed_a = True
-        elif not removed_b and s == b:
-            removed_b = True
-        else:
-            yield s
-
-
 def _rank(m: Multisegment, i: int, j: int) -> int:
     """r_ij(m): the number of segments of m that contain [i, j]."""
     return sum(1 for s in m.segments if s.start <= i and j <= s.end)
@@ -364,30 +331,17 @@ def class_exceeds(w: Weight, cap: int) -> bool:
 
 @lru_cache(maxsize=None)
 def enumerate_by_weight(w: Weight) -> tuple[Multisegment, ...]:
-    """All multisegments of weight w in a fixed linear extension of dominance.
+    """All multisegments of weight w, sorted by ``Multisegment.sort_key``.
 
-    The order is the topological order of the elementary-move DAG with ties
-    broken lexicographically on sorted segment lists, so the dominance-least
-    label comes first and later labels never dominate into earlier ones.
+    That order is a linear extension of dominance: a move replaces linked
+    a = [i1, j1] and b = [i2, j2] (i1 < i2, j1 < j2) by [i1, j2] and, when
+    non-empty, [i2, j1].  The least segment in (end, start) order that
+    changes is a, which leaves the multiset, so every move strictly
+    increases the sorted segment list.  Hence the dominance-least label
+    comes first and no label dominates one listed before it.
     """
-    elems = [Multisegment(segs) for segs in _generate(dict(w.items()), None)]
-    moves = {m: elementary_moves(m) for m in elems}
-    indeg = {m: 0 for m in elems}
-    for outs in moves.values():
-        for n in outs:
-            indeg[n] += 1
-    heap = [(m.sort_key(), m) for m in elems if not indeg[m]]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        _, m = heapq.heappop(heap)
-        order.append(m)
-        for n in moves[m]:
-            indeg[n] -= 1
-            if not indeg[n]:
-                heapq.heappush(heap, (n.sort_key(), n))
-    assert len(order) == len(elems), "move DAG is not acyclic"
-    return tuple(order)
+    return tuple(sorted(map(Multisegment, _generate(dict(w.items()), None)),
+                        key=Multisegment.sort_key))
 
 
 # -- parsing ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the corrected basis, its expansions, and serialization."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -23,6 +24,7 @@ from dcbasis.canonical import (
     structure_constants,
 )
 from dcbasis.algebra import AlgebraElement, dual_pbw
+from dcbasis.checks import _degree_pairs, window_weights
 from dcbasis.laurent import LaurentPoly, ONE
 from dcbasis.multisegment import (
     Multisegment,
@@ -31,6 +33,7 @@ from dcbasis.multisegment import (
     b_form,
     enumerate_by_weight,
     parse_multisegment,
+    parse_weight,
 )
 
 
@@ -189,6 +192,58 @@ def test_membership_pins_the_label_sum():
             assert member == (b_form(m, n), m + n)
 
 
+# -- the one sweep against the loops it replaced ------------------------------
+
+
+def _old_correction(m, cache):
+    """Reference correction loop: re-sort the support at every step and
+    correct the order_key-least label not yet visited."""
+    x = cache.aux_vector(m)
+    done = {m}
+    while True:
+        todo = [n for n in x.support() if n not in done]
+        if not todo:
+            return x
+        n = min(todo, key=cache.order_key)
+        gamma = x.coefficient(n).symmetric_part()
+        if gamma:
+            x = x - cache.dual_canonical(n).scaled(gamma)
+        done.add(n)
+
+
+def _old_expansion(x, cache):
+    """Reference expansion: strip the order_key-least support label until
+    nothing is left."""
+    out = {}
+    while x:
+        n = min(x.support(), key=cache.order_key)
+        out[n] = x.coefficient(n)
+        x = x - cache.dual_canonical(n).scaled(out[n])
+    return out
+
+
+def test_correction_sweep_matches_the_old_loop():
+    cache = BasisCache()
+    labels = 0
+    for w in window_weights(5, 0, 4):
+        for m in enumerate_by_weight(w):
+            assert cache.dual_canonical(m) == _old_correction(m, cache), m
+            labels += 1
+    assert labels == 623
+
+
+def test_expansion_sweep_matches_the_old_loop():
+    cache = BasisCache()
+    pairs = 0
+    for m, n in _degree_pairs(5):
+        x = cache.dual_canonical(m) * cache.dual_canonical(n)
+        expansion = expand_in_dcb(x, cache)
+        expected = _old_expansion(x, cache)
+        assert list(expansion.items()) == list(expected.items()), (m, n)
+        pairs += 1
+    assert pairs == 2477
+
+
 # -- independence from the processing order --------------------------------------------
 
 
@@ -198,9 +253,13 @@ def test_basis_is_independent_of_the_linear_extension():
                 tuple((s.start, s.end) for s in m.segments))
 
     other = BasisCache(order_key=alternative_key)
-    for w in (WORKED_WEIGHT, Weight({0: 2, 1: 2})):
+    # sq_length_sum grows along every move but ties many labels: harmless.
+    coarse = BasisCache(order_key=Multisegment.sq_length_sum)
+    for w in (WORKED_WEIGHT, Weight({0: 2, 1: 2}),
+              Weight({0: 1, 1: 2, 2: 2, 3: 1})):
         for m in enumerate_by_weight(w):
             assert other.dual_canonical(m) == dual_canonical(m)
+            assert coarse.dual_canonical(m) == dual_canonical(m)
 
 
 # -- caching and invariants ----------------------------------------------------
@@ -289,6 +348,23 @@ def test_dcb_table_accessors():
     assert list(table.labels) == [M1, M2, M3, M4, M5]
     assert table.expansion(M4) == dual_canonical(M4)
     assert table.coefficient(M1, M4) == lp({3: 1, 1: -1})
+
+
+# sha256 of the ``dcb --json`` text of the two smallest classes of the
+# benchmark ladder (18 and 65 labels).
+DCB_JSON_SHA256 = {
+    "0:1,1:2,2:2,3:1":
+        "a27ff072c14bc3f6fee41d1439c73ce4d5be60bc247468beba65e11c11423ebb",
+    "0:1,1:2,2:2,3:2,4:1":
+        "5738105c79e3f57909a81df512f49bd940f65404200a219176d10f1ed9e62ade",
+}
+
+
+@pytest.mark.parametrize("weight", sorted(DCB_JSON_SHA256))
+def test_dcb_json_digest_pinned(weight):
+    table = dcb_table(parse_weight(weight), BasisCache())
+    text = json.dumps(table.to_json_obj(), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == DCB_JSON_SHA256[weight]
 
 
 def test_table_json_round_trip(tmp_path):

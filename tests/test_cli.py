@@ -98,6 +98,65 @@ def test_dcb_cache_mismatch_is_refused(tmp_path, capsys):
     assert "does not match weight 5:1" in err
 
 
+def _cached_table(tmp_path, capsys):
+    """Run ``dcb --weight 0:1,1:1`` once; return its argv and cache file."""
+    argv = ("dcb", "--weight", "0:1,1:1", "--cache-dir", str(tmp_path))
+    assert run_cli(capsys, *argv)[0] == 0
+    return argv, tmp_path / "weight_0-1_1-1.json"
+
+
+def test_dcb_cache_refuses_a_table_that_is_not_unitriangular(tmp_path, capsys):
+    argv, cache_file = _cached_table(tmp_path, capsys)
+    obj = json.loads(cache_file.read_text())
+    assert obj["basis"][0]["expansion"][1] == {
+        "label": "[0,1]", "coef": [[1, -1]]}
+    obj["basis"][0]["expansion"][1]["coef"] = [[-1, 5]]
+    cache_file.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: cache file {cache_file} is not a valid table: "
+        "InvariantError: G*([0]+[1]) has coefficient 5*v^-1 at [0,1]: off-diagonal terms "
+        "must lie above [0]+[1], with coefficients in v*Z[v]\n")
+
+
+@pytest.mark.parametrize("text", [
+    "{}",
+    "[]",
+    "not json",
+    '{"weight": "0:1,1:1", "basis": [{"label": "[0]+[1]", "expansion": '
+    '[{"label": "[0]+[1]", "coef": [[0, "1"]]}]}]}',
+    '{"weight": "0:1,1:1", "basis": [{"label": "[0,1]", "expansion": '
+    '[{"label": "[0,1]", "coef": [[0, 1]]}, {"label": "[0,2]", '
+    '"coef": [[1, 1]]}]}]}',
+], ids=["no-basis", "not-an-object", "not-json", "string-coefficient",
+        "mixed-weights"])
+def test_dcb_cache_refuses_a_malformed_table(tmp_path, capsys, text):
+    argv, cache_file = _cached_table(tmp_path, capsys)
+    cache_file.write_text(text)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        f"error: cache file {cache_file} is not a valid table: ")
+
+
+def test_dcb_cache_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
+    def write_half_then_fail(path, text, *args, **kwargs):
+        with open(path, "w") as f:
+            f.write(text[:len(text) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.Path, "write_text", write_half_then_fail)
+    argv = ("dcb", "--weight", "0:1,1:1", "--cache-dir", str(tmp_path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "internal error: OSError: disk full\n"
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    assert run_cli(capsys, *argv)[0] == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["weight_0-1_1-1.json"]
+
+
 def test_dcb_malformed_weight(capsys):
     code, _, err = run_cli(capsys, "dcb", "--weight", "abc")
     assert code == 2

@@ -1,5 +1,6 @@
 """Tests for segments, multisegments, weights, and the dominance order."""
 
+import heapq
 import itertools
 
 import pytest
@@ -14,7 +15,6 @@ from dcbasis.multisegment import (
     b_form,
     cartan_pairing,
     dominates,
-    elementary_moves,
     enumerate_by_weight,
     linked,
     parse_multisegment,
@@ -199,6 +199,22 @@ def test_b_form_sum_identity_random(m, n):
 # -- elementary moves and dominance ------------------------------------------------------
 
 
+def elementary_moves(m):
+    """Reference moves: all one-step dominance successors of m, sorted.
+
+    Each linked pair of distinct segments of m is replaced by its union and
+    (when non-empty) intersection.
+    """
+    out = set()
+    for a, b in itertools.combinations([s for s, _ in m.counts()], 2):
+        if linked(a, b):
+            i = segment_intersection(a, b)
+            n = m.remove(a).remove(b) + Multisegment(
+                [segment_union(a, b)] + ([] if i is None else [i]))
+            out.add(n)
+    return sorted(out, key=Multisegment.sort_key)
+
+
 def test_elementary_moves_pinned():
     assert elementary_moves(parse_multisegment("[0]+[1]")) == \
         [parse_multisegment("[0,1]")]
@@ -209,11 +225,18 @@ def test_elementary_moves_pinned():
     }
 
 
+# Every nonzero weight supported on [0, 5] of total <= 6.
+SMALL_WINDOW_WEIGHTS = window_weights(6, 0, 5)
+
+
 def test_moves_preserve_weight_and_increase_measure():
-    for m in enumerate_by_weight(WORKED_WEIGHT):
-        for n in elementary_moves(m):
-            assert n.weight() == m.weight()
-            assert n.sq_length_sum() > m.sq_length_sum()
+    assert len(SMALL_WINDOW_WEIGHTS) == 923
+    for w in SMALL_WINDOW_WEIGHTS:
+        for m in enumerate_by_weight(w):
+            for n in elementary_moves(m):
+                assert n.weight() == m.weight()
+                assert n.sq_length_sum() > m.sq_length_sum()
+                assert m.sort_key() < n.sort_key()
 
 
 def test_dominates_pinned():
@@ -246,7 +269,7 @@ def _reachable(m):
 
 def test_rank_test_matches_move_closure_exhaustive():
     pairs = dominated = 0
-    for w in window_weights(6, 0, 5):
+    for w in SMALL_WINDOW_WEIGHTS:
         labels = enumerate_by_weight(w)
         closures = {m: _reachable(m) for m in labels}
         for m, n in itertools.product(labels, repeat=2):
@@ -308,6 +331,34 @@ def test_enumeration_matches_brute_force():
         order = enumerate_by_weight(w)
         assert len(set(order)) == len(order)
         assert set(order) == _brute_force_class(w)
+
+
+def _kahn_order(w):
+    """Reference enumeration: Kahn's topological sort of the elementary-move
+    DAG of the class, always taking the least ready label by sort_key."""
+    labels = list(enumerate_by_weight(w))
+    moves = {m: elementary_moves(m) for m in labels}
+    indeg = dict.fromkeys(labels, 0)
+    for outs in moves.values():
+        for n in outs:
+            indeg[n] += 1
+    heap = [(m.sort_key(), m) for m in labels if not indeg[m]]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        _, m = heapq.heappop(heap)
+        order.append(m)
+        for n in moves[m]:
+            indeg[n] -= 1
+            if not indeg[n]:
+                heapq.heappush(heap, (n.sort_key(), n))
+    assert len(order) == len(labels), "move DAG is not acyclic"
+    return tuple(order)
+
+
+def test_enumeration_matches_topological_sort_exhaustive():
+    for w in SMALL_WINDOW_WEIGHTS:
+        assert enumerate_by_weight(w) == _kahn_order(w), w
 
 
 def test_enumeration_is_a_linear_extension():
