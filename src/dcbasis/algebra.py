@@ -29,6 +29,7 @@ from .multisegment import (
 
 __all__ = [
     "AlgebraElement",
+    "basis_product",
     "dual_pbw",
     "unit",
     "quantum_minor",
@@ -240,6 +241,14 @@ def render_combination(items: Iterable[tuple[Multisegment, LaurentPoly]],
 def dual_pbw(m: Multisegment) -> AlgebraElement:
     """The basis vector E*(m)."""
     return AlgebraElement({m: ONE})
+
+
+def basis_product(m: Multisegment, n: Multisegment) -> AlgebraElement:
+    """The product E*(m) E*(n), straightened as one word."""
+    words: dict[Word, LaurentPoly] = {}
+    _straighten(m.segments + n.segments,
+                LaurentPoly.v_power(m.binom_sum() + n.binom_sum()), words)
+    return _from_words(words)
 
 
 def unit() -> AlgebraElement:

@@ -18,7 +18,7 @@ from operator import index
 from pathlib import Path
 from typing import Callable
 
-from .algebra import AlgebraElement, dual_pbw
+from .algebra import AlgebraElement, basis_product, dual_pbw
 from .laurent import LaurentPoly, ONE, ZERO
 from .multisegment import (
     Multisegment,
@@ -55,7 +55,7 @@ def check_unitriangular(m: Multisegment, x: AlgebraElement,
     at m, every other label above m under order_key, with its coefficient
     in v*Z[v]."""
     key_m = order_key(m)
-    for n, c in x.items():
+    for n, c in x.unordered_items():
         if n != m and not (order_key(n) > key_m
                            and c.only_positive_exponents()):
             raise InvariantError(
@@ -74,11 +74,20 @@ class BasisCache:
     such extension yields the same basis, which a property test exercises.
     The correction loop and expand_in_dcb share one elimination, an upward
     sweep along order_key.
+
+    Besides the basis vectors, the cache holds the products E*(p) E*([s])
+    and E*([s]) E*(p) that aux_vector uses, keyed by the weight of the
+    product and then by the ordered pair of labels.  dcb_table drops the
+    products of a weight once its table is built: every label of that
+    weight is then memoized, so aux_vector never asks for them again.
     """
 
     def __init__(self,
                  order_key: Callable[[Multisegment], tuple] | None = None):
         self._memo: dict[Multisegment, AlgebraElement] = {}
+        self._products: dict[
+            Weight, dict[tuple[Multisegment, Multisegment], AlgebraElement]
+        ] = {}
         self.order_key = order_key or Multisegment.extension_key
 
     def labels_computed(self) -> int:
@@ -89,20 +98,29 @@ class BasisCache:
 
         For at most one segment this is the basis vector itself.  Otherwise
         split off one copy of the largest segment s, and divide the graded
-        commutator v^(b(rest,s)+1) G*(rest) G*(s) - v^(b(s,rest)-1) G*(s) G*(rest)
-        exactly by v - v^-1.
+        commutator v^(b(rest,s)+1) G*(rest) E*(s) - v^(b(s,rest)-1) E*(s) G*(rest)
+        exactly by v - v^-1.  It is summed term by term over the support
+        of G*(rest), with each product of two E* vectors taken from the
+        product memo of m's weight.
         """
         if len(m) <= 1:
             return dual_pbw(m)
         s = m.largest_segment()
         rest = m.remove(s)
         single = Multisegment([s])
-        g_rest = self.dual_canonical(rest)
-        g_s = dual_pbw(single)
         forward = LaurentPoly.v_power(b_form(rest, single) + 1)
-        backward = LaurentPoly.v_power(b_form(single, rest) - 1)
-        num = (g_rest * g_s).scaled(forward) - (g_s * g_rest).scaled(backward)
-        return num.div_v_minus_vinv()
+        minus_backward = LaurentPoly.v_power(b_form(single, rest) - 1, -1)
+        products = self._products.setdefault(m.weight(), {})
+        num: dict[Multisegment, LaurentPoly] = {}
+        for p, c in self.dual_canonical(rest).unordered_items():
+            for pair, scalar in (((p, single), c * forward),
+                                 ((single, p), c * minus_backward)):
+                product = products.get(pair)
+                if product is None:
+                    product = products[pair] = basis_product(*pair)
+                for q, d in product.unordered_items():
+                    num[q] = num.get(q, ZERO) + scalar * d
+        return AlgebraElement(num).div_v_minus_vinv()
 
     def dual_canonical(self, m: Multisegment) -> AlgebraElement:
         """The basis vector G*(m), expanded over the E* basis."""
@@ -189,7 +207,9 @@ class DcbTable:
 def dcb_table(w: Weight, cache: BasisCache | None = None) -> DcbTable:
     cache = cache or _DEFAULT
     labels = enumerate_by_weight(w)
-    return DcbTable(w, labels, {m: cache.dual_canonical(m) for m in labels})
+    table = DcbTable(w, labels, {m: cache.dual_canonical(m) for m in labels})
+    cache._products.pop(w, None)
+    return table
 
 
 def load_table(path: Path) -> DcbTable:

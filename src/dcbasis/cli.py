@@ -45,6 +45,7 @@ from .multisegment import (
     Multisegment,
     Weight,
     class_exceeds,
+    dominates,
     enumerate_by_weight,
     parse_multisegment,
     parse_weight,
@@ -93,14 +94,16 @@ def _weight_class(weight: Weight, cap: int) -> tuple[Multisegment, ...]:
 def _load_cached(path: Path, weight: Weight,
                  labels: tuple[Multisegment, ...]) -> DcbTable:
     """The table at path, refused unless it is a unitriangular table of
-    exactly this weight class."""
+    exactly this weight class whose rows stay in the dominance cone."""
     try:
         table = load_table(path)
         for m in table.labels:
             check_unitriangular(m, table.expansion(m),
                                 Multisegment.extension_key)
-            if not table.expansion(m).is_homogeneous():
-                raise ValueError(f"the row of {m} mixes weights")
+            for n, _ in table.expansion(m).unordered_items():
+                if not dominates(m, n):
+                    raise ValueError(f"the row of {m} has {n}, which {m} "
+                                     "does not dominate")
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
             InvariantError) as exc:
         raise _UsageError(f"cache file {path} is not a valid table: "
@@ -108,6 +111,10 @@ def _load_cached(path: Path, weight: Weight,
     if table.weight != weight or table.labels != labels:
         raise _UsageError(f"cache file {path} does not match weight {weight}")
     return table
+
+
+def _cannot_write(path: Path, exc: OSError) -> _UsageError:
+    return _UsageError(f"cannot write cache file {path}: {exc}")
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
@@ -126,10 +133,12 @@ def cmd_dcb(args: argparse.Namespace) -> int:
     table: DcbTable | None = None
     cache_path: Path | None = None
     if args.cache_dir is not None:
-        directory = Path(args.cache_dir)
-        directory.mkdir(parents=True, exist_ok=True)
         stem = str(weight).replace(":", "-").replace(",", "_")
-        cache_path = directory / f"weight_{stem}.json"
+        cache_path = Path(args.cache_dir) / f"weight_{stem}.json"
+        try:
+            cache_path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _cannot_write(cache_path, exc) from exc
         if cache_path.exists():
             table = _load_cached(cache_path, weight, labels)
     if table is None:
@@ -140,6 +149,8 @@ def cmd_dcb(args: argparse.Namespace) -> int:
             try:
                 tmp.write_text(json.dumps(table.to_json_obj()))
                 os.replace(tmp, cache_path)
+            except OSError as exc:
+                raise _cannot_write(cache_path, exc) from exc
             finally:
                 tmp.unlink(missing_ok=True)
     lines = [

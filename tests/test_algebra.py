@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dcbasis.algebra import (
     AlgebraElement,
+    basis_product,
     dual_pbw,
     minor_multisegment,
     quantum_minor,
@@ -136,6 +137,16 @@ def test_product_leading_term_and_support():
             LaurentPoly.v_power(-b_form(m, n))
         for p in product.support():
             assert dominates(total, p)
+
+
+def test_basis_product_matches_the_general_product():
+    labels = _window(5, 0, 3)
+    pairs = 0
+    for m, n in itertools.product(labels, repeat=2):
+        if m.degree() + n.degree() <= 5:
+            assert basis_product(m, n) == dual_pbw(m) * dual_pbw(n), (m, n)
+            pairs += 1
+    assert pairs == 2085
 
 
 def test_product_is_homogeneous():

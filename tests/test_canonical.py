@@ -244,6 +244,48 @@ def test_expansion_sweep_matches_the_old_loop():
     assert pairs == 2477
 
 
+def _old_aux_vector(m, cache):
+    """Reference auxiliary vector: the graded commutator through two
+    general products of elements."""
+    if len(m) <= 1:
+        return dual_pbw(m)
+    s = m.largest_segment()
+    rest = m.remove(s)
+    single = Multisegment([s])
+    g_rest = cache.dual_canonical(rest)
+    g_s = dual_pbw(single)
+    forward = LaurentPoly.v_power(b_form(rest, single) + 1)
+    backward = LaurentPoly.v_power(b_form(single, rest) - 1)
+    return ((g_rest * g_s).scaled(forward)
+            - (g_s * g_rest).scaled(backward)).div_v_minus_vinv()
+
+
+def test_aux_vector_matches_the_old_products():
+    cache = BasisCache()
+    labels = 0
+    for w in window_weights(5, 0, 4):
+        for m in enumerate_by_weight(w):
+            assert cache.aux_vector(m) == _old_aux_vector(m, cache), m
+            labels += 1
+    assert labels == 623
+
+
+def test_dcb_table_drops_the_products_of_its_weight():
+    cache = BasisCache()
+    cache.dual_canonical(pm("[0]+[1]+[1,2]"))
+    assert WORKED_WEIGHT in cache._products
+    dcb_table(WORKED_WEIGHT, cache)
+    assert WORKED_WEIGHT not in cache._products
+    assert Weight({0: 1, 1: 1}) in cache._products
+    # Every weight a class recurses into is itself a window weight, so a
+    # cache filled class by class over the window ends with no products.
+    weights = window_weights(6, 0, 5)
+    assert len(weights) == 923
+    for w in weights:
+        dcb_table(w, cache)
+    assert cache._products == {}
+
+
 # -- independence from the processing order --------------------------------------------
 
 

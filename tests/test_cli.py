@@ -119,6 +119,23 @@ def test_dcb_cache_refuses_a_table_that_is_not_unitriangular(tmp_path, capsys):
         "InvariantError: G*([0]+[1]) has coefficient 5*v^-1 at [0,1]: off-diagonal terms "
         "must lie above [0]+[1], with coefficients in v*Z[v]\n")
 
+    # [0,1]+[1]+[2] lies above [0]+[1]+[1,2] in extension_key order, but
+    # neither label dominates the other: the row leaves the cone.
+    argv = ("dcb", "--weight", "0:1,1:2,2:1", "--cache-dir", str(tmp_path))
+    assert run_cli(capsys, *argv)[0] == 0
+    cache_file = tmp_path / "weight_0-1_1-2_2-1.json"
+    obj = json.loads(cache_file.read_text())
+    row = obj["basis"][1]
+    assert row["label"] == "[0]+[1]+[1,2]"
+    row["expansion"].append({"label": "[0,1]+[1]+[2]", "coef": [[1, 1]]})
+    cache_file.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: cache file {cache_file} is not a valid table: "
+        "ValueError: the row of [0]+[1]+[1,2] has [0,1]+[1]+[2], which "
+        "[0]+[1]+[1,2] does not dominate\n")
+
 
 @pytest.mark.parametrize("text", [
     "{}",
@@ -149,12 +166,27 @@ def test_dcb_cache_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.Path, "write_text", write_half_then_fail)
     argv = ("dcb", "--weight", "0:1,1:1", "--cache-dir", str(tmp_path))
     code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (3, "")
-    assert err == "internal error: OSError: disk full\n"
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot write cache file "
+                   f"{tmp_path / 'weight_0-1_1-1.json'}: disk full\n")
     assert list(tmp_path.iterdir()) == []
     monkeypatch.undo()
     assert run_cli(capsys, *argv)[0] == 0
     assert [p.name for p in tmp_path.iterdir()] == ["weight_0-1_1-1.json"]
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_dcb_cache_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys,
+                                                        below):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    directory = blocker / below if below else blocker
+    code, out, err = run_cli(capsys, "dcb", "--weight", "0:1,1:1",
+                             "--cache-dir", str(directory))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write cache file "
+                          f"{directory / 'weight_0-1_1-1.json'}: ")
+    assert blocker.read_text() == "not a directory"
 
 
 def test_dcb_malformed_weight(capsys):
