@@ -10,13 +10,7 @@ The package has two halves that validate each other:
   sets, hook lengths, and column tableaux.
 """
 
-from .laurent import (
-    ExactDivisionError,
-    LaurentPoly,
-    parse_laurent,
-    quantum_factorial,
-    quantum_integer,
-)
+from .laurent import ExactDivisionError, LaurentPoly, quantum_integer
 from .multisegment import (
     Multisegment,
     Segment,
@@ -116,13 +110,11 @@ __all__ = [
     "membership_up_to_power",
     "minor_multisegment",
     "n_pi",
-    "parse_laurent",
     "parse_multisegment",
     "parse_partition",
     "parse_segment",
     "parse_weight",
     "product_word",
-    "quantum_factorial",
     "quantum_integer",
     "quantum_minor",
     "render_combination",

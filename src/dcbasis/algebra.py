@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .laurent import LaurentPoly, ONE, ZERO
+from .laurent import LaurentPoly, ONE, ZERO, add_product, finish
 from .multisegment import (
     Multisegment,
     Segment,
@@ -29,6 +29,7 @@ from .multisegment import (
 
 __all__ = [
     "AlgebraElement",
+    "InvariantError",
     "basis_product",
     "dual_pbw",
     "unit",
@@ -36,9 +37,15 @@ __all__ = [
     "minor_multisegment",
 ]
 
-_V_INV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
+_V_INV_MINUS_V = {-1: 1, 1: -1}
 
 Word = tuple[Segment, ...]
+
+
+class InvariantError(Exception):
+    """A computed result breaks an invariant of the algorithm that built it:
+    a straightened word that changes degree or lowers the squared-length
+    sum, or a basis vector that is not unitriangular."""
 
 
 def _rightmost_descent(word: Word) -> int | None:
@@ -49,52 +56,76 @@ def _rightmost_descent(word: Word) -> int | None:
     return None
 
 
-def _straighten(word: Word, scalar: LaurentPoly,
-                out: dict[Word, LaurentPoly]) -> None:
+def _measures(word: Word) -> tuple[int, int]:
+    """Degree and squared-length sum of a word."""
+    degree = sq = 0
+    for s in word:
+        n = s.end - s.start + 1
+        degree += n
+        sq += n * n
+    return degree, sq
+
+
+def _word_str(word: Word) -> str:
+    return "*".join(map(str, word)) or "1"
+
+
+def _straighten(word: Word, scalar: dict[int, int],
+                out: dict[Word, dict[int, int]]) -> None:
     """Accumulate the normal form of scalar * word into out.
+
+    Coefficients are raw dicts (see laurent): scalar must be one the caller
+    gives up, since out may take it over, and out may keep zeros.
 
     Rewrites the rightmost out-of-order pair first.  Each rewrite either
     swaps the pair (one fewer inversion, same multiset) or, for linked
     segments, replaces it by intersection/union (strictly larger squared
     length sum, so the dominance measure drops); both measures are bounded,
-    hence termination.
+    hence termination.  Every finished word is checked once, when it first
+    enters out: same degree as word, squared-length sum no smaller.
     """
+    degree, sq = _measures(word)
     stack = [(word, scalar)]
     while stack:
         w, c = stack.pop()
         i = _rightmost_descent(w)
         if i is None:
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
+            acc = out.get(w)
+            if acc is None:
+                got_degree, got_sq = _measures(w)
+                if got_degree != degree or got_sq < sq:
+                    raise InvariantError(
+                        f"straightening {_word_str(word)} gave "
+                        f"{_word_str(w)} of degree {got_degree} and "
+                        f"squared-length sum {got_sq}: it must keep degree "
+                        f"{degree} and a sum of at least {sq}")
+                out[w] = c
             else:
-                out.pop(w, None)
+                add_product(acc, c, ONE)
             continue
         hi, lo = w[i], w[i + 1]
-        shifted = c * LaurentPoly.v_power(-segment_pairing(hi, lo))
+        k = segment_pairing(hi, lo)
+        shifted = {e - k: x for e, x in c.items()} if k else c
         stack.append((w[:i] + (lo, hi) + w[i + 2:], shifted))
         if linked(hi, lo):
             u = segment_union(hi, lo)
             inter = segment_intersection(hi, lo)
             mid = (u,) if inter is None else (inter, u)
-            assert (u.length ** 2 + (0 if inter is None else inter.length ** 2)
-                    > hi.length ** 2 + lo.length ** 2)
-            stack.append((w[:i] + mid + w[i + 2:], shifted * _V_INV_MINUS_V))
+            rewritten: dict[int, int] = {}
+            add_product(rewritten, c, _V_INV_MINUS_V, shift=-k)
+            stack.append((w[:i] + mid + w[i + 2:], rewritten))
 
 
-def _from_words(words: dict[Word, LaurentPoly]) -> "AlgebraElement":
+def _from_words(words: dict[Word, dict[int, int]]) -> "AlgebraElement":
     """The element with the given straightened words: each sorted word is
     v^(binom_sum) E*(m) for its multisegment m, so it contributes its
-    coefficient times v^(-binom_sum) to E*(m)."""
+    coefficient times v^(-binom_sum) to E*(m).  Distinct sorted words have
+    distinct multisegments, so each coefficient is finished once."""
     out: dict[Multisegment, LaurentPoly] = {}
     for w, c in words.items():
         label = Multisegment(w)
-        coef = c * LaurentPoly.v_power(-label.binom_sum())
-        s = out.get(label, ZERO) + coef
-        if s:
-            out[label] = s
-        else:
-            out.pop(label, None)
+        shift = label.binom_sum()
+        out[label] = finish({e - shift: x for e, x in c.items()})
     return AlgebraElement(out)
 
 
@@ -179,12 +210,13 @@ class AlgebraElement:
             return self.scaled(other)
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        words: dict[Word, LaurentPoly] = {}
+        words: dict[Word, dict[int, int]] = {}
         for m, cm in self._terms.items():
             lhs = m.segments
-            pre = cm * LaurentPoly.v_power(m.binom_sum())
+            shift = m.binom_sum()
             for n, cn in other._terms.items():
-                scalar = pre * cn * LaurentPoly.v_power(n.binom_sum())
+                scalar: dict[int, int] = {}
+                add_product(scalar, cm, cn, shift=shift + n.binom_sum())
                 _straighten(lhs + n.segments, scalar, words)
         return _from_words(words)
 
@@ -245,9 +277,9 @@ def dual_pbw(m: Multisegment) -> AlgebraElement:
 
 def basis_product(m: Multisegment, n: Multisegment) -> AlgebraElement:
     """The product E*(m) E*(n), straightened as one word."""
-    words: dict[Word, LaurentPoly] = {}
-    _straighten(m.segments + n.segments,
-                LaurentPoly.v_power(m.binom_sum() + n.binom_sum()), words)
+    words: dict[Word, dict[int, int]] = {}
+    _straighten(m.segments + n.segments, {m.binom_sum() + n.binom_sum(): 1},
+                words)
     return _from_words(words)
 
 
@@ -275,7 +307,7 @@ def quantum_minor(rows: Iterable[int], cols: Iterable[int]) -> AlgebraElement:
     rows = tuple(rows)
     cols = tuple(cols)
     _check_indices(rows, cols)
-    words: dict[Word, LaurentPoly] = {}
+    words: dict[Word, dict[int, int]] = {}
     for perm in itertools.permutations(range(len(rows))):
         word = []
         for r, p in enumerate(perm):
@@ -285,8 +317,7 @@ def quantum_minor(rows: Iterable[int], cols: Iterable[int]) -> AlgebraElement:
                 word.append(Segment(rows[r], cols[p] - 1))
         else:
             inv = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
-            _straighten(tuple(word), LaurentPoly.v_power(inv, (-1) ** inv),
-                        words)
+            _straighten(tuple(word), {inv: (-1) ** inv}, words)
     return _from_words(words)
 
 

@@ -18,8 +18,16 @@ from operator import index
 from pathlib import Path
 from typing import Callable
 
-from .algebra import AlgebraElement, basis_product, dual_pbw
-from .laurent import LaurentPoly, ONE, ZERO
+from .algebra import AlgebraElement, InvariantError, basis_product, dual_pbw
+from .laurent import (
+    LaurentPoly,
+    ONE,
+    add_product,
+    divide_by_v_minus_vinv,
+    finish,
+    raw,
+    symmetric_part,
+)
 from .multisegment import (
     Multisegment,
     Weight,
@@ -43,10 +51,6 @@ __all__ = [
     "membership_up_to_power",
     "default_cache",
 ]
-
-
-class InvariantError(Exception):
-    """A basis vector breaks unitriangularity."""
 
 
 def check_unitriangular(m: Multisegment, x: AlgebraElement,
@@ -108,26 +112,31 @@ class BasisCache:
         s = m.largest_segment()
         rest = m.remove(s)
         single = Multisegment([s])
-        forward = LaurentPoly.v_power(b_form(rest, single) + 1)
-        minus_backward = LaurentPoly.v_power(b_form(single, rest) - 1, -1)
+        forward = b_form(rest, single) + 1
+        backward = b_form(single, rest) - 1
         products = self._products.setdefault(m.weight(), {})
-        num: dict[Multisegment, LaurentPoly] = {}
+        num: dict[Multisegment, dict[int, int]] = {}
         for p, c in self.dual_canonical(rest).unordered_items():
-            for pair, scalar in (((p, single), c * forward),
-                                 ((single, p), c * minus_backward)):
+            for pair, shift, sign in (((p, single), forward, 1),
+                                      ((single, p), backward, -1)):
                 product = products.get(pair)
                 if product is None:
                     product = products[pair] = basis_product(*pair)
                 for q, d in product.unordered_items():
-                    num[q] = num.get(q, ZERO) + scalar * d
-        return AlgebraElement(num).div_v_minus_vinv()
+                    acc = num.get(q)
+                    if acc is None:
+                        acc = num[q] = {}
+                    add_product(acc, c, d, shift, sign)
+        return AlgebraElement({q: finish(divide_by_v_minus_vinv(acc))
+                               for q, acc in num.items()})
 
     def dual_canonical(self, m: Multisegment) -> AlgebraElement:
         """The basis vector G*(m), expanded over the E* basis."""
         hit = self._memo.get(m)
         if hit is not None:
             return hit
-        x, _ = self._sweep(self.aux_vector(m), m, LaurentPoly.symmetric_part)
+        x, _ = self._sweep(self.aux_vector(m), m,
+                           lambda acc: finish(symmetric_part(acc)))
         # One check per finished vector.  The sweep never changes the
         # coefficient of m, so this also checks that of aux_vector(m).
         check_unitriangular(m, x, self.order_key)
@@ -135,14 +144,14 @@ class BasisCache:
         return x
 
     def _sweep(self, x: AlgebraElement, skip: Multisegment | None,
-               part: Callable[[LaurentPoly], LaurentPoly]
+               part: Callable[[dict[int, int]], LaurentPoly]
                ) -> tuple[AlgebraElement, dict[Multisegment, LaurentPoly]]:
         """Walk the support of x upward along order_key, subtracting t G*(n)
-        at each label n but skip, with t = part(coefficient at n).  G*(n)
-        adds only labels above n, so a heap of pending labels meets each
-        label once, after all labels below it.  Returns what is left of x
-        and the nonzero t's, in walk order."""
-        coeffs = dict(x.unordered_items())
+        at each label n but skip, with t = part(coefficient at n) and the
+        coefficient a raw dict.  G*(n) adds only labels above n, so a heap
+        of pending labels meets each label once, after all labels below it.
+        Returns what is left of x and the nonzero t's, in walk order."""
+        coeffs = {n: raw(c) for n, c in x.unordered_items()}
         tie = itertools.count()  # labels never compare, even on equal keys
         heap = [(self.order_key(n), next(tie), n) for n in coeffs]
         heapq.heapify(heap)
@@ -153,10 +162,12 @@ class BasisCache:
                 continue
             steps[n] = t
             for p, c in self.dual_canonical(n).unordered_items():
-                if p not in coeffs:
+                acc = coeffs.get(p)
+                if acc is None:
+                    acc = coeffs[p] = {}
                     heapq.heappush(heap, (self.order_key(p), next(tie), p))
-                coeffs[p] = coeffs.get(p, ZERO) - t * c
-        return AlgebraElement(coeffs), steps
+                add_product(acc, t, c, sign=-1)
+        return AlgebraElement({n: finish(c) for n, c in coeffs.items()}), steps
 
 
 _DEFAULT = BasisCache()
@@ -239,7 +250,7 @@ def expand_in_dcb(x: AlgebraElement,
     """
     if not x.is_homogeneous():
         raise ValueError("can only expand homogeneous elements")
-    return (cache or _DEFAULT)._sweep(x, None, lambda c: c)[1]
+    return (cache or _DEFAULT)._sweep(x, None, finish)[1]
 
 
 def structure_constants(m: Multisegment, n: Multisegment,

@@ -11,11 +11,32 @@ bar-symmetric truncation ``symmetric_part``, and exact division by
 4*v^2 + 8 + 4*v^-2
 >>> print(quantum_integer(3))
 v^2 + 1 + v^-2
+
+The hot loops downstream sum many products of coefficients.  They
+accumulate each coefficient in a plain ``dict[int, int]`` (a *raw* dict,
+which may hold zeros) through a small kernel, and make a ``LaurentPoly``
+only for a finished coefficient:
+
+* ``add_product(acc, a, b, shift, sign)`` adds ``sign * v^shift * a * b``
+  to ``acc`` in place; ``a`` and ``b`` are polynomials or raw dicts;
+* ``finish(acc)`` drops the zeros and returns the ``LaurentPoly``;
+* ``symmetric_part`` and ``divide_by_v_minus_vinv`` are the raw forms of
+  the methods of the same names, which wrap them.
+
+>>> acc = {}
+>>> add_product(acc, V, {0: 1, -2: 1}, shift=1, sign=-1)
+>>> add_product(acc, ONE, {2: 1})
+>>> acc
+{2: 0, 0: -1}
+>>> print(finish(acc))
+-1
+
+A ``LaurentPoly`` is hashed and memoized, so the dict it owns is never
+mutated: the kernel reads such dicts and writes only to dicts its caller
+owns, and ``raw`` hands out a copy.
 """
 
 from __future__ import annotations
-
-import re
 
 __all__ = [
     "ExactDivisionError",
@@ -23,9 +44,12 @@ __all__ = [
     "ZERO",
     "ONE",
     "V",
+    "add_product",
+    "divide_by_v_minus_vinv",
+    "finish",
     "quantum_integer",
-    "quantum_factorial",
-    "parse_laurent",
+    "raw",
+    "symmetric_part",
 ]
 
 
@@ -133,24 +157,9 @@ class LaurentPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._c, other._c
-        if not a or not b:
-            return ZERO
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:
-            (e0, c0), = a.items()
-            return LaurentPoly({e + e0: c * c0 for e, c in b.items()})
-        out: dict[int, int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return LaurentPoly(out)
+        acc: dict[int, int] = {}
+        add_product(acc, self, other)
+        return finish(acc)
 
     __rmul__ = __mul__
 
@@ -184,36 +193,11 @@ class LaurentPoly:
         >>> print(LaurentPoly({-1: 2, 0: 5, 1: 7}).symmetric_part())
         2*v + 5 + 2*v^-1
         """
-        out: dict[int, int] = {}
-        c0 = self._c.get(0, 0)
-        if c0:
-            out[0] = c0
-        for e, c in self._c.items():
-            if e < 0:
-                out[e] = c
-                out[-e] = c
-        return LaurentPoly(out)
+        return _wrap(symmetric_part(self._c))
 
     def divide_by_v_minus_vinv(self) -> "LaurentPoly":
-        """Exact division by (v - v^-1); raises ExactDivisionError otherwise.
-
-        Solves the two-term recurrence q[k+1] = q[k-1] - p[k] upward from
-        below the support; the quotient is finitely supported exactly when
-        the top two recurrence values vanish.
-        """
-        if not self._c:
-            return ZERO
-        lo = min(self._c)
-        hi = max(self._c)
-        q: dict[int, int] = {}
-        for k in range(lo, hi + 1):
-            val = q.get(k - 1, 0) - self._c.get(k, 0)
-            if val:
-                q[k + 1] = val
-        if q.get(hi, 0) or q.get(hi + 1, 0):
-            raise ExactDivisionError(
-                f"{self} is not divisible by v - v^-1")
-        return LaurentPoly(q)
+        """Exact division by (v - v^-1); raises ExactDivisionError otherwise."""
+        return _wrap(divide_by_v_minus_vinv(self._c))
 
     # -- comparison, hashing, rendering --------------------------------------
 
@@ -260,9 +244,89 @@ def _coerce(x) -> "LaurentPoly":
     return NotImplemented
 
 
+def _wrap(coeffs: dict[int, int]) -> LaurentPoly:
+    """The polynomial owning coeffs, which holds no zero coefficient and
+    which no one else mutates: no filter, no copy."""
+    p = object.__new__(LaurentPoly)
+    p._c = coeffs
+    p._hash = None
+    return p
+
+
 ZERO = LaurentPoly(0)
 ONE = LaurentPoly(1)
 V = LaurentPoly.v_power(1)
+
+
+# -- the raw-coefficient kernel ----------------------------------------------
+
+
+def add_product(acc: dict[int, int], a: LaurentPoly | dict[int, int],
+                b: LaurentPoly | dict[int, int], shift: int = 0,
+                sign: int = 1) -> None:
+    """acc += sign * v^shift * a * b, in place; acc may keep zeros."""
+    if isinstance(a, LaurentPoly):
+        a = a._c
+    if isinstance(b, LaurentPoly):
+        b = b._c
+    if len(a) > len(b):
+        a, b = b, a
+    for ea, ca in a.items():
+        ea += shift
+        ca *= sign
+        for eb, cb in b.items():
+            e = ea + eb
+            acc[e] = acc.get(e, 0) + ca * cb
+
+
+def finish(acc: dict[int, int]) -> LaurentPoly:
+    """The polynomial of a finished accumulator, zeros dropped."""
+    return _wrap({e: c for e, c in acc.items() if c})
+
+
+def raw(p: LaurentPoly) -> dict[int, int]:
+    """A copy of p's coefficients, free to accumulate into."""
+    return dict(p._c)
+
+
+def symmetric_part(coeffs: dict[int, int]) -> dict[int, int]:
+    """The raw form of LaurentPoly.symmetric_part: the constant term, and
+    each coefficient of a negative exponent at that exponent and its
+    negation.  Keeps zeros of coeffs."""
+    out: dict[int, int] = {}
+    c0 = coeffs.get(0, 0)
+    if c0:
+        out[0] = c0
+    for e, c in coeffs.items():
+        if e < 0:
+            out[e] = c
+            out[-e] = c
+    return out
+
+
+def divide_by_v_minus_vinv(coeffs: dict[int, int]) -> dict[int, int]:
+    """The raw form of LaurentPoly.divide_by_v_minus_vinv; the quotient
+    holds no zeros, whether or not coeffs does.
+
+    Solves the two-term recurrence q[k+1] = q[k-1] - p[k] upward from
+    below the support; the quotient is finitely supported exactly when
+    the top two recurrence values vanish.  Zeros stored at either end of
+    coeffs only carry the recurrence values along, so they change neither
+    the quotient nor the test.
+    """
+    if not coeffs:
+        return {}
+    lo = min(coeffs)
+    hi = max(coeffs)
+    q: dict[int, int] = {}
+    for k in range(lo, hi + 1):
+        val = q.get(k - 1, 0) - coeffs.get(k, 0)
+        if val:
+            q[k + 1] = val
+    if q.get(hi, 0) or q.get(hi + 1, 0):
+        raise ExactDivisionError(
+            f"{finish(coeffs)} is not divisible by v - v^-1")
+    return q
 
 
 def quantum_integer(a: int) -> LaurentPoly:
@@ -270,56 +334,3 @@ def quantum_integer(a: int) -> LaurentPoly:
     if a < 0:
         return -quantum_integer(-a)
     return LaurentPoly({a - 1 - 2 * k: 1 for k in range(a)})
-
-
-def quantum_factorial(a: int) -> LaurentPoly:
-    """Product of quantum integers 1..a; the empty product for a in {0, 1}."""
-    if a < 0:
-        raise ValueError(f"quantum factorial needs a >= 0, got {a}")
-    result = ONE
-    for k in range(2, a + 1):
-        result = result * quantum_integer(k)
-    return result
-
-
-_TERM_RE = re.compile(
-    r"""(?P<sign>[+-]?)\s*
-        (?:
-            (?P<coef>\d+)\s*(?:\*\s*(?P<var1>v(?:\^(?P<exp1>-?\d+))?))?
-          | (?P<var2>v(?:\^(?P<exp2>-?\d+))?)
-        )\s*""",
-    re.VERBOSE,
-)
-
-
-def parse_laurent(text: str) -> LaurentPoly:
-    """Parse the rendering produced by str(): e.g. ``v^3 + 2*v - v^-1``.
-
-    Whitespace-insensitive; accepts integer constants, ``v``, ``v^k`` with
-    possibly negative k, and optional ``*`` between coefficient and power.
-    """
-    s = text.strip()
-    if not s:
-        raise ValueError("empty Laurent polynomial literal")
-    out = ZERO
-    pos = 0
-    first = True
-    while pos < len(s):
-        match = _TERM_RE.match(s, pos)
-        if not match or match.end() == pos:
-            raise ValueError(f"malformed Laurent polynomial at {s[pos:]!r}")
-        sign = match.group("sign")
-        if not first and not sign:
-            raise ValueError(f"missing +/- before {s[pos:]!r}")
-        coef = int(match.group("coef") or 1)
-        if sign == "-":
-            coef = -coef
-        if match.group("var1") or match.group("var2"):
-            exp_text = match.group("exp1") or match.group("exp2")
-            exp = int(exp_text) if exp_text else 1
-        else:
-            exp = 0
-        out = out + LaurentPoly.v_power(exp, coef)
-        pos = match.end()
-        first = False
-    return out

@@ -1,10 +1,15 @@
 """Tests for the straightening algebra and quantum minors."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dcbasis
 from dcbasis.algebra import (
     AlgebraElement,
     basis_product,
@@ -14,13 +19,18 @@ from dcbasis.algebra import (
     render_combination,
     unit,
 )
-from dcbasis.laurent import LaurentPoly, ONE, quantum_integer
+from dcbasis.laurent import LaurentPoly, ONE, ZERO, quantum_integer
 from dcbasis.multisegment import (
     Multisegment,
     Segment,
     b_form,
     dominates,
+    linked,
     parse_multisegment,
+    segment_intersection,
+    segment_key,
+    segment_pairing,
+    segment_union,
 )
 
 V_MINUS_VINV = LaurentPoly({1: 1, -1: -1})
@@ -147,6 +157,126 @@ def test_basis_product_matches_the_general_product():
             assert basis_product(m, n) == dual_pbw(m) * dual_pbw(n), (m, n)
             pairs += 1
     assert pairs == 2085
+
+
+# -- straightening against the LaurentPoly loop it replaced --------------------
+
+
+def _old_straighten(word, scalar, out):
+    """Reference straightening: LaurentPoly coefficients, cancelled words
+    removed from out."""
+    stack = [(word, scalar)]
+    while stack:
+        w, c = stack.pop()
+        i = next((i for i in range(len(w) - 2, -1, -1)
+                  if segment_key(w[i]) > segment_key(w[i + 1])), None)
+        if i is None:
+            s = out.get(w, ZERO) + c
+            if s:
+                out[w] = s
+            else:
+                out.pop(w, None)
+            continue
+        hi, lo = w[i], w[i + 1]
+        shifted = c * LaurentPoly.v_power(-segment_pairing(hi, lo))
+        stack.append((w[:i] + (lo, hi) + w[i + 2:], shifted))
+        if linked(hi, lo):
+            u = segment_union(hi, lo)
+            inter = segment_intersection(hi, lo)
+            mid = (u,) if inter is None else (inter, u)
+            assert (u.length ** 2 + (0 if inter is None else inter.length ** 2)
+                    > hi.length ** 2 + lo.length ** 2)
+            stack.append((w[:i] + mid + w[i + 2:],
+                          shifted * LaurentPoly({-1: 1, 1: -1})))
+
+
+def _old_from_words(words):
+    """Reference conversion of sorted words: each adds its coefficient
+    times v^(-binom_sum) to its label."""
+    out = {}
+    for w, c in words.items():
+        label = Multisegment(w)
+        s = out.get(label, ZERO) + c * LaurentPoly.v_power(-label.binom_sum())
+        if s:
+            out[label] = s
+        else:
+            out.pop(label, None)
+    return AlgebraElement(out)
+
+
+def _old_minor(rows, cols):
+    words = {}
+    for perm in itertools.permutations(range(len(rows))):
+        word = []
+        for r, p in enumerate(perm):
+            if rows[r] > cols[p]:
+                break
+            if rows[r] < cols[p]:
+                word.append(Segment(rows[r], cols[p] - 1))
+        else:
+            inv = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+            _old_straighten(tuple(word), LaurentPoly.v_power(inv, (-1) ** inv),
+                            words)
+    return _old_from_words(words)
+
+
+def test_basis_product_matches_the_old_straightening():
+    labels = _window(5, 0, 3)
+    pairs = 0
+    for m, n in itertools.product(labels, repeat=2):
+        if m.degree() + n.degree() <= 5:
+            words = {}
+            _old_straighten(m.segments + n.segments,
+                            LaurentPoly.v_power(m.binom_sum() + n.binom_sum()),
+                            words)
+            assert basis_product(m, n).items() == \
+                _old_from_words(words).items(), (m, n)
+            pairs += 1
+    assert pairs == 2085
+
+
+def test_quantum_minor_matches_the_old_straightening():
+    minors = 0
+    for k in range(1, 4):
+        for rows in itertools.combinations(range(5), k):
+            for cols in itertools.combinations(range(5), k):
+                if any(i > j for i, j in zip(rows, cols)):
+                    continue
+                assert quantum_minor(rows, cols).items() == \
+                    _old_minor(rows, cols).items(), (rows, cols)
+                minors += 1
+    assert minors == 115
+
+
+# segment_union patched to drop the top of the union, so the linked rewrite
+# of [1]*[0] yields the one-point word [0]: degree 1 instead of 2.
+_SHORT_UNION = """
+import sys
+from dcbasis import algebra
+from dcbasis.multisegment import Segment, parse_multisegment
+
+algebra.segment_union = lambda a, b: Segment(min(a.start, b.start),
+                                             min(a.start, b.start))
+print("optimize", sys.flags.optimize)
+try:
+    algebra.basis_product(parse_multisegment("[1]"), parse_multisegment("[0]"))
+    print("no error")
+except algebra.InvariantError as exc:
+    print(exc)
+"""
+
+
+def test_straightening_check_survives_python_O():
+    src = str(Path(dcbasis.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _SHORT_UNION], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines() == [
+        "optimize 1",
+        "straightening [1]*[0] gave [0] of degree 1 and squared-length sum "
+        "1: it must keep degree 2 and a sum of at least 2",
+    ]
 
 
 def test_product_is_homogeneous():

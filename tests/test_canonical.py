@@ -393,12 +393,14 @@ def test_dcb_table_accessors():
 
 
 # sha256 of the ``dcb --json`` text of the two smallest classes of the
-# benchmark ladder (18 and 65 labels).
+# benchmark ladder (18 and 65 labels) and of its largest (235 labels).
 DCB_JSON_SHA256 = {
     "0:1,1:2,2:2,3:1":
         "a27ff072c14bc3f6fee41d1439c73ce4d5be60bc247468beba65e11c11423ebb",
     "0:1,1:2,2:2,3:2,4:1":
         "5738105c79e3f57909a81df512f49bd940f65404200a219176d10f1ed9e62ade",
+    "0:1,1:2,2:2,3:2,4:2,5:1":
+        "a2f68e47aca01941d37bd835e2b939d8124a3b1a738ec8587f628502b3012ea1",
 }
 
 

@@ -1,5 +1,7 @@
 """Tests for exact Laurent polynomial arithmetic and its involutions."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,17 +11,76 @@ from dcbasis.laurent import (
     ZERO,
     ExactDivisionError,
     LaurentPoly,
-    parse_laurent,
-    quantum_factorial,
+    add_product,
+    divide_by_v_minus_vinv,
+    finish,
     quantum_integer,
+    raw,
+    symmetric_part,
 )
 
-laurent_polys = st.dictionaries(
-    st.integers(-6, 6), st.integers(-9, 9), max_size=6).map(LaurentPoly)
+# Raw coefficient dicts, zeros allowed.
+raw_dicts = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9),
+                            max_size=6)
+
+laurent_polys = raw_dicts.map(LaurentPoly)
 
 nonzero_polys = laurent_polys.filter(bool)
 
 V_MINUS_VINV = LaurentPoly({1: 1, -1: -1})
+
+
+def quantum_factorial(a: int) -> LaurentPoly:
+    """Product of quantum integers 1..a; the empty product for a in {0, 1}."""
+    if a < 0:
+        raise ValueError(f"quantum factorial needs a >= 0, got {a}")
+    result = ONE
+    for k in range(2, a + 1):
+        result = result * quantum_integer(k)
+    return result
+
+
+_TERM_RE = re.compile(
+    r"""(?P<sign>[+-]?)\s*
+        (?:
+            (?P<coef>\d+)\s*(?:\*\s*(?P<var1>v(?:\^(?P<exp1>-?\d+))?))?
+          | (?P<var2>v(?:\^(?P<exp2>-?\d+))?)
+        )\s*""",
+    re.VERBOSE,
+)
+
+
+def parse_laurent(text: str) -> LaurentPoly:
+    """Parse the rendering produced by str(): e.g. ``v^3 + 2*v - v^-1``.
+
+    Whitespace-insensitive; accepts integer constants, ``v``, ``v^k`` with
+    possibly negative k, and optional ``*`` between coefficient and power.
+    """
+    s = text.strip()
+    if not s:
+        raise ValueError("empty Laurent polynomial literal")
+    out = ZERO
+    pos = 0
+    first = True
+    while pos < len(s):
+        match = _TERM_RE.match(s, pos)
+        if not match or match.end() == pos:
+            raise ValueError(f"malformed Laurent polynomial at {s[pos:]!r}")
+        sign = match.group("sign")
+        if not first and not sign:
+            raise ValueError(f"missing +/- before {s[pos:]!r}")
+        coef = int(match.group("coef") or 1)
+        if sign == "-":
+            coef = -coef
+        if match.group("var1") or match.group("var2"):
+            exp_text = match.group("exp1") or match.group("exp2")
+            exp = int(exp_text) if exp_text else 1
+        else:
+            exp = 0
+        out = out + LaurentPoly.v_power(exp, coef)
+        pos = match.end()
+        first = False
+    return out
 
 
 # -- construction and basic queries -------------------------------------------
@@ -201,6 +262,93 @@ def test_quantum_factorial():
     assert quantum_factorial(4).is_bar_symmetric()
     with pytest.raises(ValueError):
         quantum_factorial(-1)
+
+
+# -- the raw-coefficient kernel against the LaurentPoly arithmetic -------------
+
+
+def _product(p, q):
+    """Reference product, one term pair at a time through addition."""
+    out = ZERO
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out = out + LaurentPoly.v_power(e1 + e2, c1 * c2)
+    return out
+
+
+@given(laurent_polys, laurent_polys)
+def test_product_matches_the_term_by_term_product(p, q):
+    assert p * q == _product(p, q)
+
+
+@given(raw_dicts, laurent_polys, raw_dicts, st.integers(-4, 4),
+       st.sampled_from([1, -1]))
+def test_add_product_matches_the_ring_operations(acc, a, b, shift, sign):
+    expected = LaurentPoly(acc) + _product(
+        LaurentPoly.v_power(shift, sign), _product(a, LaurentPoly(b)))
+    swapped = dict(acc)
+    add_product(acc, a, b, shift, sign)
+    add_product(swapped, b, raw(a), shift, sign)
+    assert finish(acc) == finish(swapped) == expected
+
+
+@given(laurent_polys, st.integers(-4, 4))
+def test_add_product_cancels_to_zero(p, shift):
+    acc = {}
+    add_product(acc, p, V, shift)
+    add_product(acc, V, p, shift, sign=-1)
+    assert all(c == 0 for c in acc.values())
+    assert finish(acc) == ZERO
+    assert not finish(acc)
+
+
+@given(raw_dicts)
+def test_finish_matches_the_constructor(acc):
+    assert finish(acc) == LaurentPoly(acc)
+    assert finish({e: 0 for e in acc}) == ZERO
+    assert not finish({e: 0 for e in acc})
+
+
+@given(laurent_polys)
+def test_raw_copies_and_never_aliases(p):
+    before = LaurentPoly(raw(p))
+    acc = raw(p)
+    add_product(acc, p, ONE)
+    assert p == before
+    assert finish(acc) == p + p
+
+
+@given(raw_dicts)
+def test_raw_symmetric_part_matches_the_method(acc):
+    assert finish(symmetric_part(acc)) == LaurentPoly(acc).symmetric_part()
+
+
+@given(raw_dicts)
+def test_raw_division_matches_the_method(acc):
+    try:
+        expected = LaurentPoly(acc).divide_by_v_minus_vinv()
+    except ExactDivisionError as exc:
+        with pytest.raises(ExactDivisionError) as raised:
+            divide_by_v_minus_vinv(acc)
+        assert str(raised.value) == str(exc)
+    else:
+        quotient = divide_by_v_minus_vinv(acc)
+        assert 0 not in quotient.values()
+        assert finish(quotient) == expected
+
+
+@given(laurent_polys, st.integers(-3, 3), st.integers(-3, 3))
+def test_raw_division_of_multiples_with_stored_zeros(q, low, high):
+    acc = raw(q * V_MINUS_VINV)
+    acc.setdefault(low - 8, 0)
+    acc.setdefault(high + 8, 0)
+    assert finish(divide_by_v_minus_vinv(acc)) == q
+
+
+def test_raw_division_error_message_pinned():
+    with pytest.raises(ExactDivisionError,
+                       match=r"^v\^2 is not divisible by v - v\^-1$"):
+        divide_by_v_minus_vinv({2: 1, 5: 0})
 
 
 # -- rendering and parsing -------------------------------------------------------
