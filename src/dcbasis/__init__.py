@@ -70,7 +70,6 @@ from .tableaux import (
     n_pi,
     product_word,
     rs_p_tableau,
-    tableau_multisegment,
 )
 
 __all__ = [
@@ -126,7 +125,6 @@ __all__ = [
     "separated",
     "strongly_separated",
     "structure_constants",
-    "tableau_multisegment",
     "unit",
 ]
 

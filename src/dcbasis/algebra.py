@@ -20,6 +20,7 @@ from .multisegment import (
     Multisegment,
     Segment,
     Weight,
+    _from_sorted,
     linked,
     segment_intersection,
     segment_key,
@@ -120,10 +121,11 @@ def _from_words(words: dict[Word, dict[int, int]]) -> "AlgebraElement":
     """The element with the given straightened words: each sorted word is
     v^(binom_sum) E*(m) for its multisegment m, so it contributes its
     coefficient times v^(-binom_sum) to E*(m).  Distinct sorted words have
-    distinct multisegments, so each coefficient is finished once."""
+    distinct multisegments, so each coefficient is finished once; a word
+    is sorted and its segments valid, so it is the label's segment tuple."""
     out: dict[Multisegment, LaurentPoly] = {}
     for w, c in words.items():
-        label = Multisegment(w)
+        label = _from_sorted(w)
         shift = label.binom_sum()
         out[label] = finish({e - shift: x for e, x in c.items()})
     return AlgebraElement(out)

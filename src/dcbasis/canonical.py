@@ -256,10 +256,14 @@ def expand_in_dcb(x: AlgebraElement,
 def structure_constants(m: Multisegment, n: Multisegment,
                         cache: BasisCache | None = None
                         ) -> dict[Multisegment, LaurentPoly]:
-    """Expansion of G*(m) G*(n) over the corrected basis."""
+    """Expansion of G*(m) G*(n) over the corrected basis.
+
+    A product of two basis vectors is homogeneous by construction, so the
+    sweep runs without ``expand_in_dcb``'s homogeneity check.
+    """
     cache = cache or _DEFAULT
-    return expand_in_dcb(cache.dual_canonical(m) * cache.dual_canonical(n),
-                         cache)
+    x = cache.dual_canonical(m) * cache.dual_canonical(n)
+    return cache._sweep(x, None, finish)[1]
 
 
 def membership_up_to_power(x: AlgebraElement,

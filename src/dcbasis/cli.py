@@ -12,8 +12,9 @@ Six subcommands share one executable:
 Every command accepts ``--json``.  ``dcb`` and ``decompose`` enumerate a
 weight class; ``--max-class-size N`` refuses a class of more than N labels
 before any basis vector is computed.  Exit codes: 0 on success, 1 when a
-property or cross-check fails, 2 on usage errors (including size-guard
-refusals), 3 on an internal fault.
+property or cross-check fails, 2 on usage errors (parse and argument
+errors, size-guard refusals), 3 on an internal fault (any other exception,
+a ValueError from a computation included).
 """
 
 from __future__ import annotations
@@ -26,7 +27,12 @@ import re
 import sys
 from pathlib import Path
 
-from .algebra import minor_multisegment, quantum_minor, render_combination
+from .algebra import (
+    _check_indices,
+    minor_multisegment,
+    quantum_minor,
+    render_combination,
+)
 from .canonical import (
     BasisCache,
     DcbTable,
@@ -56,6 +62,16 @@ OK, PROPERTY_FAILURE, USAGE_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 
 class _UsageError(Exception):
     """Bad input detected after argparse (grammar or size guard)."""
+
+
+def _as_usage(check, *args):
+    """check(*args), its ValueError reported as a usage error.  Only for
+    parsers and argument checks: a ValueError from a computation stays an
+    internal fault."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -128,7 +144,7 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
 
 
 def cmd_dcb(args: argparse.Namespace) -> int:
-    weight = parse_weight(args.weight)
+    weight = _as_usage(parse_weight, args.weight)
     labels = _weight_class(weight, args.max_class_size)
     table: DcbTable | None = None
     cache_path: Path | None = None
@@ -162,8 +178,8 @@ def cmd_dcb(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    m = parse_multisegment(args.m)
-    n = parse_multisegment(args.n)
+    m = _as_usage(parse_multisegment, args.m)
+    n = _as_usage(parse_multisegment, args.n)
     labels = _weight_class((m + n).weight(), args.max_class_size)
     cache = BasisCache()
     product = cache.dual_canonical(m) * cache.dual_canonical(n)
@@ -202,8 +218,8 @@ def _algebraic_irreducible(alpha, a: int, beta, b: int,
 
 
 def cmd_irred(args: argparse.Namespace) -> int:
-    alpha = parse_partition(args.alpha)
-    beta = parse_partition(args.beta)
+    alpha = _as_usage(parse_partition, args.alpha)
+    beta = _as_usage(parse_partition, args.beta)
     verdict = irreducible_pair(alpha, args.a, beta, args.b)
     witness = main1_witness(alpha, args.a, beta, args.b)
     payload = {
@@ -230,8 +246,8 @@ def cmd_irred(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    alpha = parse_partition(args.alpha)
-    beta = parse_partition(args.beta)
+    alpha = _as_usage(parse_partition, args.alpha)
+    beta = _as_usage(parse_partition, args.beta)
     lo, hi = _parse_range(args.range)
     cache = BasisCache() if args.verify else None
     rows = []
@@ -304,6 +320,10 @@ def _suite_kwargs(args: argparse.Namespace) -> dict:
     for name in kwargs:
         if flags.get(name) is not None:
             kwargs[name] = flags[name]
+    if args.suite == "frank" and kwargs["samples"] > 0 and (
+            kwargs["max_factors"] < 2 or kwargs["max_entry"] < 1):
+        raise _UsageError("random families need --max-factors of at least "
+                          "2 and --max-entry of at least 1")
     return kwargs
 
 
@@ -324,6 +344,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_minor(args: argparse.Namespace) -> int:
     rows = _parse_int_list(args.rows)
     cols = _parse_int_list(args.cols)
+    _as_usage(_check_indices, rows, cols)
     minor = quantum_minor(rows, cols)
     if not minor:
         payload = {"rows": list(rows), "cols": list(cols), "zero": True}
@@ -480,7 +501,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_glue_dash_values(list(argv)))
     try:
         return args.func(args)
-    except (_UsageError, ValueError) as exc:
+    except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:

@@ -47,8 +47,7 @@ class CoFiniteSet:
         while xs and xs[0] == t + 1:
             t += 1
             xs.pop(0)
-        self._threshold = t
-        self._extras = tuple(xs)
+        self._threshold, self._extras = t, tuple(xs)
 
     @property
     def threshold(self) -> int:
@@ -62,17 +61,16 @@ class CoFiniteSet:
         return x <= self._threshold or x in self._extras
 
     def difference(self, other: "CoFiniteSet") -> tuple[int, ...]:
-        """The finite set self minus other, ascending."""
-        lo = min(self._threshold, other._threshold)
-        hi = max((self._threshold, other._threshold)
-                 + self._extras + other._extras)
-        return tuple(x for x in range(lo + 1, hi + 1)
-                     if x in self and x not in other)
+        """The finite set self minus other, ascending: for self = (-inf, t]
+        + X and other = (-inf, u] + Y, the part of (u, t] outside Y, then
+        the extras of X above u outside Y (all above t, so in order)."""
+        t, u, ys = self._threshold, other._threshold, other._extras
+        return tuple([x for x in range(u + 1, t + 1) if x not in ys]
+                     + [x for x in self._extras if x > u and x not in ys])
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, CoFiniteSet)
-                and self._threshold == other._threshold
-                and self._extras == other._extras)
+        return isinstance(other, CoFiniteSet) and (
+            self._threshold, self._extras) == (other._threshold, other._extras)
 
     def __hash__(self) -> int:
         return hash((self._threshold, self._extras))
@@ -83,6 +81,14 @@ class CoFiniteSet:
     def __str__(self) -> str:
         inner = "".join(f",{x}" for x in self._extras)
         return f"{{..<={self._threshold}{inner}}}"
+
+
+def _cofinite(threshold: int, extras: tuple[int, ...]) -> CoFiniteSet:
+    """The set with these parts, already canonical: no sort, no check."""
+    s = object.__new__(CoFiniteSet)
+    s._threshold = threshold
+    s._extras = extras
+    return s
 
 
 class Partition:
@@ -115,11 +121,8 @@ class Partition:
         return sum(self._parts)
 
     def conjugate(self) -> "Partition":
-        if not self._parts:
-            return Partition()
-        return Partition(
-            sum(1 for p in self._parts if p >= j)
-            for j in range(1, self._parts[0] + 1))
+        return Partition(sum(1 for p in self._parts if p >= j)
+                         for j in range(1, max(self._parts, default=0) + 1))
 
     def hook_lengths(self) -> tuple[int, ...]:
         """The multiset of hook lengths, sorted descending.
@@ -158,12 +161,13 @@ def parse_partition(text: str) -> Partition:
 def evaluation_set(alpha: Partition, shift: int) -> CoFiniteSet:
     """The co-finite set attached to an evaluation module.
 
-    Threshold shift - r for r parts; the k-th extra (ascending) is
-    shift - r + k + alpha_{r+1-k}, so longer parts push extras further out.
+    Threshold t = shift - r for r parts; the extras t + k + alpha_{r+1-k}
+    (k = 1..r) strictly increase from t + 2 on, so they are canonical.
     """
-    r = len(alpha)
-    extras = [shift - r + k + alpha[r - k] for k in range(1, r + 1)]
-    return CoFiniteSet(shift - r, extras)
+    parts = alpha.parts
+    t = shift - len(parts)
+    return _cofinite(t, tuple([t + k + p for k, p
+                               in enumerate(reversed(parts), 1)]))
 
 
 def evaluation_multisegment(alpha: Partition, shift: int) -> Multisegment:
@@ -177,18 +181,13 @@ def join_related(a: Iterable[int], b: Iterable[int]) -> bool:
     """True iff the smaller set splits into a part below and a part above
     the other set (empty parts allowed; vacuously true around an empty set).
     """
-    xs, ys = sorted(set(a)), sorted(set(b))
-    if set(xs) & set(ys):
+    xs, ys = set(a), set(b)
+    if xs & ys:
         raise ValueError("join relation needs disjoint sets")
-
-    def fits(small: Sequence[int], big: Sequence[int]) -> bool:
-        if not big:
-            return True
-        return all(x < big[0] or x > big[-1] for x in small)
-
-    if len(xs) <= len(ys) and fits(xs, ys):
+    if not xs or not ys:
         return True
-    return len(ys) <= len(xs) and fits(ys, xs)
+    return any(len(s) <= len(g) and all(x < min(g) or x > max(g) for x in s)
+               for s, g in ((xs, ys), (ys, xs)))
 
 
 def separated(i_set: CoFiniteSet, j_set: CoFiniteSet) -> bool:
@@ -198,16 +197,20 @@ def separated(i_set: CoFiniteSet, j_set: CoFiniteSet) -> bool:
 
 def strongly_separated(i_set: CoFiniteSet, j_set: CoFiniteSet) -> bool:
     """True iff one mutual difference lies entirely below the other."""
-    a = i_set.difference(j_set)
-    b = j_set.difference(i_set)
-    if not a or not b:
-        return True
-    return a[-1] < b[0] or b[-1] < a[0]
+    a, b = i_set.difference(j_set), j_set.difference(i_set)
+    return not a or not b or a[-1] < b[0] or b[-1] < a[0]
+
+
+def _differences(alpha: Partition, a: int, beta: Partition, b: int
+                 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """I minus J and J minus I for the evaluation sets I and J."""
+    i_set, j_set = evaluation_set(alpha, a), evaluation_set(beta, b)
+    return i_set.difference(j_set), j_set.difference(i_set)
 
 
 def irreducible_pair(alpha: Partition, a: int, beta: Partition, b: int) -> bool:
     """Irreducibility of the product of two evaluation modules."""
-    return separated(evaluation_set(alpha, a), evaluation_set(beta, b))
+    return join_related(*_differences(alpha, a, beta, b))
 
 
 def _three_pattern(outer: Sequence[int], inner: Sequence[int]
@@ -236,19 +239,15 @@ def main1_witness(alpha: Partition, a: int, beta: Partition, b: int
                   ) -> tuple[int, ...] | None:
     """Witnessing pattern for reducibility, or None when irreducible.
 
-    With c = a - b, a positive c asks for an element of the second
-    difference strictly between two of the first (negative c: swap roles);
-    c = 0 asks for a four-term interleaving either way round.  The witness
-    is the increasing tuple of positions realizing the pattern.
+    With a > b, an element of the second difference strictly between two
+    of the first (a < b: swap roles); a = b asks for a four-term
+    interleaving either way round.  The witness is the increasing tuple of
+    positions realizing the pattern.
     """
-    i_set = evaluation_set(alpha, a)
-    j_set = evaluation_set(beta, b)
-    d_ij = i_set.difference(j_set)
-    d_ji = j_set.difference(i_set)
-    c = a - b
-    if c > 0:
+    d_ij, d_ji = _differences(alpha, a, beta, b)
+    if a > b:
         return _three_pattern(d_ij, d_ji)
-    if c < 0:
+    if a < b:
         return _three_pattern(d_ji, d_ij)
     return _four_pattern(d_ij, d_ji) or _four_pattern(d_ji, d_ij)
 

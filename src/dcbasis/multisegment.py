@@ -193,6 +193,15 @@ class Multisegment:
         return "+".join(parts)
 
 
+def _from_sorted(segs: tuple[Segment, ...]) -> Multisegment:
+    """The multisegment of valid segments already sorted by segment_key:
+    no sort, no check."""
+    m = object.__new__(Multisegment)
+    m._segs = segs
+    m._hash = hash(segs)
+    return m
+
+
 EMPTY = Multisegment()
 
 

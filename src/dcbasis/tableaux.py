@@ -22,7 +22,6 @@ __all__ = [
     "product_word",
     "frank_condition",
     "n_pi",
-    "tableau_multisegment",
 ]
 
 
@@ -145,17 +144,3 @@ def n_pi(sets: Sequence[Iterable[int]]) -> Multisegment:
     """The multisegment read off the insertion tableau of the reading word."""
     return _row_multisegment(rs_p_tableau(product_word(sets)))
 
-
-def tableau_multisegment(t: Tableau, n: int) -> Multisegment:
-    """Dictionary from a tableau with entries in [1, n] to a multisegment.
-
-    Columns are complemented inside [1, n] and reversed; the resulting
-    tableau translates row by row like n_pi.
-    """
-    cols = t.columns()
-    full = set(range(1, n + 1))
-    for col in cols:
-        if not set(col) <= full:
-            raise ValueError(f"column {col} has entries outside [1, {n}]")
-    comp = [tuple(sorted(full - set(col))) for col in reversed(cols)]
-    return _row_multisegment(Tableau.from_columns(comp))

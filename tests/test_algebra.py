@@ -159,6 +159,21 @@ def test_basis_product_matches_the_general_product():
     assert pairs == 2085
 
 
+def test_basis_product_labels_are_canonical_multisegments():
+    """Labels built from straightened words without re-sorting equal the
+    labels the public constructor builds, in segments and hash."""
+    labels = _window(5, 0, 3)
+    pairs = 0
+    for m, n in itertools.product(labels, repeat=2):
+        if m.degree() + n.degree() <= 5:
+            for label in basis_product(m, n).support():
+                rebuilt = Multisegment(label.segments)
+                assert label == rebuilt and hash(label) == hash(rebuilt)
+                assert all(type(s) is Segment for s in label.segments)
+            pairs += 1
+    assert pairs == 2085
+
+
 # -- straightening against the LaurentPoly loop it replaced --------------------
 
 

@@ -528,6 +528,43 @@ def test_internal_fault_has_its_own_exit_code(capsys, monkeypatch, fault):
     assert err == f"internal error: {type(fault).__name__}: {fault}\n"
 
 
+@pytest.mark.parametrize("argv, attr", [
+    (("irred", "--alpha", "3", "--beta", "3"), "irreducible_pair"),
+    (("scan", "--alpha", "2", "--beta", "1", "--range", "0:1"),
+     "main1_witness"),
+    (("dcb", "--weight", "0:1,1:1"), "dcb_table"),
+    (("decompose", "--m", "[0]", "--n", "[1]"), "expand_in_dcb"),
+    (("minor", "--rows", "1,2", "--cols", "2,3"), "quantum_minor"),
+])
+def test_value_error_inside_a_computation_is_internal(capsys, monkeypatch,
+                                                      argv, attr):
+    def broken(*args, **kwargs):
+        raise ValueError("join relation needs disjoint sets")
+
+    monkeypatch.setattr(cli, attr, broken)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (cli.INTERNAL_ERROR, "")
+    assert err == ("internal error: ValueError: join relation needs "
+                   "disjoint sets\n")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--max-factors", "1"),
+    ("--max-entry", "0"),
+])
+def test_verify_frank_argument_errors(capsys, flag, value):
+    code, out, err = run_cli(capsys, "verify", "--suite", "frank", flag, value)
+    assert (code, out) == (2, "")
+    assert err == ("error: random families need --max-factors of at least 2 "
+                   "and --max-entry of at least 1\n")
+
+
+def test_irred_partition_that_does_not_decrease(capsys):
+    code, out, err = run_cli(capsys, "irred", "--alpha", "1,3", "--beta", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: partition parts must weakly decrease: (1, 3)\n"
+
+
 # -- installed script ---------------------------------------------------------------
 
 

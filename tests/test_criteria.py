@@ -20,6 +20,8 @@ from dcbasis.criteria import (
     separated,
     strongly_separated,
 )
+from dcbasis.checks import partitions_up_to
+from dcbasis.criteria import _four_pattern, _three_pattern
 from dcbasis.multisegment import parse_multisegment
 
 cofinite_sets = st.builds(
@@ -213,6 +215,89 @@ def test_reducible_shift_scan():
     reducible = {d for d in range(-8, 9)
                  if not irreducible_pair(alpha, 0, beta, d)}
     assert reducible == {-3, -2, -1, 1, 3, 4, 6}
+
+
+# -- the set-arithmetic fast path against the scanning oracle ------------------
+
+
+def _old_difference(a, b):
+    """self minus other by scanning every integer between the least
+    threshold and the largest element named by either set."""
+    lo = min(a.threshold, b.threshold)
+    hi = max((a.threshold, b.threshold) + a.extras + b.extras)
+    return tuple(x for x in range(lo + 1, hi + 1) if x in a and x not in b)
+
+
+def _old_evaluation_set(alpha, shift):
+    """The evaluation set through the normalising public constructor."""
+    r = len(alpha)
+    extras = [shift - r + k + alpha[r - k] for k in range(1, r + 1)]
+    return CoFiniteSet(shift - r, extras)
+
+
+def _old_join_related(a, b):
+    """Join relation on sorted lists, testing each side as the smaller."""
+    xs, ys = sorted(set(a)), sorted(set(b))
+    if set(xs) & set(ys):
+        raise ValueError("join relation needs disjoint sets")
+
+    def fits(small, big):
+        if not big:
+            return True
+        return all(x < big[0] or x > big[-1] for x in small)
+
+    if len(xs) <= len(ys) and fits(xs, ys):
+        return True
+    return len(ys) <= len(xs) and fits(ys, xs)
+
+
+def _old_witness(d_ij, d_ji, c):
+    if c > 0:
+        return _three_pattern(d_ij, d_ji)
+    if c < 0:
+        return _three_pattern(d_ji, d_ij)
+    return _four_pattern(d_ij, d_ji) or _four_pattern(d_ji, d_ij)
+
+
+def test_set_arithmetic_matches_the_scanning_oracle_exhaustive():
+    """All 97 partitions of size 0-9, squared, at every shift in -8..8:
+    159,953 triples.  Both evaluation sets, both differences, the verdict
+    and the witness match the oracle at every triple."""
+    parts = [Partition()] + partitions_up_to(9)
+    shifts = range(-8, 9)
+    assert len(parts) == 97
+    old = {(alpha, s): _old_evaluation_set(alpha, s)
+           for alpha in parts for s in shifts}
+    triples = 0
+    for alpha in parts:
+        i_old, i_set = old[alpha, 0], evaluation_set(alpha, 0)
+        for beta in parts:
+            for b in shifts:
+                j_old, j_set = old[beta, b], evaluation_set(beta, b)
+                assert (i_set.threshold, i_set.extras,
+                        j_set.threshold, j_set.extras) == (
+                    i_old.threshold, i_old.extras,
+                    j_old.threshold, j_old.extras)
+                d_ij = _old_difference(i_old, j_old)
+                d_ji = _old_difference(j_old, i_old)
+                assert i_set.difference(j_set) == d_ij
+                assert j_set.difference(i_set) == d_ji
+                assert (irreducible_pair(alpha, 0, beta, b)
+                        is _old_join_related(d_ij, d_ji))
+                assert main1_witness(alpha, 0, beta, b) == \
+                    _old_witness(d_ij, d_ji, -b)
+                triples += 1
+    assert triples == 159_953
+
+
+@given(st.sets(st.integers(-6, 6), max_size=5),
+       st.sets(st.integers(-6, 6), max_size=5))
+def test_join_related_matches_the_sorted_oracle(a, b):
+    if a & b:
+        with pytest.raises(ValueError):
+            join_related(a, b)
+    else:
+        assert join_related(a, b) is _old_join_related(a, b)
 
 
 # -- hooks and families -----------------------------------------------------------

@@ -9,11 +9,11 @@ from dcbasis.algebra import minor_multisegment
 from dcbasis.multisegment import Multisegment, parse_multisegment
 from dcbasis.tableaux import (
     Tableau,
+    _row_multisegment,
     frank_condition,
     n_pi,
     product_word,
     rs_p_tableau,
-    tableau_multisegment,
 )
 
 words = st.lists(st.integers(1, 6), max_size=8)
@@ -119,6 +119,21 @@ def test_single_set_matches_the_minor_label(s):
     cols = tuple(sorted(s))
     rows = tuple(range(1, len(cols) + 1))
     assert n_pi([s]) == minor_multisegment(rows, cols)
+
+
+def tableau_multisegment(t, n):
+    """Dictionary from a tableau with entries in [1, n] to a multisegment.
+
+    Columns are complemented inside [1, n] and reversed; the resulting
+    tableau translates row by row like n_pi.
+    """
+    cols = t.columns()
+    full = set(range(1, n + 1))
+    for col in cols:
+        if not set(col) <= full:
+            raise ValueError(f"column {col} has entries outside [1, {n}]")
+    comp = [tuple(sorted(full - set(col))) for col in reversed(cols)]
+    return _row_multisegment(Tableau.from_columns(comp))
 
 
 def test_tableau_multisegment_pins():
