@@ -39,10 +39,7 @@ from .algebra import (
 from .canonical import (
     BasisCache,
     DcbTable,
-    aux_vector,
     dcb_table,
-    default_cache,
-    dual_canonical,
     expand_in_dcb,
     kl_matrix,
     load_table,
@@ -84,13 +81,10 @@ __all__ = [
     "Segment",
     "Tableau",
     "Weight",
-    "aux_vector",
     "b_form",
     "cartan_pairing",
     "dcb_table",
-    "default_cache",
     "dominates",
-    "dual_canonical",
     "dual_pbw",
     "enumerate_by_weight",
     "evaluation_multisegment",

@@ -42,14 +42,11 @@ __all__ = [
     "InvariantError",
     "check_unitriangular",
     "DcbTable",
-    "dual_canonical",
-    "aux_vector",
     "dcb_table",
     "kl_matrix",
     "expand_in_dcb",
     "structure_constants",
     "membership_up_to_power",
-    "default_cache",
 ]
 
 
@@ -170,21 +167,6 @@ class BasisCache:
         return AlgebraElement({n: finish(c) for n, c in coeffs.items()}), steps
 
 
-_DEFAULT = BasisCache()
-
-
-def default_cache() -> BasisCache:
-    return _DEFAULT
-
-
-def dual_canonical(m: Multisegment) -> AlgebraElement:
-    return _DEFAULT.dual_canonical(m)
-
-
-def aux_vector(m: Multisegment) -> AlgebraElement:
-    return _DEFAULT.aux_vector(m)
-
-
 @dataclass(frozen=True)
 class DcbTable:
     """All corrected basis vectors of one weight class, in enumeration order."""
@@ -215,8 +197,7 @@ class DcbTable:
         }
 
 
-def dcb_table(w: Weight, cache: BasisCache | None = None) -> DcbTable:
-    cache = cache or _DEFAULT
+def dcb_table(w: Weight, cache: BasisCache) -> DcbTable:
     labels = enumerate_by_weight(w)
     table = DcbTable(w, labels, {m: cache.dual_canonical(m) for m in labels})
     cache._products.pop(w, None)
@@ -239,8 +220,7 @@ def load_table(path: Path) -> DcbTable:
     return DcbTable(parse_weight(obj["weight"]), tuple(labels), expansions)
 
 
-def expand_in_dcb(x: AlgebraElement,
-                  cache: BasisCache | None = None
+def expand_in_dcb(x: AlgebraElement, cache: BasisCache
                   ) -> dict[Multisegment, LaurentPoly]:
     """Coefficients of x over the corrected basis, in order_key order.
 
@@ -250,31 +230,33 @@ def expand_in_dcb(x: AlgebraElement,
     """
     if not x.is_homogeneous():
         raise ValueError("can only expand homogeneous elements")
-    return (cache or _DEFAULT)._sweep(x, None, finish)[1]
+    return cache._sweep(x, None, finish)[1]
 
 
-def structure_constants(m: Multisegment, n: Multisegment,
-                        cache: BasisCache | None = None
+def structure_constants(m: Multisegment, n: Multisegment, cache: BasisCache
                         ) -> dict[Multisegment, LaurentPoly]:
     """Expansion of G*(m) G*(n) over the corrected basis.
 
     A product of two basis vectors is homogeneous by construction, so the
     sweep runs without ``expand_in_dcb``'s homogeneity check.
     """
-    cache = cache or _DEFAULT
     x = cache.dual_canonical(m) * cache.dual_canonical(n)
     return cache._sweep(x, None, finish)[1]
 
 
-def membership_up_to_power(x: AlgebraElement,
-                           cache: BasisCache | None = None
+def membership_up_to_power(x: AlgebraElement, cache: BasisCache
                            ) -> tuple[int, Multisegment] | None:
-    """(k, q) such that v^k x = G*(q), or None if no such pair exists.
+    """(k, q) such that v^k x = G*(q), or None if no such pair exists."""
+    return _single_basis_vector(expand_in_dcb(x, cache))
 
-    Exists exactly when the expansion of x has a single entry whose
-    coefficient is a bare power of v.
+
+def _single_basis_vector(expansion: dict[Multisegment, LaurentPoly]
+                         ) -> tuple[int, Multisegment] | None:
+    """(k, q) such that v^k times the expanded element is G*(q), or None.
+
+    Exists exactly when the expansion has a single entry whose coefficient
+    is a bare power of v.
     """
-    expansion = expand_in_dcb(x, cache)
     if len(expansion) != 1:
         return None
     (q, c), = expansion.items()
@@ -284,13 +266,12 @@ def membership_up_to_power(x: AlgebraElement,
     return (-e, q)
 
 
-def kl_matrix(w: Weight, cache: BasisCache | None = None
+def kl_matrix(w: Weight, cache: BasisCache
               ) -> dict[Multisegment, dict[Multisegment, LaurentPoly]]:
     """Rows express each E*(m) of the weight class over the corrected basis.
 
     This is the inverse of the unitriangular table of the class; diagonal
     entries are 1 and the row order is the class enumeration order.
     """
-    cache = cache or _DEFAULT
     return {m: expand_in_dcb(dual_pbw(m), cache)
             for m in enumerate_by_weight(w)}

@@ -21,10 +21,10 @@ from .algebra import minor_multisegment, quantum_minor
 from .canonical import (
     BasisCache,
     dcb_table,
-    default_cache,
     expand_in_dcb,
     kl_matrix,
     membership_up_to_power,
+    structure_constants,
 )
 from .criteria import (
     CoFiniteSet,
@@ -156,13 +156,14 @@ def check_eqrei(max_degree: int = 4,
     U(m, n) has bar-symmetric coefficients, coefficient 1 on m + n, and
     support dominated by m + n.
     """
-    cache = cache or default_cache()
+    cache = cache or BasisCache()
     report = SuiteReport("eqrei", 0)
     for m, n in _degree_pairs(max_degree):
         report.cases += 1
         gm, gn = cache.dual_canonical(m), cache.dual_canonical(n)
-        forward = expand_in_dcb(gm * gn, cache)
-        backward = expand_in_dcb(gn * gm, cache)
+        mn, nm = gm * gn, gn * gm
+        forward = expand_in_dcb(mn, cache)
+        backward = expand_in_dcb(nm, cache)
         twist = LaurentPoly.v_power(-cartan_pairing(m.weight(), n.weight()))
         for p in set(forward) | set(backward):
             lhs = backward.get(p, LaurentPoly(0))
@@ -171,8 +172,8 @@ def check_eqrei(max_degree: int = 4,
                 report.failures.append(
                     f"exchange symmetry fails for {m} | {n} at {p}: "
                     f"{lhs} != {rhs}")
-        num = ((gm * gn).scaled(LaurentPoly.v_power(b_form(m, n) + 1))
-               - (gn * gm).scaled(LaurentPoly.v_power(b_form(n, m) - 1)))
+        num = (mn.scaled(LaurentPoly.v_power(b_form(m, n) + 1))
+               - nm.scaled(LaurentPoly.v_power(b_form(n, m) - 1)))
         try:
             aux = expand_in_dcb(num.div_v_minus_vinv(), cache)
         except ExactDivisionError:
@@ -204,12 +205,11 @@ def check_positivity(max_degree: int = 4,
     coefficients, every support label must dominate the label sum, and the
     coefficient on the label sum itself must be exactly v^-b(m, n).
     """
-    cache = cache or default_cache()
+    cache = cache or BasisCache()
     report = SuiteReport("positivity", 0)
     for m, n in _degree_pairs(max_degree):
         report.cases += 1
-        product = expand_in_dcb(
-            cache.dual_canonical(m) * cache.dual_canonical(n), cache)
+        product = structure_constants(m, n, cache)
         total = m + n
         for p, c in product.items():
             if not c.has_nonnegative_coefficients():
@@ -235,7 +235,7 @@ def check_triangular(max_degree: int = 5,
     coefficients in vZ[v] and support inside the dominance cone, and the
     change of basis in the opposite direction must be its exact inverse.
     """
-    cache = cache or default_cache()
+    cache = cache or BasisCache()
     report = SuiteReport("triangular", 0)
     zero = LaurentPoly(0)
     for w in window_weights(max_degree, 0, max_degree - 1):
@@ -288,7 +288,7 @@ def check_oracle(max_part_sum: int = 2,
     (b(m, n), m + n).  The cardinality law tying the two set differences
     to the shift is checked alongside.
     """
-    cache = cache or default_cache()
+    cache = cache or BasisCache()
     report = SuiteReport("oracle", 0)
     partitions = partitions_up_to(max_part_sum)
     lo, hi = shift_range
@@ -338,7 +338,7 @@ def check_minors(index_range: tuple[int, int] = (1, 4),
     vector of its associated multisegment; when some row index exceeds
     its column index the minor must vanish.
     """
-    cache = cache or default_cache()
+    cache = cache or BasisCache()
     report = SuiteReport("minors", 0)
     lo, hi = index_range
     indices = range(lo, hi + 1)
@@ -410,7 +410,7 @@ def check_frank(samples: int = 40, max_factors: int = 3, max_entry: int = 6,
     families must satisfy the sharper identity: the product is exactly
     v^-b of the basis vector labeled by the sum of the factor labels.
     """
-    cache = cache or default_cache()
+    cache = cache or BasisCache()
     report = SuiteReport("frank", 0)
     rng = random.Random(seed)
 

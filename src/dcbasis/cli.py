@@ -13,8 +13,9 @@ Every command accepts ``--json``.  ``dcb`` and ``decompose`` enumerate a
 weight class; ``--max-class-size N`` refuses a class of more than N labels
 before any basis vector is computed.  Exit codes: 0 on success, 1 when a
 property or cross-check fails, 2 on usage errors (parse and argument
-errors, size-guard refusals), 3 on an internal fault (any other exception,
-a ValueError from a computation included).
+errors, size-guard refusals, ``verify`` bounds that select no case), 3 on
+an internal fault (any other exception, a ValueError from a computation
+included).
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ from .canonical import (
     BasisCache,
     DcbTable,
     InvariantError,
+    _single_basis_vector,
     check_unitriangular,
     dcb_table,
-    expand_in_dcb,
     load_table,
     membership_up_to_power,
+    structure_constants,
 )
 from .checks import SUITES
 from .criteria import irreducible_pair, main1_witness, parse_partition
@@ -181,10 +183,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     m = _as_usage(parse_multisegment, args.m)
     n = _as_usage(parse_multisegment, args.n)
     labels = _weight_class((m + n).weight(), args.max_class_size)
-    cache = BasisCache()
-    product = cache.dual_canonical(m) * cache.dual_canonical(n)
-    expansion = expand_in_dcb(product, cache)
-    simple = membership_up_to_power(product, cache) is not None
+    expansion = structure_constants(m, n, BasisCache())
+    simple = _single_basis_vector(expansion) is not None
     rows = [(p, expansion[p]) for p in labels if p in expansion]
     verdict = "SIMPLE" if simple else "NOT SIMPLE"
     lines = [f"G*({m}) * G*({n}) ="]
@@ -330,6 +330,8 @@ def _suite_kwargs(args: argparse.Namespace) -> dict:
 def cmd_verify(args: argparse.Namespace) -> int:
     suite = SUITES[args.suite]
     report = suite(**_suite_kwargs(args))
+    if report.cases == 0:
+        raise _UsageError(f"the bounds select no case of suite {report.name}")
     payload = {
         "suite": report.name,
         "cases": report.cases,

@@ -1,9 +1,11 @@
 """Tests for the corrected basis, its expansions, and serialization."""
 
 import hashlib
+import importlib
 import itertools
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,10 +15,7 @@ import pytest
 import dcbasis
 from dcbasis.canonical import (
     BasisCache,
-    aux_vector,
     dcb_table,
-    default_cache,
-    dual_canonical,
     expand_in_dcb,
     kl_matrix,
     load_table,
@@ -83,30 +82,33 @@ EXPECTED_INVERSE = {
 
 
 def test_basis_vectors_of_the_worked_class():
+    cache = BasisCache()
     for m, expected in EXPECTED_BASIS.items():
-        assert dual_canonical(m) == AlgebraElement(expected)
+        assert cache.dual_canonical(m) == AlgebraElement(expected)
 
 
 def test_auxiliary_vectors_of_the_worked_class():
+    cache = BasisCache()
     for m, expected in EXPECTED_AUX.items():
-        assert aux_vector(m) == AlgebraElement(expected)
-    assert aux_vector(M1).coefficient(M2) == lp({0: 1, -2: 1})
+        assert cache.aux_vector(m) == AlgebraElement(expected)
+    assert cache.aux_vector(M1).coefficient(M2) == lp({0: 1, -2: 1})
 
 
 def test_inverse_table_of_the_worked_class():
-    rows = kl_matrix(WORKED_WEIGHT)
+    rows = kl_matrix(WORKED_WEIGHT, BasisCache())
     assert {m: dict(row) for m, row in rows.items()} == EXPECTED_INVERSE
 
 
 def test_inverse_row_at_one_gives_multiplicities():
-    row = kl_matrix(WORKED_WEIGHT)[M1]
+    row = kl_matrix(WORKED_WEIGHT, BasisCache())[M1]
     assert [row.get(m, LaurentPoly(0)).at_one()
             for m in (M1, M2, M3, M4, M5)] == [1, 1, 1, 2, 1]
 
 
 def test_matrix_product_is_identity():
-    table = dcb_table(WORKED_WEIGHT)
-    inverse = kl_matrix(WORKED_WEIGHT)
+    cache = BasisCache()
+    table = dcb_table(WORKED_WEIGHT, cache)
+    inverse = kl_matrix(WORKED_WEIGHT, cache)
     labels = table.labels
     zero = LaurentPoly(0)
     for m in labels:
@@ -118,20 +120,22 @@ def test_matrix_product_is_identity():
 
 
 def test_smallest_classes():
-    assert dual_canonical(pm("[5]")) == dual_pbw(pm("[5]"))
-    assert dual_canonical(pm("[0]+[1]")) == AlgebraElement({
+    cache = BasisCache()
+    assert cache.dual_canonical(pm("[5]")) == dual_pbw(pm("[5]"))
+    assert cache.dual_canonical(pm("[0]+[1]")) == AlgebraElement({
         pm("[0]+[1]"): ONE, pm("[0,1]"): lp({1: -1})})
-    assert dual_canonical(pm("[0,1]")) == dual_pbw(pm("[0,1]"))
-    assert aux_vector(pm("[3,7]")) == dual_pbw(pm("[3,7]"))
+    assert cache.dual_canonical(pm("[0,1]")) == dual_pbw(pm("[0,1]"))
+    assert cache.aux_vector(pm("[3,7]")) == dual_pbw(pm("[3,7]"))
 
 
 # -- triangularity invariants -----------------------------------------------------
 
 
 def test_expansions_are_unitriangular():
+    cache = BasisCache()
     for w in (WORKED_WEIGHT, Weight({0: 2, 1: 2})):
         for m in enumerate_by_weight(w):
-            x = dual_canonical(m)
+            x = cache.dual_canonical(m)
             assert x.coefficient(m).is_one()
             for p, c in x.items():
                 if p != m:
@@ -143,7 +147,8 @@ def test_expansions_are_unitriangular():
 
 
 def test_product_decomposition_pinned():
-    expansion = structure_constants(pm("[1]+[2,3]"), pm("[2]+[3,4]"))
+    expansion = structure_constants(pm("[1]+[2,3]"), pm("[2]+[3,4]"),
+                                    BasisCache())
     assert expansion == {
         pm("[1]+[2]+[2,3]+[3,4]"): lp({-1: 1}),
         pm("[1]+[2]+[3]+[2,4]"): lp(1),
@@ -156,38 +161,43 @@ def test_product_decomposition_pinned():
 
 def test_expand_requires_homogeneous_input():
     with pytest.raises(ValueError):
-        expand_in_dcb(dual_pbw(pm("[0]")) + dual_pbw(pm("[1]")))
+        expand_in_dcb(dual_pbw(pm("[0]")) + dual_pbw(pm("[1]")),
+                      BasisCache())
 
 
 def test_expand_round_trip():
+    cache = BasisCache()
     coeffs = {M2: lp({3: 2}), M4: lp({-1: 1, 1: 1}), M5: lp(-5)}
     x = AlgebraElement()
     for m, c in coeffs.items():
-        x = x + dual_canonical(m).scaled(c)
-    assert expand_in_dcb(x) == coeffs
-    assert expand_in_dcb(AlgebraElement()) == {}
+        x = x + cache.dual_canonical(m).scaled(c)
+    assert expand_in_dcb(x, cache) == coeffs
+    assert expand_in_dcb(AlgebraElement(), cache) == {}
 
 
 def test_membership_up_to_power():
-    simple = dual_canonical(pm("[0]")) * dual_canonical(pm("[2]"))
-    assert membership_up_to_power(simple) == (0, pm("[0]+[2]"))
-    far = dual_canonical(pm("[0]")) * dual_canonical(pm("[5]"))
-    assert membership_up_to_power(far) == (0, pm("[0]+[5]"))
-    linked_pair = dual_canonical(pm("[0]")) * dual_canonical(pm("[1]"))
-    assert membership_up_to_power(linked_pair) is None
-    big = dual_canonical(pm("[1]+[2,3]")) * dual_canonical(pm("[2]+[3,4]"))
-    assert membership_up_to_power(big) is None
-    scaled = dual_canonical(M4).scaled(lp({-3: 1}))
-    assert membership_up_to_power(scaled) == (3, M4)
-    doubled = dual_canonical(M4).scaled(2)
-    assert membership_up_to_power(doubled) is None
+    cache = BasisCache()
+    g = cache.dual_canonical
+    simple = g(pm("[0]")) * g(pm("[2]"))
+    assert membership_up_to_power(simple, cache) == (0, pm("[0]+[2]"))
+    far = g(pm("[0]")) * g(pm("[5]"))
+    assert membership_up_to_power(far, cache) == (0, pm("[0]+[5]"))
+    linked_pair = g(pm("[0]")) * g(pm("[1]"))
+    assert membership_up_to_power(linked_pair, cache) is None
+    big = g(pm("[1]+[2,3]")) * g(pm("[2]+[3,4]"))
+    assert membership_up_to_power(big, cache) is None
+    scaled = g(M4).scaled(lp({-3: 1}))
+    assert membership_up_to_power(scaled, cache) == (3, M4)
+    doubled = g(M4).scaled(2)
+    assert membership_up_to_power(doubled, cache) is None
 
 
 def test_membership_pins_the_label_sum():
+    cache = BasisCache()
     window = [pm(t) for t in ("[0]", "[1]", "[2]", "[0,1]", "[1,2]", "[0,2]")]
     for m, n in itertools.combinations_with_replacement(window, 2):
-        product = dual_canonical(m) * dual_canonical(n)
-        member = membership_up_to_power(product)
+        product = cache.dual_canonical(m) * cache.dual_canonical(n)
+        member = membership_up_to_power(product, cache)
         if member is not None:
             assert member == (b_form(m, n), m + n)
 
@@ -294,14 +304,16 @@ def test_basis_is_independent_of_the_linear_extension():
         return (m.sq_length_sum(),
                 tuple((s.start, s.end) for s in m.segments))
 
+    default = BasisCache()
     other = BasisCache(order_key=alternative_key)
     # sq_length_sum grows along every move but ties many labels: harmless.
     coarse = BasisCache(order_key=Multisegment.sq_length_sum)
     for w in (WORKED_WEIGHT, Weight({0: 2, 1: 2}),
               Weight({0: 1, 1: 2, 2: 2, 3: 1})):
         for m in enumerate_by_weight(w):
-            assert other.dual_canonical(m) == dual_canonical(m)
-            assert coarse.dual_canonical(m) == dual_canonical(m)
+            expected = default.dual_canonical(m)
+            assert other.dual_canonical(m) == expected
+            assert coarse.dual_canonical(m) == expected
 
 
 # -- caching and invariants ----------------------------------------------------
@@ -377,18 +389,27 @@ def test_invariant_checks_survive_python_O():
     ]
 
 
-def test_default_cache_is_shared():
-    assert default_cache() is default_cache()
+def test_no_module_holds_a_basis_cache():
+    # Every basis cache belongs to the caller that built it.
+    names = ["dcbasis"] + [f"dcbasis.{info.name}" for info
+                           in pkgutil.iter_modules(dcbasis.__path__)]
+    assert {"dcbasis.canonical", "dcbasis.checks", "dcbasis.cli"} <= set(names)
+    for name in names:
+        held = [attr for attr, value
+                in vars(importlib.import_module(name)).items()
+                if isinstance(value, BasisCache)]
+        assert held == [], (name, held)
 
 
 # -- tables and serialization ---------------------------------------------------------------
 
 
 def test_dcb_table_accessors():
-    table = dcb_table(WORKED_WEIGHT)
+    cache = BasisCache()
+    table = dcb_table(WORKED_WEIGHT, cache)
     assert table.weight == WORKED_WEIGHT
     assert list(table.labels) == [M1, M2, M3, M4, M5]
-    assert table.expansion(M4) == dual_canonical(M4)
+    assert table.expansion(M4) == cache.dual_canonical(M4)
     assert table.coefficient(M1, M4) == lp({3: 1, 1: -1})
 
 
@@ -412,7 +433,7 @@ def test_dcb_json_digest_pinned(weight):
 
 
 def test_table_json_round_trip(tmp_path):
-    table = dcb_table(WORKED_WEIGHT)
+    table = dcb_table(WORKED_WEIGHT, BasisCache())
     path = tmp_path / "table.json"
     path.write_text(json.dumps(table.to_json_obj()))
     loaded = load_table(path)

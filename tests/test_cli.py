@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from dcbasis.canonical import dcb_table, structure_constants
+from dcbasis.canonical import BasisCache, dcb_table, structure_constants
 from dcbasis.checks import SUITES
 from dcbasis import cli
 from dcbasis.cli import _suite_defaults, main
@@ -63,7 +63,8 @@ def test_dcb_json_matches_the_table(capsys):
     code, out, _ = run_cli(capsys, "dcb", "--weight", "0:1,1:1", "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload == dcb_table(parse_weight("0:1,1:1")).to_json_obj()
+    assert payload == dcb_table(parse_weight("0:1,1:1"),
+                                BasisCache()).to_json_obj()
     assert payload["basis"][0] == {
         "label": "[0]+[1]",
         "expansion": [
@@ -274,7 +275,8 @@ def test_decompose_json_round_trip(capsys):
         for row in payload["factors"]
     }
     assert rebuilt == structure_constants(
-        parse_multisegment("[1]+[2,3]"), parse_multisegment("[2]+[3,4]"))
+        parse_multisegment("[1]+[2,3]"), parse_multisegment("[2]+[3,4]"),
+        BasisCache())
     assert all(row["multiplicity"] >= 1 for row in payload["factors"])
 
 
@@ -430,6 +432,20 @@ def test_verify_minors_window(capsys):
     assert out == "PASS minors: 19 case(s)\n"
 
 
+@pytest.mark.parametrize("suite, flag, value", [
+    ("minors", "--max-n", "0"),
+    ("minors", "--max-cols", "0"),
+    ("eqrei", "--max-degree", "-1"),
+    ("oracle", "--max-part-sum", "-1"),
+    ("hooks", "--max-part-sum", "0"),
+    ("triangular", "--max-degree", "0"),
+])
+def test_verify_bounds_that_select_no_case(capsys, suite, flag, value):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: the bounds select no case of suite {suite}\n"
+
+
 def test_verify_defaults_from_suite_signatures():
     assert {name: _suite_defaults(suite)
             for name, suite in SUITES.items()} == {
@@ -533,7 +549,7 @@ def test_internal_fault_has_its_own_exit_code(capsys, monkeypatch, fault):
     (("scan", "--alpha", "2", "--beta", "1", "--range", "0:1"),
      "main1_witness"),
     (("dcb", "--weight", "0:1,1:1"), "dcb_table"),
-    (("decompose", "--m", "[0]", "--n", "[1]"), "expand_in_dcb"),
+    (("decompose", "--m", "[0]", "--n", "[1]"), "structure_constants"),
     (("minor", "--rows", "1,2", "--cols", "2,3"), "quantum_minor"),
 ])
 def test_value_error_inside_a_computation_is_internal(capsys, monkeypatch,
