@@ -31,6 +31,7 @@ from .laurent import (
 from .multisegment import (
     Multisegment,
     Weight,
+    _from_sorted,
     b_form,
     enumerate_by_weight,
     parse_multisegment,
@@ -76,16 +77,19 @@ class BasisCache:
     The correction loop and expand_in_dcb share one elimination, an upward
     sweep along order_key.
 
-    Besides the basis vectors, the cache holds the products E*(p) E*([s])
-    and E*([s]) E*(p) that aux_vector uses, keyed by the weight of the
-    product and then by the ordered pair of labels.  dcb_table drops the
-    products of a weight once its table is built: every label of that
-    weight is then memoized, so aux_vector never asks for them again.
+    Besides the basis vectors, the cache holds two memos.  The key memo
+    keeps order_key of every label a sweep has met, so each label is keyed
+    once.  The product memo keeps the products E*(p) E*([s]) and
+    E*([s]) E*(p) that aux_vector uses, keyed by the weight of the product
+    and then by the ordered pair of labels.  dcb_table drops the products
+    of a weight once its table is built: every label of that weight is
+    then memoized, so aux_vector never asks for them again.
     """
 
     def __init__(self,
                  order_key: Callable[[Multisegment], tuple] | None = None):
         self._memo: dict[Multisegment, AlgebraElement] = {}
+        self._keys: dict[Multisegment, tuple] = {}
         self._products: dict[
             Weight, dict[tuple[Multisegment, Multisegment], AlgebraElement]
         ] = {}
@@ -94,8 +98,17 @@ class BasisCache:
     def labels_computed(self) -> int:
         return len(self._memo)
 
-    def aux_vector(self, m: Multisegment) -> AlgebraElement:
-        """The pre-correction vector: E*(m) plus dominance-greater terms.
+    def _key(self, n: Multisegment) -> tuple:
+        """order_key(n), computed once per label for the life of the cache."""
+        key = self._keys.get(n)
+        if key is None:
+            key = self._keys[n] = self.order_key(n)
+        return key
+
+    def aux_vector(self, m: Multisegment
+                   ) -> dict[Multisegment, dict[int, int]]:
+        """The pre-correction vector: E*(m) plus dominance-greater terms, as
+        nonzero raw coefficients (see laurent) that the caller owns.
 
         For at most one segment this is the basis vector itself.  Otherwise
         split off one copy of the largest segment s, and divide the graded
@@ -105,10 +118,10 @@ class BasisCache:
         product memo of m's weight.
         """
         if len(m) <= 1:
-            return dual_pbw(m)
+            return {m: {0: 1}}
         s = m.largest_segment()
-        rest = m.remove(s)
-        single = Multisegment([s])
+        rest = _from_sorted(m.segments[:-1])
+        single = _from_sorted((s,))
         forward = b_form(rest, single) + 1
         backward = b_form(single, rest) - 1
         products = self._products.setdefault(m.weight(), {})
@@ -124,8 +137,8 @@ class BasisCache:
                     if acc is None:
                         acc = num[q] = {}
                     add_product(acc, c, d, shift, sign)
-        return AlgebraElement({q: finish(divide_by_v_minus_vinv(acc))
-                               for q, acc in num.items()})
+        return {q: quotient for q, acc in num.items()
+                if (quotient := divide_by_v_minus_vinv(acc))}
 
     def dual_canonical(self, m: Multisegment) -> AlgebraElement:
         """The basis vector G*(m), expanded over the E* basis."""
@@ -136,21 +149,23 @@ class BasisCache:
                            lambda acc: finish(symmetric_part(acc)))
         # One check per finished vector.  The sweep never changes the
         # coefficient of m, so this also checks that of aux_vector(m).
-        check_unitriangular(m, x, self.order_key)
+        check_unitriangular(m, x, self._key)
         self._memo[m] = x
         return x
 
-    def _sweep(self, x: AlgebraElement, skip: Multisegment | None,
+    def _sweep(self, coeffs: dict[Multisegment, dict[int, int]],
+               skip: Multisegment | None,
                part: Callable[[dict[int, int]], LaurentPoly]
                ) -> tuple[AlgebraElement, dict[Multisegment, LaurentPoly]]:
-        """Walk the support of x upward along order_key, subtracting t G*(n)
-        at each label n but skip, with t = part(coefficient at n) and the
-        coefficient a raw dict.  G*(n) adds only labels above n, so a heap
+        """Walk the labels of coeffs upward along order_key, subtracting
+        t G*(n) at each label n but skip, with t = part(coefficient at n).
+        coeffs holds raw coefficients, which the sweep updates in place, so
+        the caller gives them up.  G*(n) adds only labels above n, so a heap
         of pending labels meets each label once, after all labels below it.
-        Returns what is left of x and the nonzero t's, in walk order."""
-        coeffs = {n: raw(c) for n, c in x.unordered_items()}
+        Returns what is left and the nonzero t's, in walk order."""
+        key = self._key
         tie = itertools.count()  # labels never compare, even on equal keys
-        heap = [(self.order_key(n), next(tie), n) for n in coeffs]
+        heap = [(key(n), next(tie), n) for n in coeffs]
         heapq.heapify(heap)
         steps: dict[Multisegment, LaurentPoly] = {}
         while heap:
@@ -162,9 +177,15 @@ class BasisCache:
                 acc = coeffs.get(p)
                 if acc is None:
                     acc = coeffs[p] = {}
-                    heapq.heappush(heap, (self.order_key(p), next(tie), p))
+                    heapq.heappush(heap, (key(p), next(tie), p))
                 add_product(acc, t, c, sign=-1)
         return AlgebraElement({n: finish(c) for n, c in coeffs.items()}), steps
+
+    def _expand(self, x: AlgebraElement) -> dict[Multisegment, LaurentPoly]:
+        """Coefficients of homogeneous x over the basis: one sweep of a raw
+        copy of x, which strips the whole coefficient at each label."""
+        return self._sweep({q: raw(c) for q, c in x.unordered_items()},
+                           None, finish)[1]
 
 
 @dataclass(frozen=True)
@@ -230,7 +251,7 @@ def expand_in_dcb(x: AlgebraElement, cache: BasisCache
     """
     if not x.is_homogeneous():
         raise ValueError("can only expand homogeneous elements")
-    return cache._sweep(x, None, finish)[1]
+    return cache._expand(x)
 
 
 def structure_constants(m: Multisegment, n: Multisegment, cache: BasisCache
@@ -240,8 +261,7 @@ def structure_constants(m: Multisegment, n: Multisegment, cache: BasisCache
     A product of two basis vectors is homogeneous by construction, so the
     sweep runs without ``expand_in_dcb``'s homogeneity check.
     """
-    x = cache.dual_canonical(m) * cache.dual_canonical(n)
-    return cache._sweep(x, None, finish)[1]
+    return cache._expand(cache.dual_canonical(m) * cache.dual_canonical(n))
 
 
 def membership_up_to_power(x: AlgebraElement, cache: BasisCache

@@ -46,8 +46,7 @@ from .canonical import (
     structure_constants,
 )
 from .checks import SUITES
-from .criteria import irreducible_pair, main1_witness, parse_partition
-from .criteria import evaluation_multisegment
+from .criteria import _verdict, evaluation_multisegment, parse_partition
 from .laurent import LaurentPoly
 from .multisegment import (
     Multisegment,
@@ -220,8 +219,7 @@ def _algebraic_irreducible(alpha, a: int, beta, b: int,
 def cmd_irred(args: argparse.Namespace) -> int:
     alpha = _as_usage(parse_partition, args.alpha)
     beta = _as_usage(parse_partition, args.beta)
-    verdict = irreducible_pair(alpha, args.a, beta, args.b)
-    witness = main1_witness(alpha, args.a, beta, args.b)
+    verdict, witness = _verdict(alpha, args.a, beta, args.b)
     payload = {
         "alpha": list(alpha.parts),
         "a": args.a,
@@ -253,8 +251,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     rows = []
     disagreements = []
     for shift in range(lo, hi + 1):
-        verdict = irreducible_pair(alpha, 0, beta, shift)
-        witness = main1_witness(alpha, 0, beta, shift)
+        verdict, witness = _verdict(alpha, 0, beta, shift)
         row = {
             "shift": shift,
             "irreducible": verdict,

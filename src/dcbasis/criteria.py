@@ -244,12 +244,25 @@ def main1_witness(alpha: Partition, a: int, beta: Partition, b: int
     interleaving either way round.  The witness is the increasing tuple of
     positions realizing the pattern.
     """
-    d_ij, d_ji = _differences(alpha, a, beta, b)
+    return _pattern(*_differences(alpha, a, beta, b), a, b)
+
+
+def _pattern(d_ij: tuple[int, ...], d_ji: tuple[int, ...], a: int, b: int
+             ) -> tuple[int, ...] | None:
+    """main1_witness from the two differences of the evaluation sets."""
     if a > b:
         return _three_pattern(d_ij, d_ji)
     if a < b:
         return _three_pattern(d_ji, d_ij)
     return _four_pattern(d_ij, d_ji) or _four_pattern(d_ji, d_ij)
+
+
+def _verdict(alpha: Partition, a: int, beta: Partition, b: int
+             ) -> tuple[bool, tuple[int, ...] | None]:
+    """irreducible_pair and main1_witness of one pair, from one
+    computation of the differences."""
+    d_ij, d_ji = _differences(alpha, a, beta, b)
+    return join_related(d_ij, d_ji), _pattern(d_ij, d_ji, a, b)
 
 
 def main1_pattern(alpha: Partition, a: int, beta: Partition, b: int) -> bool:

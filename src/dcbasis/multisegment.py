@@ -140,8 +140,18 @@ class Multisegment:
         return self._segs.count(s)
 
     def binom_sum(self) -> int:
-        """Sum over distinct segments of C(multiplicity, 2)."""
-        return sum(c * (c - 1) // 2 for _, c in self.counts())
+        """Sum over distinct segments of C(multiplicity, 2).
+
+        Copies of a segment are adjacent in the sorted tuple, so one pass
+        adds, for each entry, the number of equal entries just before it.
+        """
+        total = run = 0
+        prev = None
+        for s in self._segs:
+            run = run + 1 if s == prev else 0
+            total += run
+            prev = s
+        return total
 
     def sq_length_sum(self) -> int:
         return sum(s.length ** 2 for s in self._segs)
@@ -304,37 +314,57 @@ def dominates(m: Multisegment, n: Multisegment) -> bool:
                for i in {s.start for s in segs} for j in ends if i <= j)
 
 
-def _generate(d: dict[int, int], bound: tuple[int, int] | None):
-    """All expanded segment tuples of weight d.
-
-    Recursion peels segments ending at the largest weighted position; bound
-    forces starts of equal-end segments to be non-decreasing so each
-    multiset appears once.
-    """
-    if not d:
-        yield ()
-        return
+def _peel_range(d: dict[int, int], bound: tuple[int, int] | None
+                ) -> tuple[int, int]:
+    """(p, lo): the largest weighted position of d and the least start of a
+    segment ending there that may be peeled next.  bound is the (end, start)
+    of the last segment peeled; it forces starts of equal-end segments to
+    be non-decreasing, so each multiset appears once."""
     p = max(d)
     lo = p
     while (lo - 1) in d:
         lo -= 1
     if bound is not None and bound[0] == p:
         lo = max(lo, bound[1])
-    for start in range(lo, p + 1):
-        seg = Segment(start, p)
+    return p, lo
+
+
+def _generate(d: dict[int, int]):
+    """All expanded segment tuples of weight d.
+
+    Each step peels a segment [start, p] ending at the largest weighted
+    position p.  A stack entry (d, p, start, peeled) stands for that peel
+    from the weight d, after the segments peeled so far.  Popping it pushes
+    its next sibling, with start + 1, and then its child, so the tree is
+    walked depth first with the least start first, and each level holds
+    one weight at a time, however wide the class.  The stack takes the
+    place of recursion, so no number of segments meets the interpreter's
+    recursion limit.
+    """
+    if not d:
+        yield ()
+        return
+    stack = [(d, *_peel_range(d, None), ())]
+    while stack:
+        d, p, start, peeled = stack.pop()
+        if start < p:
+            stack.append((d, p, start + 1, peeled))
         nd = dict(d)
         for k in range(start, p + 1):
             nd[k] -= 1
             if not nd[k]:
                 del nd[k]
-        for rest in _generate(nd, (p, start)):
-            yield rest + (seg,)
+        peeled = (Segment(start, p),) + peeled
+        if nd:
+            stack.append((nd, *_peel_range(nd, (p, start)), peeled))
+        else:
+            yield peeled
 
 
 def class_exceeds(w: Weight, cap: int) -> bool:
     """True iff the weight class of w has more than cap labels.  Draws at
     most cap + 1 labels, whatever the size of the class."""
-    labels = _generate(dict(w.items()), None)
+    labels = _generate(dict(w.items()))
     return sum(1 for _ in itertools.islice(labels, max(cap + 1, 0))) > cap
 
 
@@ -349,7 +379,7 @@ def enumerate_by_weight(w: Weight) -> tuple[Multisegment, ...]:
     increases the sorted segment list.  Hence the dominance-least label
     comes first and no label dominates one listed before it.
     """
-    return tuple(sorted(map(Multisegment, _generate(dict(w.items()), None)),
+    return tuple(sorted(map(Multisegment, _generate(dict(w.items()))),
                         key=Multisegment.sort_key))
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from dcbasis.canonical import BasisCache, dcb_table, structure_constants
 from dcbasis.checks import SUITES
-from dcbasis import cli
+from dcbasis import cli, criteria
 from dcbasis.cli import _suite_defaults, main
 from dcbasis.laurent import LaurentPoly
 from dcbasis.multisegment import parse_multisegment, parse_weight
@@ -386,6 +386,23 @@ def test_scan_worked_pair(capsys):
     assert out.splitlines()[-1] == "reducible shifts: -3, -2, -1, 1, 3, 4, 6"
 
 
+def test_scan_and_irred_build_the_differences_once(capsys, monkeypatch):
+    calls = []
+    differences = criteria._differences
+
+    def counting(*args):
+        calls.append(args)
+        return differences(*args)
+
+    monkeypatch.setattr(criteria, "_differences", counting)
+    code, _, _ = run_cli(capsys, "scan", "--alpha", "4,2", "--beta", "2,2,1",
+                         "--range", "-8:8", "--json")
+    assert (code, len(calls)) == (0, 17)
+    code, _, _ = run_cli(capsys, "irred", "--alpha", "4,2", "--beta", "2,2,1",
+                         "--b", "3")
+    assert (code, len(calls)) == (0, 18)
+
+
 def test_scan_verified(capsys):
     code, out, _ = run_cli(capsys, "scan", "--alpha", "2", "--beta", "1,1",
                            "--range", "-2:2", "--verify", "--json")
@@ -545,9 +562,8 @@ def test_internal_fault_has_its_own_exit_code(capsys, monkeypatch, fault):
 
 
 @pytest.mark.parametrize("argv, attr", [
-    (("irred", "--alpha", "3", "--beta", "3"), "irreducible_pair"),
-    (("scan", "--alpha", "2", "--beta", "1", "--range", "0:1"),
-     "main1_witness"),
+    (("irred", "--alpha", "3", "--beta", "3"), "_verdict"),
+    (("scan", "--alpha", "2", "--beta", "1", "--range", "0:1"), "_verdict"),
     (("dcb", "--weight", "0:1,1:1"), "dcb_table"),
     (("decompose", "--m", "[0]", "--n", "[1]"), "structure_constants"),
     (("minor", "--rows", "1,2", "--cols", "2,3"), "quantum_minor"),

@@ -21,7 +21,7 @@ from dcbasis.criteria import (
     strongly_separated,
 )
 from dcbasis.checks import partitions_up_to
-from dcbasis.criteria import _four_pattern, _three_pattern
+from dcbasis.criteria import _four_pattern, _three_pattern, _verdict
 from dcbasis.multisegment import parse_multisegment
 
 cofinite_sets = st.builds(
@@ -262,7 +262,8 @@ def _old_witness(d_ij, d_ji, c):
 def test_set_arithmetic_matches_the_scanning_oracle_exhaustive():
     """All 97 partitions of size 0-9, squared, at every shift in -8..8:
     159,953 triples.  Both evaluation sets, both differences, the verdict
-    and the witness match the oracle at every triple."""
+    and the witness, apart and from _verdict, match the oracle at every
+    triple."""
     parts = [Partition()] + partitions_up_to(9)
     shifts = range(-8, 9)
     assert len(parts) == 97
@@ -286,6 +287,8 @@ def test_set_arithmetic_matches_the_scanning_oracle_exhaustive():
                         is _old_join_related(d_ij, d_ji))
                 assert main1_witness(alpha, 0, beta, b) == \
                     _old_witness(d_ij, d_ji, -b)
+                assert _verdict(alpha, 0, beta, b) == (
+                    _old_join_related(d_ij, d_ji), _old_witness(d_ij, d_ji, -b))
                 triples += 1
     assert triples == 159_953
 

@@ -2,6 +2,8 @@
 
 import heapq
 import itertools
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,8 @@ from hypothesis import given, strategies as st
 from dcbasis.checks import window_weights
 from dcbasis.multisegment import (
     EMPTY,
+    _generate,
+    class_exceeds,
     Multisegment,
     Segment,
     Weight,
@@ -131,6 +135,15 @@ def test_degree_weight_and_sums():
     assert m.sq_length_sum() == 5
     assert Multisegment([(1, 1), (1, 1), (1, 1)]).binom_sum() == 3
     assert m.binom_sum() == 0
+
+
+def test_binom_sum_matches_the_counts_formula_exhaustive():
+    # Every label of degree <= 6 on [0, 4].
+    labels = [m for w in window_weights(6, 0, 4)
+              for m in enumerate_by_weight(w)]
+    assert len(labels) == 1497
+    for m in labels:
+        assert m.binom_sum() == sum(c * (c - 1) // 2 for _, c in m.counts()), m
 
 
 def test_add_remove_largest():
@@ -359,6 +372,58 @@ def _kahn_order(w):
 def test_enumeration_matches_topological_sort_exhaustive():
     for w in SMALL_WINDOW_WEIGHTS:
         assert enumerate_by_weight(w) == _kahn_order(w), w
+
+
+def _old_generate(d, bound):
+    """Reference generator: the class enumeration by recursion, one level
+    per segment."""
+    if not d:
+        yield ()
+        return
+    p = max(d)
+    lo = p
+    while (lo - 1) in d:
+        lo -= 1
+    if bound is not None and bound[0] == p:
+        lo = max(lo, bound[1])
+    for start in range(lo, p + 1):
+        seg = Segment(start, p)
+        nd = dict(d)
+        for k in range(start, p + 1):
+            nd[k] -= 1
+            if not nd[k]:
+                del nd[k]
+        for rest in _old_generate(nd, (p, start)):
+            yield rest + (seg,)
+
+
+def test_generation_matches_the_recursive_oracle_exhaustive():
+    for w in SMALL_WINDOW_WEIGHTS:
+        old = list(_old_generate(dict(w.items()), None))
+        assert sorted(_generate(dict(w.items()))) == sorted(old), w
+        assert enumerate_by_weight(w) == tuple(
+            sorted(map(Multisegment, old), key=Multisegment.sort_key)), w
+
+
+def test_class_with_many_segments_needs_no_recursion():
+    assert sys.getrecursionlimit() < 5000
+    assert not class_exceeds(Weight({0: 5000}), 1)
+    # 5000[0]+[1] and 4999[0]+[0,1]
+    assert class_exceeds(Weight({0: 5000, 1: 1}), 1)
+    assert not class_exceeds(Weight({0: 5000, 1: 1}), 2)
+
+
+def test_wide_class_is_refused_without_building_every_sibling():
+    # {0: 2, 1..9999: 1}: 10,000 possible first peels, each a copy of a
+    # 10,000-entry weight.  Only the ones walked may be built.
+    w = (parse_multisegment("[0,9999]") + parse_multisegment("[0]")).weight()
+    tracemalloc.start()
+    try:
+        assert class_exceeds(w, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_enumeration_is_a_linear_extension():
