@@ -79,20 +79,18 @@ class BasisCache:
 
     Besides the basis vectors, the cache holds two memos.  The key memo
     keeps order_key of every label a sweep has met, so each label is keyed
-    once.  The product memo keeps the products E*(p) E*([s]) and
-    E*([s]) E*(p) that aux_vector uses, keyed by the weight of the product
-    and then by the ordered pair of labels.  dcb_table drops the products
-    of a weight once its table is built: every label of that weight is
-    then memoized, so aux_vector never asks for them again.
+    once.  The product memo keeps the products E*([s]) E*(p) that
+    aux_vector straightens, keyed by the weight of the product and then by
+    p, which fixes s.  dcb_table drops the products of a weight once its
+    table is built: every label of that weight is then memoized, so
+    aux_vector never asks for them again.
     """
 
     def __init__(self,
                  order_key: Callable[[Multisegment], tuple] | None = None):
         self._memo: dict[Multisegment, AlgebraElement] = {}
         self._keys: dict[Multisegment, tuple] = {}
-        self._products: dict[
-            Weight, dict[tuple[Multisegment, Multisegment], AlgebraElement]
-        ] = {}
+        self._products: dict[Weight, dict[Multisegment, AlgebraElement]] = {}
         self.order_key = order_key or Multisegment.extension_key
 
     def labels_computed(self) -> int:
@@ -114,8 +112,9 @@ class BasisCache:
         split off one copy of the largest segment s, and divide the graded
         commutator v^(b(rest,s)+1) G*(rest) E*(s) - v^(b(s,rest)-1) E*(s) G*(rest)
         exactly by v - v^-1.  It is summed term by term over the support
-        of G*(rest), with each product of two E* vectors taken from the
-        product memo of m's weight.
+        of G*(rest).  Each E*(s) E*(p) comes from the product memo of m's
+        weight; each E*(p) E*(s) is the single term v^-mu E*(p + s), with
+        mu the number of copies of s in p, and is never straightened.
         """
         if len(m) <= 1:
             return {m: {0: 1}}
@@ -127,16 +126,24 @@ class BasisCache:
         products = self._products.setdefault(m.weight(), {})
         num: dict[Multisegment, dict[int, int]] = {}
         for p, c in self.dual_canonical(rest).unordered_items():
-            for pair, shift, sign in (((p, single), forward, 1),
-                                      ((single, p), backward, -1)):
-                product = products.get(pair)
-                if product is None:
-                    product = products[pair] = basis_product(*pair)
-                for q, d in product.unordered_items():
-                    acc = num.get(q)
-                    if acc is None:
-                        acc = num[q] = {}
-                    add_product(acc, c, d, shift, sign)
+            product = products.get(p)
+            if product is None:
+                product = products[p] = basis_product(single, p)
+            for q, d in product.unordered_items():
+                acc = num.get(q)
+                if acc is None:
+                    acc = num[q] = {}
+                add_product(acc, c, d, backward, -1)
+            # rest dominates p, and no elementary move raises the largest
+            # segment, so the word p*s is sorted.  p + s is the all-swap
+            # term of E*(s) E*(p), summed above, so num holds its label;
+            # an unsorted word would match no label and fail the lookup.
+            acc = num.get(_from_sorted(p.segments + (s,)))
+            if acc is None:
+                raise InvariantError(
+                    f"aux_vector({m}): E*({s}) E*({p}) has no term at "
+                    f"{p} + {s}, so E*({p}) E*({s}) is not a relabelling")
+            add_product(acc, c, ONE, forward - p.segments.count(s))
         return {q: quotient for q, acc in num.items()
                 if (quotient := divide_by_v_minus_vinv(acc))}
 
@@ -226,18 +233,27 @@ def dcb_table(w: Weight, cache: BasisCache) -> DcbTable:
 
 
 def load_table(path: Path) -> DcbTable:
-    """Rebuild a table from the JSON emitted by DcbTable.to_json_obj."""
+    """Rebuild a table from the JSON emitted by DcbTable.to_json_obj.
+
+    A row that names a label twice, or a coefficient that names an
+    exponent twice, is refused rather than read as its last entry."""
     obj = json.loads(Path(path).read_text())
     labels = []
     expansions = {}
     for row in obj["basis"]:
         m = parse_multisegment(row["label"])
         labels.append(m)
-        expansions[m] = AlgebraElement({
-            parse_multisegment(entry["label"]):
-                LaurentPoly({index(e): index(c) for e, c in entry["coef"]})
-            for entry in row["expansion"]
-        })
+        terms = {}
+        for entry in row["expansion"]:
+            n = parse_multisegment(entry["label"])
+            coef = {index(e): index(c) for e, c in entry["coef"]}
+            if n in terms:
+                raise ValueError(f"the row of {m} names {n} twice")
+            if len(coef) != len(entry["coef"]):
+                raise ValueError(f"the coefficient at {n} in the row of {m} "
+                                 "names an exponent twice")
+            terms[n] = LaurentPoly(coef)
+        expansions[m] = AlgebraElement(terms)
     return DcbTable(parse_weight(obj["weight"]), tuple(labels), expansions)
 
 

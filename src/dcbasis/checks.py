@@ -479,7 +479,8 @@ def check_frank(samples: int = 40, max_factors: int = 3, max_entry: int = 6,
     return report
 
 
-def check_hooks(max_size: int = 6, max_shift: int = 12) -> SuiteReport:
+def check_hooks(max_part_sum: int = 6,
+                shift_range: tuple[int, int] = (-12, 12)) -> SuiteReport:
     """Hook-length criterion against the separation criterion.
 
     For every partition within the size bound and every shift in range,
@@ -487,8 +488,9 @@ def check_hooks(max_size: int = 6, max_shift: int = 12) -> SuiteReport:
     when the absolute shift is not a hook length of the partition.
     """
     report = SuiteReport("hooks", 0)
-    for alpha in partitions_up_to(max_size):
-        for shift in range(-max_shift, max_shift + 1):
+    lo, hi = shift_range
+    for alpha in partitions_up_to(max_part_sum):
+        for shift in range(lo, hi + 1):
             report.cases += 1
             if hook_irreducible(alpha, shift) != irreducible_pair(
                     alpha, 0, alpha, shift):

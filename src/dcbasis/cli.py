@@ -13,9 +13,9 @@ Every command accepts ``--json``.  ``dcb`` and ``decompose`` enumerate a
 weight class; ``--max-class-size N`` refuses a class of more than N labels
 before any basis vector is computed.  Exit codes: 0 on success, 1 when a
 property or cross-check fails, 2 on usage errors (parse and argument
-errors, size-guard refusals, ``verify`` bounds that select no case), 3 on
-an internal fault (any other exception, a ValueError from a computation
-included).
+errors, size-guard refusals, ``verify`` bounds that select no case or
+that the suite does not take), 3 on an internal fault (any other
+exception, a ValueError from a computation included).
 """
 
 from __future__ import annotations
@@ -286,6 +286,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return OK
 
 
+# The verify flags, each named after the one suite parameter it sets.
+_SUITE_FLAGS = ("max_degree", "max_part_sum", "shift_range", "index_range",
+                "max_cols", "samples", "max_factors", "max_entry", "seed")
+
+
 def _suite_defaults(suite) -> dict:
     """The suite's keyword defaults, read from its signature (no cache)."""
     return {name: p.default
@@ -294,29 +299,18 @@ def _suite_defaults(suite) -> dict:
 
 
 def _suite_kwargs(args: argparse.Namespace) -> dict:
+    """The suite's defaults, each overridden by the flag of the same name;
+    a flag the suite does not take is a usage error."""
     kwargs = _suite_defaults(SUITES[args.suite])
-    flags = {
-        "max_degree": args.max_degree,
-        "max_part_sum": args.max_part_sum,
-        "shift_range": (_parse_range(args.shift_range)
-                        if args.shift_range else None),
-        "index_range": (_parse_range(args.index_range)
-                        if args.index_range else None),
-        "max_cols": args.max_cols,
-        "samples": args.samples,
-        "max_factors": args.max_factors,
-        "max_entry": args.max_entry,
-        "seed": args.seed,
-        "max_size": args.max_part_sum,
-        "max_shift": (abs(_parse_range(args.shift_range)[1])
-                      if args.shift_range else None),
-    }
-    if args.suite == "minors" and args.max_n is not None:
-        kwargs["index_range"] = (1, args.max_n)
-        kwargs["max_cols"] = None
-    for name in kwargs:
-        if flags.get(name) is not None:
-            kwargs[name] = flags[name]
+    for name in _SUITE_FLAGS:
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if name not in kwargs:
+            raise _UsageError(f"--{name.replace('_', '-')} does not apply "
+                              f"to suite {args.suite}")
+        kwargs[name] = (_parse_range(value) if name.endswith("_range")
+                        else value)
     if args.suite == "frank" and kwargs["samples"] > 0 and (
             kwargs["max_factors"] < 2 or kwargs["max_entry"] < 1):
         raise _UsageError("random families need --max-factors of at least "
@@ -437,10 +431,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="partition size bound (oracle, hooks)")
     p.add_argument("--shift-range", metavar="LO:HI",
                    help="shift range (oracle, hooks)")
-    p.add_argument("--max-n", type=int, metavar="N",
-                   help="index window [1, N] (minors)")
     p.add_argument("--index-range", metavar="LO:HI",
-                   help="explicit index window (minors)")
+                   help="index window (minors)")
     p.add_argument("--max-cols", type=int, metavar="K",
                    help="column count bound (minors)")
     p.add_argument("--samples", type=int, metavar="K",

@@ -182,7 +182,7 @@ def test_criterion_08_structure_constant_laws():
 
 
 def test_criterion_09_hook_criterion():
-    report = check_hooks(6, 12)
+    report = check_hooks(max_part_sum=6, shift_range=(-12, 12))
     assert report.cases == 725
     assert report.ok, report.failures
     print(f"PASS criterion 9: hook and pair criteria agree on "

@@ -23,7 +23,8 @@ from dcbasis.canonical import (
     membership_up_to_power,
     structure_constants,
 )
-from dcbasis.algebra import AlgebraElement, dual_pbw
+from dcbasis import canonical
+from dcbasis.algebra import AlgebraElement, basis_product, dual_pbw
 from dcbasis.checks import _degree_pairs, window_weights
 from dcbasis.laurent import LaurentPoly, ONE, finish, raw
 from dcbasis.multisegment import (
@@ -284,6 +285,43 @@ def test_aux_vector_matches_the_old_products():
     assert labels == 623
 
 
+def test_forward_product_is_a_relabelling():
+    # aux_vector never straightens E*(p) E*(s): every p in the support of
+    # G*(rest) has no segment above s, so the product is v^-mu E*(p + s).
+    cache = BasisCache()
+    labels = pairs = 0
+    for w in window_weights(5, 0, 4):
+        for m in enumerate_by_weight(w):
+            labels += 1
+            if len(m) <= 1:
+                continue
+            s = m.largest_segment()
+            single = Multisegment([s])
+            for p, _ in cache.dual_canonical(m.remove(s)).unordered_items():
+                relabelled = dual_pbw(p + single).scaled(
+                    LaurentPoly.v_power(-p.segments.count(s)))
+                assert basis_product(p, single) == relabelled, (m, p)
+                pairs += 1
+    assert labels == 623
+    assert pairs == 968
+
+
+def test_aux_vector_straightens_one_product_per_support_label(monkeypatch):
+    calls = []
+
+    def counting(m, n):
+        calls.append((m, n))
+        return basis_product(m, n)
+
+    monkeypatch.setattr(canonical, "basis_product", counting)
+    cache = BasisCache()
+    table = dcb_table(parse_weight("0:1,1:2,2:2,3:2,4:2,5:1"), cache)
+    assert len(table.labels) == 235
+    assert len(calls) == 550
+    assert len(set(calls)) == 550
+    assert all(len(single) == 1 for single, _ in calls)
+
+
 def test_dcb_table_drops_the_products_of_its_weight():
     cache = BasisCache()
     cache.dual_canonical(pm("[0]+[1]+[1,2]"))
@@ -350,10 +388,12 @@ def test_labels_computed():
 
 
 # Each case breaks one invariant of G*([0]+[1]), whose only other label is
-# [0,1]; the script prints what dual_canonical raised, one line per case.
+# [0,1], or of the products behind it; the script prints what
+# dual_canonical raised, one line per case.
 _BROKEN_CACHES = """
 import sys
-from dcbasis.algebra import dual_pbw
+from dcbasis import canonical
+from dcbasis.algebra import AlgebraElement, basis_product, dual_pbw
 from dcbasis.canonical import BasisCache, InvariantError
 from dcbasis.laurent import LaurentPoly
 from dcbasis.multisegment import parse_multisegment
@@ -387,8 +427,22 @@ class NotInVZv(BasisCache):
         return super().dual_canonical(m)
 
 
+def without_all_swap_term(single, p):
+    return AlgebraElement({
+        q: c for q, c in basis_product(single, p).unordered_items()
+        if q != p + single})
+
+
+class NoAllSwapTerm(BasisCache):
+    # The last case, so the patch is never undone.
+    def aux_vector(self, m):
+        canonical.basis_product = without_all_swap_term
+        return super().aux_vector(m)
+
+
 print("optimize", sys.flags.optimize)
-for cls, label in ((Diagonal, LOW), (Below, LOW), (NotInVZv, TOP)):
+for cls, label in ((Diagonal, LOW), (Below, LOW), (NotInVZv, TOP),
+                   (NoAllSwapTerm, TOP)):
     try:
         cls().dual_canonical(label)
         print(cls.__name__, "no error")
@@ -410,6 +464,8 @@ def test_invariant_checks_survive_python_O():
         "must lie above [0,1], with coefficients in v*Z[v]",
         "NotInVZv G*([0]+[1]) has coefficient -1 at [0,1]: off-diagonal "
         "terms must lie above [0]+[1], with coefficients in v*Z[v]",
+        "NoAllSwapTerm aux_vector([0]+[1]): E*([1]) E*([0]) has no term at "
+        "[0] + [1], so E*([0]) E*([1]) is not a relabelling",
     ]
 
 

@@ -100,7 +100,7 @@ def test_frank_suite():
 
 
 def test_hooks_suite():
-    report = check_hooks(3, 4)
+    report = check_hooks(max_part_sum=3, shift_range=(-4, 4))
     assert report.cases == 54
     assert report.ok, report.failures
 

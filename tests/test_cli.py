@@ -138,6 +138,26 @@ def test_dcb_cache_refuses_a_table_that_is_not_unitriangular(tmp_path, capsys):
         "[0]+[1]+[1,2] does not dominate\n")
 
 
+@pytest.mark.parametrize("low, reason", [
+    ([{"label": "[0,1]", "coef": [[1, -1]]},
+      {"label": "[0,1]", "coef": [[1, 7]]}],
+     "the row of [0]+[1] names [0,1] twice"),
+    ([{"label": "[0,1]", "coef": [[1, -1], [1, 7]]}],
+     "the coefficient at [0,1] in the row of [0]+[1] names an exponent twice"),
+], ids=["label-twice", "exponent-twice"])
+def test_dcb_cache_refuses_a_repeated_entry(tmp_path, capsys, low, reason):
+    # If the last entry won, the row would read + 7*v E*([0,1]): a valid
+    # shape, so only the repetition gives it away.
+    argv, cache_file = _cached_table(tmp_path, capsys)
+    obj = json.loads(cache_file.read_text())
+    obj["basis"][0]["expansion"][1:] = low
+    cache_file.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: cache file {cache_file} is not a valid table: "
+                   f"ValueError: {reason}\n")
+
+
 @pytest.mark.parametrize("text", [
     "{}",
     "[]",
@@ -442,6 +462,33 @@ def test_verify_hooks_json(capsys):
         "suite": "hooks", "cases": 21, "ok": True, "failures": []}
 
 
+def test_verify_hooks_shift_range_is_the_range_given(capsys):
+    # The one partition of size 1 at shifts -8..-2: seven cases.
+    code, out, _ = run_cli(capsys, "verify", "--suite", "hooks",
+                           "--max-part-sum", "1", "--shift-range", "-8:-2")
+    assert code == 0
+    assert out == "PASS hooks: 7 case(s)\n"
+
+
+@pytest.mark.parametrize("suite, flag, value", [
+    ("oracle", "--max-degree", "9"),
+    ("eqrei", "--seed", "4"),
+    ("hooks", "--index-range", "1:3"),
+    ("minors", "--shift-range", "-1:1"),
+])
+def test_verify_flag_the_suite_does_not_take(capsys, suite, flag, value):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} does not apply to suite {suite}\n"
+
+
+def test_verify_max_n_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "minors", "--max-n", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-n" in capsys.readouterr().err
+
+
 def test_verify_minors_window(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "minors",
                            "--index-range", "1:3")
@@ -450,7 +497,6 @@ def test_verify_minors_window(capsys):
 
 
 @pytest.mark.parametrize("suite, flag, value", [
-    ("minors", "--max-n", "0"),
     ("minors", "--max-cols", "0"),
     ("eqrei", "--max-degree", "-1"),
     ("oracle", "--max-part-sum", "-1"),
@@ -473,7 +519,7 @@ def test_verify_defaults_from_suite_signatures():
         "minors": {"index_range": (1, 4), "max_cols": None},
         "frank": {"samples": 40, "max_factors": 3, "max_entry": 6,
                   "seed": 0},
-        "hooks": {"max_size": 6, "max_shift": 12},
+        "hooks": {"max_part_sum": 6, "shift_range": (-12, 12)},
     }
 
 
