@@ -42,7 +42,6 @@ from .canonical import (
     dcb_table,
     expand_in_dcb,
     kl_matrix,
-    load_table,
     membership_up_to_power,
     structure_constants,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "join_related",
     "kl_matrix",
     "linked",
-    "load_table",
     "main1_pattern",
     "main1_witness",
     "membership_up_to_power",

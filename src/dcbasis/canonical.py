@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 from dataclasses import dataclass
-from operator import index
-from pathlib import Path
 from typing import Callable
 
 from .algebra import AlgebraElement, InvariantError, basis_product, dual_pbw
@@ -34,8 +31,6 @@ from .multisegment import (
     _from_sorted,
     b_form,
     enumerate_by_weight,
-    parse_multisegment,
-    parse_weight,
 )
 
 __all__ = [
@@ -230,31 +225,6 @@ def dcb_table(w: Weight, cache: BasisCache) -> DcbTable:
     table = DcbTable(w, labels, {m: cache.dual_canonical(m) for m in labels})
     cache._products.pop(w, None)
     return table
-
-
-def load_table(path: Path) -> DcbTable:
-    """Rebuild a table from the JSON emitted by DcbTable.to_json_obj.
-
-    A row that names a label twice, or a coefficient that names an
-    exponent twice, is refused rather than read as its last entry."""
-    obj = json.loads(Path(path).read_text())
-    labels = []
-    expansions = {}
-    for row in obj["basis"]:
-        m = parse_multisegment(row["label"])
-        labels.append(m)
-        terms = {}
-        for entry in row["expansion"]:
-            n = parse_multisegment(entry["label"])
-            coef = {index(e): index(c) for e, c in entry["coef"]}
-            if n in terms:
-                raise ValueError(f"the row of {m} names {n} twice")
-            if len(coef) != len(entry["coef"]):
-                raise ValueError(f"the coefficient at {n} in the row of {m} "
-                                 "names an exponent twice")
-            terms[n] = LaurentPoly(coef)
-        expansions[m] = AlgebraElement(terms)
-    return DcbTable(parse_weight(obj["weight"]), tuple(labels), expansions)
 
 
 def expand_in_dcb(x: AlgebraElement, cache: BasisCache

@@ -23,10 +23,8 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import os
 import re
 import sys
-from pathlib import Path
 
 from .algebra import (
     _check_indices,
@@ -36,12 +34,8 @@ from .algebra import (
 )
 from .canonical import (
     BasisCache,
-    DcbTable,
-    InvariantError,
     _single_basis_vector,
-    check_unitriangular,
     dcb_table,
-    load_table,
     membership_up_to_power,
     structure_constants,
 )
@@ -52,7 +46,6 @@ from .multisegment import (
     Multisegment,
     Weight,
     class_exceeds,
-    dominates,
     enumerate_by_weight,
     parse_multisegment,
     parse_weight,
@@ -108,32 +101,6 @@ def _weight_class(weight: Weight, cap: int) -> tuple[Multisegment, ...]:
     return enumerate_by_weight(weight)
 
 
-def _load_cached(path: Path, weight: Weight,
-                 labels: tuple[Multisegment, ...]) -> DcbTable:
-    """The table at path, refused unless it is a unitriangular table of
-    exactly this weight class whose rows stay in the dominance cone."""
-    try:
-        table = load_table(path)
-        for m in table.labels:
-            check_unitriangular(m, table.expansion(m),
-                                Multisegment.extension_key)
-            for n, _ in table.expansion(m).unordered_items():
-                if not dominates(m, n):
-                    raise ValueError(f"the row of {m} has {n}, which {m} "
-                                     "does not dominate")
-    except (OSError, ValueError, KeyError, TypeError, AttributeError,
-            InvariantError) as exc:
-        raise _UsageError(f"cache file {path} is not a valid table: "
-                          f"{type(exc).__name__}: {exc}") from exc
-    if table.weight != weight or table.labels != labels:
-        raise _UsageError(f"cache file {path} does not match weight {weight}")
-    return table
-
-
-def _cannot_write(path: Path, exc: OSError) -> _UsageError:
-    return _UsageError(f"cannot write cache file {path}: {exc}")
-
-
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -146,30 +113,8 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
 
 def cmd_dcb(args: argparse.Namespace) -> int:
     weight = _as_usage(parse_weight, args.weight)
-    labels = _weight_class(weight, args.max_class_size)
-    table: DcbTable | None = None
-    cache_path: Path | None = None
-    if args.cache_dir is not None:
-        stem = str(weight).replace(":", "-").replace(",", "_")
-        cache_path = Path(args.cache_dir) / f"weight_{stem}.json"
-        try:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise _cannot_write(cache_path, exc) from exc
-        if cache_path.exists():
-            table = _load_cached(cache_path, weight, labels)
-    if table is None:
-        table = dcb_table(weight, BasisCache())
-        if cache_path is not None:
-            # Renamed into place, so the cache path never holds half a table.
-            tmp = cache_path.with_name(f"{cache_path.name}.{os.getpid()}.tmp")
-            try:
-                tmp.write_text(json.dumps(table.to_json_obj()))
-                os.replace(tmp, cache_path)
-            except OSError as exc:
-                raise _cannot_write(cache_path, exc) from exc
-            finally:
-                tmp.unlink(missing_ok=True)
+    _weight_class(weight, args.max_class_size)
+    table = dcb_table(weight, BasisCache())
     lines = [
         f"G*({m}) = {render_combination(table.expansion(m).items(), 'E*')}"
         for m in table.labels
@@ -388,8 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dcb", help="print the basis of one weight class")
     p.add_argument("--weight", required=True, metavar="POS:CNT,...",
                    help="weight as position:count pairs, e.g. 0:1,1:2,2:1")
-    p.add_argument("--cache-dir", metavar="DIR",
-                   help="directory of per-weight JSON tables to reuse")
     add_common(p, class_cap=True)
     p.set_defaults(func=cmd_dcb)
 

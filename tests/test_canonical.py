@@ -19,7 +19,6 @@ from dcbasis.canonical import (
     dcb_table,
     expand_in_dcb,
     kl_matrix,
-    load_table,
     membership_up_to_power,
     structure_constants,
 )
@@ -510,16 +509,6 @@ def test_dcb_json_digest_pinned(weight):
     table = dcb_table(parse_weight(weight), BasisCache())
     text = json.dumps(table.to_json_obj(), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == DCB_JSON_SHA256[weight]
-
-
-def test_table_json_round_trip(tmp_path):
-    table = dcb_table(WORKED_WEIGHT, BasisCache())
-    path = tmp_path / "table.json"
-    path.write_text(json.dumps(table.to_json_obj()))
-    loaded = load_table(path)
-    assert loaded.weight == table.weight
-    assert loaded.labels == table.labels
-    assert loaded.expansions == table.expansions
 
 
 if __name__ == "__main__":

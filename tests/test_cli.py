@@ -1,9 +1,13 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import hashlib
 import json
+import os
 import shutil
 import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from dcbasis import cli, criteria
 from dcbasis.cli import _suite_defaults, main
 from dcbasis.laurent import LaurentPoly
 from dcbasis.multisegment import parse_multisegment, parse_weight
+from test_canonical import DCB_JSON_SHA256
 
 
 def run_cli(capsys, *argv):
@@ -74,140 +79,31 @@ def test_dcb_json_matches_the_table(capsys):
     }
 
 
-def test_dcb_cache_round_trip(tmp_path, capsys):
-    argv = ("dcb", "--weight", "0:1,1:2,2:1", "--cache-dir", str(tmp_path))
-    code, first, _ = run_cli(capsys, *argv)
-    assert code == 0
-    cache_file = tmp_path / "weight_0-1_1-2_2-1.json"
-    assert cache_file.exists()
-    stored = cache_file.read_bytes()
-    code, second, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert second == first
-    assert cache_file.read_bytes() == stored
+# The largest class of the benchmark ladder (235 labels).
+LADDER_TOP = "0:1,1:2,2:2,3:2,4:2,5:1"
 
 
-def test_dcb_cache_mismatch_is_refused(tmp_path, capsys):
-    code, _, _ = run_cli(capsys, "dcb", "--weight", "0:1,1:1",
-                         "--cache-dir", str(tmp_path))
-    assert code == 0
-    wrong = tmp_path / "weight_5-1.json"
-    wrong.write_bytes((tmp_path / "weight_0-1_1-1.json").read_bytes())
-    code, out, err = run_cli(capsys, "dcb", "--weight", "5:1",
-                             "--cache-dir", str(tmp_path))
-    assert code == 2
-    assert "does not match weight 5:1" in err
+def test_dcb_output_digest_pinned(capsys):
+    # The digests of what cmd_dcb prints, not only of the table it builds.
+    code, out, err = run_cli(capsys, "dcb", "--weight", LADDER_TOP, "--json")
+    assert (code, err) == (0, "")
+    json_text = out.removesuffix("\n")
+    assert (hashlib.sha256(json_text.encode()).hexdigest()
+            == DCB_JSON_SHA256[LADDER_TOP])
+    code, out, err = run_cli(capsys, "dcb", "--weight", LADDER_TOP)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 235
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f0733cfa3f5963b9987c8d798b5a32efa21394df0670bcac7291b16235fa7a86")
 
 
-def _cached_table(tmp_path, capsys):
-    """Run ``dcb --weight 0:1,1:1`` once; return its argv and cache file."""
-    argv = ("dcb", "--weight", "0:1,1:1", "--cache-dir", str(tmp_path))
-    assert run_cli(capsys, *argv)[0] == 0
-    return argv, tmp_path / "weight_0-1_1-1.json"
-
-
-def test_dcb_cache_refuses_a_table_that_is_not_unitriangular(tmp_path, capsys):
-    argv, cache_file = _cached_table(tmp_path, capsys)
-    obj = json.loads(cache_file.read_text())
-    assert obj["basis"][0]["expansion"][1] == {
-        "label": "[0,1]", "coef": [[1, -1]]}
-    obj["basis"][0]["expansion"][1]["coef"] = [[-1, 5]]
-    cache_file.write_text(json.dumps(obj))
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == (
-        f"error: cache file {cache_file} is not a valid table: "
-        "InvariantError: G*([0]+[1]) has coefficient 5*v^-1 at [0,1]: off-diagonal terms "
-        "must lie above [0]+[1], with coefficients in v*Z[v]\n")
-
-    # [0,1]+[1]+[2] lies above [0]+[1]+[1,2] in extension_key order, but
-    # neither label dominates the other: the row leaves the cone.
-    argv = ("dcb", "--weight", "0:1,1:2,2:1", "--cache-dir", str(tmp_path))
-    assert run_cli(capsys, *argv)[0] == 0
-    cache_file = tmp_path / "weight_0-1_1-2_2-1.json"
-    obj = json.loads(cache_file.read_text())
-    row = obj["basis"][1]
-    assert row["label"] == "[0]+[1]+[1,2]"
-    row["expansion"].append({"label": "[0,1]+[1]+[2]", "coef": [[1, 1]]})
-    cache_file.write_text(json.dumps(obj))
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == (
-        f"error: cache file {cache_file} is not a valid table: "
-        "ValueError: the row of [0]+[1]+[1,2] has [0,1]+[1]+[2], which "
-        "[0]+[1]+[1,2] does not dominate\n")
-
-
-@pytest.mark.parametrize("low, reason", [
-    ([{"label": "[0,1]", "coef": [[1, -1]]},
-      {"label": "[0,1]", "coef": [[1, 7]]}],
-     "the row of [0]+[1] names [0,1] twice"),
-    ([{"label": "[0,1]", "coef": [[1, -1], [1, 7]]}],
-     "the coefficient at [0,1] in the row of [0]+[1] names an exponent twice"),
-], ids=["label-twice", "exponent-twice"])
-def test_dcb_cache_refuses_a_repeated_entry(tmp_path, capsys, low, reason):
-    # If the last entry won, the row would read + 7*v E*([0,1]): a valid
-    # shape, so only the repetition gives it away.
-    argv, cache_file = _cached_table(tmp_path, capsys)
-    obj = json.loads(cache_file.read_text())
-    obj["basis"][0]["expansion"][1:] = low
-    cache_file.write_text(json.dumps(obj))
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == (f"error: cache file {cache_file} is not a valid table: "
-                   f"ValueError: {reason}\n")
-
-
-@pytest.mark.parametrize("text", [
-    "{}",
-    "[]",
-    "not json",
-    '{"weight": "0:1,1:1", "basis": [{"label": "[0]+[1]", "expansion": '
-    '[{"label": "[0]+[1]", "coef": [[0, "1"]]}]}]}',
-    '{"weight": "0:1,1:1", "basis": [{"label": "[0,1]", "expansion": '
-    '[{"label": "[0,1]", "coef": [[0, 1]]}, {"label": "[0,2]", '
-    '"coef": [[1, 1]]}]}]}',
-], ids=["no-basis", "not-an-object", "not-json", "string-coefficient",
-        "mixed-weights"])
-def test_dcb_cache_refuses_a_malformed_table(tmp_path, capsys, text):
-    argv, cache_file = _cached_table(tmp_path, capsys)
-    cache_file.write_text(text)
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith(
-        f"error: cache file {cache_file} is not a valid table: ")
-
-
-def test_dcb_cache_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
-    def write_half_then_fail(path, text, *args, **kwargs):
-        with open(path, "w") as f:
-            f.write(text[:len(text) // 2])
-        raise OSError("disk full")
-
-    monkeypatch.setattr(cli.Path, "write_text", write_half_then_fail)
-    argv = ("dcb", "--weight", "0:1,1:1", "--cache-dir", str(tmp_path))
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == (f"error: cannot write cache file "
-                   f"{tmp_path / 'weight_0-1_1-1.json'}: disk full\n")
-    assert list(tmp_path.iterdir()) == []
-    monkeypatch.undo()
-    assert run_cli(capsys, *argv)[0] == 0
-    assert [p.name for p in tmp_path.iterdir()] == ["weight_0-1_1-1.json"]
-
-
-@pytest.mark.parametrize("below", ["", "sub"])
-def test_dcb_cache_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys,
-                                                        below):
-    blocker = tmp_path / "file"
-    blocker.write_text("not a directory")
-    directory = blocker / below if below else blocker
-    code, out, err = run_cli(capsys, "dcb", "--weight", "0:1,1:1",
-                             "--cache-dir", str(directory))
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: cannot write cache file "
-                          f"{directory / 'weight_0-1_1-1.json'}: ")
-    assert blocker.read_text() == "not a directory"
+def test_dcb_has_no_cache_dir_option(tmp_path, capsys):
+    directory = tmp_path / "d"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["dcb", "--weight", "0:1,1:1", "--cache-dir", str(directory)])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
+    assert not directory.exists()
 
 
 def test_dcb_malformed_weight(capsys):
@@ -643,7 +539,17 @@ def test_irred_partition_that_does_not_decrease(capsys):
     assert err == "error: partition parts must weakly decrease: (1, 3)\n"
 
 
-# -- installed script ---------------------------------------------------------------
+# -- entry points -------------------------------------------------------------------
+
+
+def test_module_entry_point():
+    # The same main as the console script, runnable without installing it.
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "dcbasis.cli", "dcb", "--weight", "5:1"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "G*([5]) = E*([5])\n"
 
 
 @pytest.mark.skipif(shutil.which("dcbasis") is None,
