@@ -1,11 +1,12 @@
 """Combinatorial irreducibility criteria for induced evaluation modules.
 
-An evaluation module is indexed by a partition and an integer shift; its
-combinatorial shadow is a co-finite set of integers (everything up to a
-threshold plus finitely many extras).  A product of two such modules is
-irreducible exactly when the two co-finite sets are separated, a condition
-on the mutual set differences; families reduce to pairwise tests.  For a
-partition against itself the criterion collapses to hook lengths.
+An evaluation module is indexed by a partition alpha and an integer shift
+a; its combinatorial shadow is the co-finite set I = {a + 1 - i + alpha_i :
+i >= 1}, with alpha_i = 0 past the last row.  A product of two such modules
+is irreducible exactly when the two co-finite sets are separated, a
+condition on the mutual set differences, which the verdicts read off as
+integer bitsets; families reduce to pairwise tests.  For a partition
+against itself the criterion collapses to hook lengths.
 """
 
 from __future__ import annotations
@@ -159,10 +160,12 @@ def parse_partition(text: str) -> Partition:
 
 
 def evaluation_set(alpha: Partition, shift: int) -> CoFiniteSet:
-    """The co-finite set attached to an evaluation module.
+    """The co-finite set I = {shift + 1 - i + alpha_i : i >= 1} attached to
+    an evaluation module, with alpha_i = 0 past the last of the r rows.
 
-    Threshold t = shift - r for r parts; the extras t + k + alpha_{r+1-k}
-    (k = 1..r) strictly increase from t + 2 on, so they are canonical.
+    Threshold t = shift - r; the extras t + k + alpha_{r+1-k} (k = 1..r)
+    strictly increase from t + 2 on, so they are canonical.  The verdicts
+    read I and its differences as bitsets instead (_differences).
     """
     parts = alpha.parts
     t = shift - len(parts)
@@ -186,8 +189,11 @@ def join_related(a: Iterable[int], b: Iterable[int]) -> bool:
         raise ValueError("join relation needs disjoint sets")
     if not xs or not ys:
         return True
-    return any(len(s) <= len(g) and all(x < min(g) or x > max(g) for x in s)
-               for s, g in ((xs, ys), (ys, xs)))
+    for s, g in ((xs, ys), (ys, xs)):
+        lo, hi = min(g), max(g)
+        if len(s) <= len(g) and all(x < lo or x > hi for x in s):
+            return True
+    return False
 
 
 def separated(i_set: CoFiniteSet, j_set: CoFiniteSet) -> bool:
@@ -202,37 +208,39 @@ def strongly_separated(i_set: CoFiniteSet, j_set: CoFiniteSet) -> bool:
 
 
 def _differences(alpha: Partition, a: int, beta: Partition, b: int
-                 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """I minus J and J minus I for the evaluation sets I and J."""
-    i_set, j_set = evaluation_set(alpha, a), evaluation_set(beta, b)
-    return i_set.difference(j_set), j_set.difference(i_set)
+                 ) -> tuple[int, int, int]:
+    """I minus J, J minus I and the base below which both sets are full,
+    for the evaluation sets I and J: bitsets with bit k for base + 1 + k."""
+    p, q = alpha.parts, beta.parts
+    base = min(a - len(p), b - len(q))
+    i_bits = (1 << (a - len(p) - base)) - 1
+    for i, part in enumerate(p, 1):
+        i_bits |= 1 << (a - i + part - base)
+    j_bits = (1 << (b - len(q) - base)) - 1
+    for i, part in enumerate(q, 1):
+        j_bits |= 1 << (b - i + part - base)
+    return i_bits & ~j_bits, j_bits & ~i_bits, base
+
+
+def _inside(small: int, big: int) -> bool:
+    """True iff a bit of small lies strictly inside the span of big != 0."""
+    low, top = big & -big, 1 << (big.bit_length() - 1)
+    # a one-bit big has no interior, and top - 2 * low would go negative
+    return top != low and small & (top - (low << 1)) != 0
+
+
+def _joined(x: int, y: int) -> bool:
+    """join_related on two disjoint bitsets."""
+    if not x or not y:
+        return True
+    nx, ny = x.bit_count(), y.bit_count()
+    return (nx <= ny and not _inside(x, y)) or (ny <= nx and not _inside(y, x))
 
 
 def irreducible_pair(alpha: Partition, a: int, beta: Partition, b: int) -> bool:
     """Irreducibility of the product of two evaluation modules."""
-    return join_related(*_differences(alpha, a, beta, b))
-
-
-def _three_pattern(outer: Sequence[int], inner: Sequence[int]
-                   ) -> tuple[int, int, int] | None:
-    """Least (i, j, k) with i < j < k, i and k outer, j inner, else None."""
-    for j in inner:
-        below = [i for i in outer if i < j]
-        above = [k for k in outer if k > j]
-        if below and above:
-            return (below[0], j, above[0])
-    return None
-
-
-def _four_pattern(first: Sequence[int], second: Sequence[int]
-                  ) -> tuple[int, int, int, int] | None:
-    """Least i < j < k < l with i, k from first and j, l from second."""
-    for j, l in itertools.combinations(second, 2):
-        below = [i for i in first if i < j]
-        between = [k for k in first if j < k < l]
-        if below and between:
-            return (below[0], j, between[0], l)
-    return None
+    x, y, _ = _differences(alpha, a, beta, b)
+    return _joined(x, y)
 
 
 def main1_witness(alpha: Partition, a: int, beta: Partition, b: int
@@ -244,25 +252,40 @@ def main1_witness(alpha: Partition, a: int, beta: Partition, b: int
     interleaving either way round.  The witness is the increasing tuple of
     positions realizing the pattern.
     """
-    return _pattern(*_differences(alpha, a, beta, b), a, b)
+    return _witness(*_differences(alpha, a, beta, b), a, b)
 
 
-def _pattern(d_ij: tuple[int, ...], d_ji: tuple[int, ...], a: int, b: int
+def _witness(x: int, y: int, base: int, a: int, b: int
              ) -> tuple[int, ...] | None:
-    """main1_witness from the two differences of the evaluation sets."""
+    """main1_witness from the two difference bitsets over base."""
     if a > b:
-        return _three_pattern(d_ij, d_ji)
+        return _chain((x, y, x), base)
     if a < b:
-        return _three_pattern(d_ji, d_ij)
-    return _four_pattern(d_ij, d_ji) or _four_pattern(d_ji, d_ij)
+        return _chain((y, x, y), base)
+    return _chain((x, y, x, y), base) or _chain((y, x, y, x), base)
+
+
+def _chain(sides: tuple[int, ...], base: int) -> tuple[int, ...] | None:
+    """Positions c_1 < c_2 < ..., c_n the lowest bit of sides[n - 1] above
+    c_(n - 1), decoded over base; None when one of them is missing.  Each
+    lowest link leaves the most room above it, so this is the least chain."""
+    bits, above = [], -1
+    for side in sides:
+        rest = side & above
+        if not rest:
+            return None
+        bit = rest & -rest
+        bits.append(bit)
+        above = -(bit << 1)
+    return tuple([base + bit.bit_length() for bit in bits])
 
 
 def _verdict(alpha: Partition, a: int, beta: Partition, b: int
              ) -> tuple[bool, tuple[int, ...] | None]:
     """irreducible_pair and main1_witness of one pair, from one
     computation of the differences."""
-    d_ij, d_ji = _differences(alpha, a, beta, b)
-    return join_related(d_ij, d_ji), _pattern(d_ij, d_ji, a, b)
+    x, y, base = _differences(alpha, a, beta, b)
+    return _joined(x, y), _witness(x, y, base, a, b)
 
 
 def main1_pattern(alpha: Partition, a: int, beta: Partition, b: int) -> bool:

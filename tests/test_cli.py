@@ -249,6 +249,15 @@ def test_irred_json(capsys):
         "irreducible": False, "pattern": [-3, 5, 6]}
 
 
+def test_irred_four_term_pattern_json(capsys):
+    code, out, _ = run_cli(capsys, "irred", "--alpha", "3,1", "--beta", "2",
+                           "--b", "0", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "alpha": [3, 1], "a": 0, "beta": [2], "b": 0,
+        "irreducible": False, "pattern": [-1, 0, 2, 3]}
+
+
 def test_irred_verified_json(capsys):
     code, out, _ = run_cli(capsys, "irred", "--alpha", "2", "--beta", "1,1",
                            "--b", "2", "--verify", "--json")
@@ -300,6 +309,19 @@ def test_scan_worked_pair(capsys):
                            "--beta", "2,2,1", "--range", "-8:8")
     assert code == 0
     assert out.splitlines()[-1] == "reducible shifts: -3, -2, -1, 1, 3, 4, 6"
+
+
+@pytest.mark.parametrize("alpha, beta, digest", [
+    ("5,4,2,1", "3,3,1",
+     "44227c2d652aa1021eed5d114af77ec818cb4e7f68b7d16e5cc3eb2b3c394788"),
+    ("9", "1,1,1,1,1,1,1,1,1",
+     "0616bb20bedb94970b3284c9ce8d033d53c4ca353b152a1ad4eca4a42fdfde04"),
+])
+def test_scan_json_digest_pinned(capsys, alpha, beta, digest):
+    code, out, err = run_cli(capsys, "scan", "--alpha", alpha, "--beta", beta,
+                             "--range", "-40:40", "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_scan_and_irred_build_the_differences_once(capsys, monkeypatch):

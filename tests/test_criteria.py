@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dcbasis.criteria import (
     CoFiniteSet,
@@ -21,7 +21,7 @@ from dcbasis.criteria import (
     strongly_separated,
 )
 from dcbasis.checks import partitions_up_to
-from dcbasis.criteria import _four_pattern, _three_pattern, _verdict
+from dcbasis.criteria import _differences, _inside, _verdict
 from dcbasis.multisegment import parse_multisegment
 
 cofinite_sets = st.builds(
@@ -251,6 +251,26 @@ def _old_join_related(a, b):
     return len(ys) <= len(xs) and fits(ys, xs)
 
 
+def _three_pattern(outer, inner):
+    """Least (i, j, k) with i < j < k, i and k outer, j inner, else None."""
+    for j in inner:
+        below = [i for i in outer if i < j]
+        above = [k for k in outer if k > j]
+        if below and above:
+            return (below[0], j, above[0])
+    return None
+
+
+def _four_pattern(first, second):
+    """Least i < j < k < l with i, k from first and j, l from second."""
+    for j, l in itertools.combinations(second, 2):
+        below = [i for i in first if i < j]
+        between = [k for k in first if j < k < l]
+        if below and between:
+            return (below[0], j, between[0], l)
+    return None
+
+
 def _old_witness(d_ij, d_ji, c):
     if c > 0:
         return _three_pattern(d_ij, d_ji)
@@ -301,6 +321,53 @@ def test_join_related_matches_the_sorted_oracle(a, b):
             join_related(a, b)
     else:
         assert join_related(a, b) is _old_join_related(a, b)
+
+
+def _decode(bits, base):
+    """The integers a difference bitset over base stands for, ascending."""
+    return tuple(base + 1 + k for k in range(bits.bit_length()) if bits >> k & 1)
+
+
+wide_partitions = st.lists(st.integers(1, 100), max_size=30).map(
+    lambda parts: Partition(sorted(parts, reverse=True)))
+wide_shifts = st.integers(-300, 300)
+
+
+@given(wide_partitions, wide_shifts, wide_partitions, wide_shifts)
+@example(Partition([100] * 30), 300, Partition([1] * 30), -300)
+@example(Partition([100] * 30), 0, Partition([99] * 30), 0)
+@example(Partition([98, 86, 12]), 7, Partition([26, 14]), 7)
+def test_bitsets_match_the_tuple_oracle_beyond_a_machine_word(
+        alpha, a, beta, b):
+    i_set, j_set = evaluation_set(alpha, a), evaluation_set(beta, b)
+    d_ij, d_ji = i_set.difference(j_set), j_set.difference(i_set)
+    x, y, base = _differences(alpha, a, beta, b)
+    assert (_decode(x, base), _decode(y, base)) == (d_ij, d_ji)
+    assert irreducible_pair(alpha, a, beta, b) is join_related(d_ij, d_ji)
+    assert main1_witness(alpha, a, beta, b) == _old_witness(d_ij, d_ji, a - b)
+
+
+def test_verdict_edge_cases():
+    empty, row = Partition(), Partition([4])
+    assert _differences(empty, 0, empty, 0) == (0, 0, 0)
+    assert _differences(empty, 2, empty, -1) == (0b111, 0, -1)
+    assert _verdict(empty, 2, empty, -1) == (True, None)
+    assert _verdict(empty, 0, Partition([3, 1]), 1) == (True, None)
+    # equal modules: both differences empty
+    for alpha, s in ((empty, 5), (row, 0), (Partition([5, 4, 2, 1]), -7)):
+        x, y, _ = _differences(alpha, s, alpha, s)
+        assert (x, y) == (0, 0)
+        assert _verdict(alpha, s, alpha, s) == (True, None)
+    # one-element differences, on either side and either way round
+    assert _verdict(empty, 0, row, 0) == (True, None)
+    assert _verdict(row, 0, empty, 0) == (True, None)
+    assert _verdict(row, 0, row, -4) == (False, (-4, 0, 4))
+    assert _verdict(row, 0, row, 1) == (False, (0, 4, 5))
+    # a one-bit span has no interior, whichever side of it the other bit is
+    assert _inside(1 << 5, 1 << 3) is False
+    assert _inside(1 << 1, 1 << 3) is False
+    assert _inside(0b0100, 0b1001) is True
+    assert _inside(0b1001, 0b0110) is False
 
 
 # -- hooks and families -----------------------------------------------------------
