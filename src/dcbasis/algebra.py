@@ -222,11 +222,6 @@ class AlgebraElement:
                 _straighten(lhs + n.segments, scalar, words)
         return _from_words(words)
 
-    def div_v_minus_vinv(self) -> "AlgebraElement":
-        """Divide every coefficient exactly by v - v^-1."""
-        return AlgebraElement(
-            {m: c.divide_by_v_minus_vinv() for m, c in self._terms.items()})
-
     # -- comparison and rendering ---------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -249,27 +244,23 @@ def render_combination(items: Iterable[tuple[Multisegment, LaurentPoly]],
     Single-term coefficients are inlined with their sign; longer ones are
     parenthesized.
     """
-    pieces: list[tuple[bool, str]] = []
+    chunks: list[str] = []
     for m, c in items:
-        body = f"{symbol}({m})"
+        body, negative = f"{symbol}({m})", False
         if len(c.items()) == 1:
             (e, coef), = c.items()
             negative = coef < 0
             mag = LaurentPoly.v_power(e, abs(coef))
             if not mag.is_one():
                 body = f"{mag} {body}"
-            pieces.append((negative, body))
         else:
-            pieces.append((False, f"({c}) {body}"))
-    if not pieces:
-        return "0"
-    chunks = []
-    for idx, (negative, body) in enumerate(pieces):
-        if idx == 0:
-            chunks.append(f"-{body}" if negative else body)
-        else:
-            chunks.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(chunks)
+            body = f"({c}) {body}"
+        if chunks:
+            body = f"- {body}" if negative else f"+ {body}"
+        elif negative:
+            body = f"-{body}"
+        chunks.append(body)
+    return " ".join(chunks) or "0"
 
 
 def dual_pbw(m: Multisegment) -> AlgebraElement:

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import minor_multisegment, quantum_minor
 from .canonical import (
@@ -36,7 +37,7 @@ from .criteria import (
     main1_pattern,
     strongly_separated,
 )
-from .laurent import ONE, ExactDivisionError, LaurentPoly
+from .laurent import ONE, ZERO, ExactDivisionError, LaurentPoly
 from .multisegment import (
     Multisegment,
     Segment,
@@ -134,14 +135,27 @@ def partitions_up_to(total: int) -> list[Partition]:
 def _degree_pairs(max_degree: int
                   ) -> Iterable[tuple[Multisegment, Multisegment]]:
     """Unordered pairs of window multisegments with total degree bounded."""
-    msegs = window_multisegments(max_degree - 1, 0, max_degree - 1)
-    for i, m in enumerate(msegs):
-        for n in msegs[i:]:
-            if m.degree() + n.degree() <= max_degree:
+    msegs = [(m, m.degree())
+             for m in window_multisegments(max_degree - 1, 0, max_degree - 1)]
+    for i, (m, dm) in enumerate(msegs):
+        for n, dn in msegs[i:]:
+            if dm + dn <= max_degree:
                 yield m, n
 
 
 # -- identity suites ---------------------------------------------------------
+
+
+def _auxiliary(m: Multisegment, n: Multisegment, forward: dict,
+               backward: dict, key: Callable) -> dict:
+    """The expansion of U(m, n) in key order, read off the expansions of
+    G*(m) G*(n) and G*(n) G*(m): (v^(b(m,n)+1) forward - v^(b(n,m)-1)
+    backward) / (v - v^-1), or ExactDivisionError if it does not divide."""
+    up = LaurentPoly.v_power(b_form(m, n) + 1)
+    down = LaurentPoly.v_power(b_form(n, m) - 1)
+    return {p: c for p in sorted(forward.keys() | backward.keys(), key=key)
+            if (c := (up * forward.get(p, ZERO) - down * backward.get(p, ZERO)
+                      ).divide_by_v_minus_vinv())}
 
 
 def check_eqrei(max_degree: int = 4,
@@ -154,28 +168,26 @@ def check_eqrei(max_degree: int = 4,
     canonical basis, that swapping the factors bars every coefficient and
     rescales it by v^-(wt m, wt n), and that the auxiliary combination
     U(m, n) has bar-symmetric coefficients, coefficient 1 on m + n, and
-    support dominated by m + n.
+    support dominated by m + n.  U(m, n) is read off the two expansions:
+    expansion is linear and E* -> G* is unitriangular over Z[v, v^-1], so
+    all G* coefficients divide by v - v^-1 just when all E* ones do.
     """
     cache = cache or BasisCache()
     report = SuiteReport("eqrei", 0)
     for m, n in _degree_pairs(max_degree):
         report.cases += 1
-        gm, gn = cache.dual_canonical(m), cache.dual_canonical(n)
-        mn, nm = gm * gn, gn * gm
-        forward = expand_in_dcb(mn, cache)
-        backward = expand_in_dcb(nm, cache)
+        forward = structure_constants(m, n, cache)
+        backward = structure_constants(n, m, cache)
         twist = LaurentPoly.v_power(-cartan_pairing(m.weight(), n.weight()))
         for p in set(forward) | set(backward):
-            lhs = backward.get(p, LaurentPoly(0))
-            rhs = twist * forward.get(p, LaurentPoly(0)).bar()
+            lhs = backward.get(p, ZERO)
+            rhs = twist * forward.get(p, ZERO).bar()
             if lhs != rhs:
                 report.failures.append(
                     f"exchange symmetry fails for {m} | {n} at {p}: "
                     f"{lhs} != {rhs}")
-        num = (mn.scaled(LaurentPoly.v_power(b_form(m, n) + 1))
-               - nm.scaled(LaurentPoly.v_power(b_form(n, m) - 1)))
         try:
-            aux = expand_in_dcb(num.div_v_minus_vinv(), cache)
+            aux = _auxiliary(m, n, forward, backward, cache.order_key)
         except ExactDivisionError:
             report.failures.append(
                 f"auxiliary combination of {m} | {n} is not divisible")
@@ -237,7 +249,6 @@ def check_triangular(max_degree: int = 5,
     """
     cache = cache or BasisCache()
     report = SuiteReport("triangular", 0)
-    zero = LaurentPoly(0)
     for w in window_weights(max_degree, 0, max_degree - 1):
         report.cases += 1
         labels = enumerate_by_weight(w)
@@ -266,8 +277,8 @@ def check_triangular(max_degree: int = 5,
             for p in labels:
                 entry = sum(
                     (c * table.coefficient(q, p) for q, c in row.items()),
-                    zero)
-                expected = ONE if p == m else zero
+                    ZERO)
+                expected = ONE if p == m else ZERO
                 if entry != expected:
                     report.failures.append(
                         f"matrix product at ({m}, {p}) in class {w} "
@@ -417,9 +428,9 @@ def check_frank(samples: int = 40, max_factors: int = 3, max_entry: int = 6,
     def check_family(sets: list[frozenset[int]]) -> None:
         report.cases += 1
         labels = [_column_label(s) for s in sets]
-        product = functools.reduce(
-            lambda x, y: x * y, (cache.dual_canonical(l) for l in labels))
         if frank_condition(sets):
+            product = functools.reduce(
+                operator.mul, map(cache.dual_canonical, labels))
             expansion = expand_in_dcb(product, cache)
             target = n_pi(sets)
             kappa = expansion.get(target)
@@ -452,12 +463,9 @@ def check_frank(samples: int = 40, max_factors: int = 3, max_entry: int = 6,
                     f"tableau label of {ordered} differs from the "
                     f"label sum {total}")
             ordered_product = functools.reduce(
-                lambda x, y: x * y,
-                (cache.dual_canonical(l) for l in ordered_labels))
-            b_pi = sum(
-                b_form(ordered_labels[k], ordered_labels[l])
-                for k in range(len(ordered_labels))
-                for l in range(k + 1, len(ordered_labels)))
+                operator.mul, map(cache.dual_canonical, ordered_labels))
+            b_pi = sum(b_form(a, b) for a, b
+                       in itertools.combinations(ordered_labels, 2))
             member = membership_up_to_power(ordered_product, cache)
             if member != (b_pi, total):
                 report.failures.append(

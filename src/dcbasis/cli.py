@@ -115,11 +115,11 @@ def cmd_dcb(args: argparse.Namespace) -> int:
     weight = _as_usage(parse_weight, args.weight)
     _weight_class(weight, args.max_class_size)
     table = dcb_table(weight, BasisCache())
-    lines = [
-        f"G*({m}) = {render_combination(table.expansion(m).items(), 'E*')}"
-        for m in table.labels
-    ]
-    _emit(args, table.to_json_obj(), "\n".join(lines))
+    if args.json:
+        print(json.dumps(table.to_json_obj(), indent=2))
+    else:
+        print("\n".join(f"G*({m}) = {render_combination(x.items(), 'E*')}"
+                        for m, x in table.expansions.items()))
     return OK
 
 

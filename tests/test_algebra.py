@@ -33,8 +33,6 @@ from dcbasis.multisegment import (
     segment_union,
 )
 
-V_MINUS_VINV = LaurentPoly({1: 1, -1: -1})
-
 
 def pm(text):
     return parse_multisegment(text)
@@ -102,14 +100,6 @@ def test_weight_and_homogeneity():
         mixed.weight()
     with pytest.raises(ValueError):
         AlgebraElement().weight()
-
-
-def test_exact_division_of_elements():
-    x = dual_pbw(pm("[0]+[1]")).scaled(quantum_integer(3))
-    assert x.scaled(V_MINUS_VINV).div_v_minus_vinv() == x
-    from dcbasis.laurent import ExactDivisionError
-    with pytest.raises(ExactDivisionError):
-        dual_pbw(pm("[0]")).div_v_minus_vinv()
 
 
 # -- multiplication -----------------------------------------------------------------

@@ -268,8 +268,9 @@ def _old_aux_vector(m, cache):
     g_s = dual_pbw(single)
     forward = LaurentPoly.v_power(b_form(rest, single) + 1)
     backward = LaurentPoly.v_power(b_form(single, rest) - 1)
-    return ((g_rest * g_s).scaled(forward)
-            - (g_s * g_rest).scaled(backward)).div_v_minus_vinv()
+    num = (g_rest * g_s).scaled(forward) - (g_s * g_rest).scaled(backward)
+    return AlgebraElement({q: c.divide_by_v_minus_vinv()
+                           for q, c in num.unordered_items()})
 
 
 def test_aux_vector_matches_the_old_products():

@@ -13,7 +13,7 @@ import pytest
 
 from dcbasis.canonical import BasisCache, dcb_table, structure_constants
 from dcbasis.checks import SUITES
-from dcbasis import cli, criteria
+from dcbasis import canonical, cli, criteria
 from dcbasis.cli import _suite_defaults, main
 from dcbasis.laurent import LaurentPoly
 from dcbasis.multisegment import parse_multisegment, parse_weight
@@ -95,6 +95,22 @@ def test_dcb_output_digest_pinned(capsys):
     assert len(out.splitlines()) == 235
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "f0733cfa3f5963b9987c8d798b5a32efa21394df0670bcac7291b16235fa7a86")
+
+
+def test_dcb_builds_only_the_output_it_prints(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built output that is not printed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "render_combination", refuse)
+        code, out, _ = run_cli(capsys, "dcb", "--weight", "0:1,1:1", "--json")
+    assert code == 0
+    assert json.loads(out)["weight"] == "0:1,1:1"
+    with monkeypatch.context() as patch:
+        patch.setattr(canonical.DcbTable, "to_json_obj", refuse)
+        code, out, _ = run_cli(capsys, "dcb", "--weight", "0:1,1:1")
+    assert code == 0
+    assert len(out.splitlines()) == 2
 
 
 def test_dcb_has_no_cache_dir_option(tmp_path, capsys):
