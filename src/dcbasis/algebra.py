@@ -21,10 +21,7 @@ from .multisegment import (
     Segment,
     Weight,
     _from_sorted,
-    linked,
     segment_intersection,
-    segment_key,
-    segment_pairing,
     segment_union,
 )
 
@@ -38,8 +35,6 @@ __all__ = [
     "minor_multisegment",
 ]
 
-_V_INV_MINUS_V = {-1: 1, 1: -1}
-
 Word = tuple[Segment, ...]
 
 
@@ -47,14 +42,6 @@ class InvariantError(Exception):
     """A computed result breaks an invariant of the algorithm that built it:
     a straightened word that changes degree or lowers the squared-length
     sum, or a basis vector that is not unitriangular."""
-
-
-def _rightmost_descent(word: Word) -> int | None:
-    """Index of the rightmost adjacent out-of-order pair, None if sorted."""
-    for i in range(len(word) - 2, -1, -1):
-        if segment_key(word[i]) > segment_key(word[i + 1]):
-            return i
-    return None
 
 
 def _measures(word: Word) -> tuple[int, int]:
@@ -84,13 +71,27 @@ def _straighten(word: Word, scalar: dict[int, int],
     length sum, so the dominance measure drops); both measures are bounded,
     hence termination.  Every finished word is checked once, when it first
     enters out: same degree as word, squared-length sum no smaller.
+
+    Each stack entry carries the index where the search for its rightmost
+    descent starts, leftward, so no word is scanned from its right end
+    again.  A descent at i is the rightmost, so the tail after it is
+    sorted.  A swap, or an intersection put before its union, leaves an
+    ordered pair at i, so the search resumes at i + 1 (the pair against
+    the tail); a lone union at i resumes it at i.  With no tail the
+    search resumes at i - 1.  Either way it finds the pair a scan of the
+    whole word from the right would find.
     """
     degree, sq = _measures(word)
-    stack = [(word, scalar)]
+    stack = [(word, scalar, len(word) - 2)]
     while stack:
-        w, c = stack.pop()
-        i = _rightmost_descent(w)
-        if i is None:
+        w, c, i = stack.pop()
+        while i >= 0:
+            hs, he = hi = w[i]
+            ls, le = lo = w[i + 1]
+            if he > le or he == le and hs > ls:
+                break
+            i -= 1
+        else:
             acc = out.get(w)
             if acc is None:
                 got_degree, got_sq = _measures(w)
@@ -102,19 +103,33 @@ def _straighten(word: Word, scalar: dict[int, int],
                         f"{degree} and a sum of at least {sq}")
                 out[w] = c
             else:
-                add_product(acc, c, ONE)
+                for e, x in c.items():
+                    acc[e] = acc.get(e, 0) + x
             continue
-        hi, lo = w[i], w[i + 1]
-        k = segment_pairing(hi, lo)
-        shifted = {e - k: x for e, x in c.items()} if k else c
-        stack.append((w[:i] + (lo, hi) + w[i + 2:], shifted))
-        if linked(hi, lo):
+        # segment_pairing(hi, lo) for hi above lo in (end, start) order:
+        # 1 when they share an end or a start, -1 when lo ends just
+        # before hi starts, and 0 otherwise.
+        if he == le or hs == ls:
+            k = 1
+        else:
+            k = -1 if hs == le + 1 else 0
+        head, tail = w[:i], w[i + 2:]
+        nxt = i + 1 if tail else i - 1
+        stack.append((head + (lo, hi) + tail,
+                      {e - k: x for e, x in c.items()} if k else c, nxt))
+        if he > le and ls < hs <= le + 1:  # linked(hi, lo)
             u = segment_union(hi, lo)
             inter = segment_intersection(hi, lo)
-            mid = (u,) if inter is None else (inter, u)
-            rewritten: dict[int, int] = {}
-            add_product(rewritten, c, _V_INV_MINUS_V, shift=-k)
-            stack.append((w[:i] + mid + w[i + 2:], rewritten))
+            # c times v^-k (v^-1 - v)
+            rewritten = {e - k - 1: x for e, x in c.items()}
+            for e, x in c.items():
+                e += 1 - k
+                rewritten[e] = rewritten.get(e, 0) - x
+            if inter is None:
+                stack.append((head + (u,) + tail, rewritten,
+                              i if tail else i - 1))
+            else:
+                stack.append((head + (inter, u) + tail, rewritten, nxt))
 
 
 def _from_words(words: dict[Word, dict[int, int]]) -> "AlgebraElement":
@@ -213,13 +228,15 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         words: dict[Word, dict[int, int]] = {}
+        right = [(n.segments, n.binom_sum(), cn)
+                 for n, cn in other._terms.items()]
         for m, cm in self._terms.items():
             lhs = m.segments
             shift = m.binom_sum()
-            for n, cn in other._terms.items():
+            for rhs, rshift, cn in right:
                 scalar: dict[int, int] = {}
-                add_product(scalar, cm, cn, shift=shift + n.binom_sum())
-                _straighten(lhs + n.segments, scalar, words)
+                add_product(scalar, cm, cn, shift=shift + rshift)
+                _straighten(lhs + rhs, scalar, words)
         return _from_words(words)
 
     # -- comparison and rendering ---------------------------------------------

@@ -53,8 +53,13 @@ def check_unitriangular(m: Multisegment, x: AlgebraElement,
     in v*Z[v]."""
     key_m = order_key(m)
     for n, c in x.unordered_items():
-        if n != m and not (order_key(n) > key_m
-                           and c.only_positive_exponents()):
+        # The key test comes first: it settles every label above m, so
+        # only labels not above m pay for a label comparison.
+        if order_key(n) > key_m:
+            ok = c.only_positive_exponents()
+        else:
+            ok = n == m
+        if not ok:
             raise InvariantError(
                 f"G*({m}) has coefficient {c} at {n}: off-diagonal "
                 f"terms must lie above {m}, with coefficients in v*Z[v]")
@@ -147,8 +152,9 @@ class BasisCache:
         hit = self._memo.get(m)
         if hit is not None:
             return hit
-        x, _ = self._sweep(self.aux_vector(m), m,
-                           lambda acc: finish(symmetric_part(acc)))
+        left, _ = self._sweep(self.aux_vector(m), m,
+                              lambda acc: finish(symmetric_part(acc)))
+        x = AlgebraElement({n: finish(c) for n, c in left.items()})
         # One check per finished vector.  The sweep never changes the
         # coefficient of m, so this also checks that of aux_vector(m).
         check_unitriangular(m, x, self._key)
@@ -158,30 +164,33 @@ class BasisCache:
     def _sweep(self, coeffs: dict[Multisegment, dict[int, int]],
                skip: Multisegment | None,
                part: Callable[[dict[int, int]], LaurentPoly]
-               ) -> tuple[AlgebraElement, dict[Multisegment, LaurentPoly]]:
+               ) -> tuple[dict[Multisegment, dict[int, int]],
+                          dict[Multisegment, LaurentPoly]]:
         """Walk the labels of coeffs upward along order_key, subtracting
         t G*(n) at each label n but skip, with t = part(coefficient at n).
         coeffs holds raw coefficients, which the sweep updates in place, so
         the caller gives them up.  G*(n) adds only labels above n, so a heap
         of pending labels meets each label once, after all labels below it.
-        Returns what is left and the nonzero t's, in walk order."""
+        Returns coeffs, now the raw leftovers (zeros kept), and the nonzero
+        t's, in walk order."""
         key = self._key
+        push, pop = heapq.heappush, heapq.heappop
         tie = itertools.count()  # labels never compare, even on equal keys
         heap = [(key(n), next(tie), n) for n in coeffs]
         heapq.heapify(heap)
         steps: dict[Multisegment, LaurentPoly] = {}
         while heap:
-            n = heapq.heappop(heap)[2]
-            if n == skip or not (t := part(coeffs[n])):
+            n = pop(heap)[2]
+            if skip is not None and n == skip or not (t := part(coeffs[n])):
                 continue
             steps[n] = t
             for p, c in self.dual_canonical(n).unordered_items():
                 acc = coeffs.get(p)
                 if acc is None:
                     acc = coeffs[p] = {}
-                    heapq.heappush(heap, (key(p), next(tie), p))
+                    push(heap, (key(p), next(tie), p))
                 add_product(acc, t, c, sign=-1)
-        return AlgebraElement({n: finish(c) for n, c in coeffs.items()}), steps
+        return coeffs, steps
 
     def _expand(self, x: AlgebraElement) -> dict[Multisegment, LaurentPoly]:
         """Coefficients of homogeneous x over the basis: one sweep of a raw
@@ -205,13 +214,17 @@ class DcbTable:
         return self.expansions[m].coefficient(n)
 
     def to_json_obj(self) -> dict:
+        # Each label is rendered once.  G*(m) is homogeneous, so every
+        # label of an expansion is one of the class's labels.
+        names = {m: str(m) for m in self.labels}
         return {
             "weight": str(self.weight),
             "basis": [
                 {
-                    "label": str(m),
+                    "label": names[m],
                     "expansion": [
-                        {"label": str(n), "coef": [list(p) for p in c.items()]}
+                        {"label": names[n],
+                         "coef": [list(p) for p in c.items()]}
                         for n, c in self.expansions[m].items()
                     ],
                 }

@@ -146,15 +146,17 @@ def _degree_pairs(max_degree: int
 # -- identity suites ---------------------------------------------------------
 
 
-def _auxiliary(m: Multisegment, n: Multisegment, forward: dict,
-               backward: dict, key: Callable) -> dict:
+def _auxiliary(forward: dict, backward: dict, up: int, down: int,
+               key: Callable) -> dict:
     """The expansion of U(m, n) in key order, read off the expansions of
-    G*(m) G*(n) and G*(n) G*(m): (v^(b(m,n)+1) forward - v^(b(n,m)-1)
-    backward) / (v - v^-1), or ExactDivisionError if it does not divide."""
-    up = LaurentPoly.v_power(b_form(m, n) + 1)
-    down = LaurentPoly.v_power(b_form(n, m) - 1)
+    G*(m) G*(n) and G*(n) G*(m): (v^up forward - v^down backward) /
+    (v - v^-1), or ExactDivisionError if it does not divide.  U(m, n)
+    takes up = b(m, n) + 1 and down = b(n, m) - 1."""
+    v_up = LaurentPoly.v_power(up)
+    v_down = LaurentPoly.v_power(down)
     return {p: c for p in sorted(forward.keys() | backward.keys(), key=key)
-            if (c := (up * forward.get(p, ZERO) - down * backward.get(p, ZERO)
+            if (c := (v_up * forward.get(p, ZERO)
+                      - v_down * backward.get(p, ZERO)
                       ).divide_by_v_minus_vinv())}
 
 
@@ -178,7 +180,8 @@ def check_eqrei(max_degree: int = 4,
         report.cases += 1
         forward = structure_constants(m, n, cache)
         backward = structure_constants(n, m, cache)
-        twist = LaurentPoly.v_power(-cartan_pairing(m.weight(), n.weight()))
+        pairing = cartan_pairing(m.weight(), n.weight())
+        twist = LaurentPoly.v_power(-pairing)
         for p in set(forward) | set(backward):
             lhs = backward.get(p, ZERO)
             rhs = twist * forward.get(p, ZERO).bar()
@@ -186,8 +189,11 @@ def check_eqrei(max_degree: int = 4,
                 report.failures.append(
                     f"exchange symmetry fails for {m} | {n} at {p}: "
                     f"{lhs} != {rhs}")
+        # b(m, n) + b(n, m) is the pairing of the weights.
+        b_mn = b_form(m, n)
         try:
-            aux = _auxiliary(m, n, forward, backward, cache.order_key)
+            aux = _auxiliary(forward, backward, b_mn + 1, pairing - b_mn - 1,
+                             cache.order_key)
         except ExactDivisionError:
             report.failures.append(
                 f"auxiliary combination of {m} | {n} is not divisible")

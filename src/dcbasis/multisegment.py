@@ -289,11 +289,6 @@ def b_form(m: Multisegment, n: Multisegment) -> int:
     return total
 
 
-def _rank(m: Multisegment, i: int, j: int) -> int:
-    """r_ij(m): the number of segments of m that contain [i, j]."""
-    return sum(1 for s in m.segments if s.start <= i and j <= s.end)
-
-
 def dominates(m: Multisegment, n: Multisegment) -> bool:
     """True iff n is reachable from m by elementary moves (reflexively).
 
@@ -302,16 +297,32 @@ def dominates(m: Multisegment, n: Multisegment) -> bool:
     i <= j, where r_ij counts the segments containing [i, j].  As a function
     of i, r_ij only changes at segment starts, and as a function of j only
     at segment ends, so i ranges over the starts and j over the ends of the
-    segments of m and n.
+    segments of m and n.  For each i, the ends of the segments starting
+    at or before i are collected once, and r_ij(m) - r_ij(n) counts those
+    reaching j.
     """
     if m == n:
         return True
     if m.weight() != n.weight():
         return False
-    segs = m.segments + n.segments
-    ends = {s.end for s in segs}
-    return all(_rank(m, i, j) <= _rank(n, i, j)
-               for i in {s.start for s in segs} for j in ends if i <= j)
+    ms, ns = m.segments, n.segments
+    segs = ms + ns
+    ends = {e for _, e in segs}
+    for i in {s for s, _ in segs}:
+        m_ends = [e for s, e in ms if s <= i]
+        n_ends = [e for s, e in ns if s <= i]
+        for j in ends:
+            if i <= j:
+                r = 0
+                for e in m_ends:
+                    if j <= e:
+                        r += 1
+                for e in n_ends:
+                    if j <= e:
+                        r -= 1
+                if r > 0:
+                    return False
+    return True
 
 
 def _peel_range(d: dict[int, int], bound: tuple[int, int] | None

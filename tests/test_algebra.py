@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dcbasis
+from dcbasis import algebra
 from dcbasis.algebra import (
     AlgebraElement,
     basis_product,
@@ -19,7 +20,13 @@ from dcbasis.algebra import (
     render_combination,
     unit,
 )
-from dcbasis.laurent import LaurentPoly, ONE, ZERO, quantum_integer
+from dcbasis.laurent import (
+    LaurentPoly,
+    ONE,
+    ZERO,
+    add_product,
+    quantum_integer,
+)
 from dcbasis.multisegment import (
     Multisegment,
     Segment,
@@ -251,6 +258,69 @@ def test_quantum_minor_matches_the_old_straightening():
                     _old_minor(rows, cols).items(), (rows, cols)
                 minors += 1
     assert minors == 115
+
+
+# -- the straightening kernel against the rescanning one it replaced -----------
+
+
+def _rightmost_descent(word):
+    """Index of the rightmost adjacent out-of-order pair, None if sorted."""
+    for i in range(len(word) - 2, -1, -1):
+        if segment_key(word[i]) > segment_key(word[i + 1]):
+            return i
+    return None
+
+
+def _rescanning_straighten(word, scalar, out):
+    """Reference kernel on raw coefficients: scans the whole word for its
+    rightmost descent after every rewrite, and calls the segment
+    functions."""
+    degree, sq = algebra._measures(word)
+    stack = [(word, scalar)]
+    while stack:
+        w, c = stack.pop()
+        i = _rightmost_descent(w)
+        if i is None:
+            acc = out.get(w)
+            if acc is None:
+                got_degree, got_sq = algebra._measures(w)
+                if got_degree != degree or got_sq < sq:
+                    raise algebra.InvariantError(w)
+                out[w] = c
+            else:
+                add_product(acc, c, ONE)
+            continue
+        hi, lo = w[i], w[i + 1]
+        k = segment_pairing(hi, lo)
+        shifted = {e - k: x for e, x in c.items()} if k else c
+        stack.append((w[:i] + (lo, hi) + w[i + 2:], shifted))
+        if linked(hi, lo):
+            u = segment_union(hi, lo)
+            inter = segment_intersection(hi, lo)
+            mid = (u,) if inter is None else (inter, u)
+            rewritten = {}
+            add_product(rewritten, c, {-1: 1, 1: -1}, shift=-k)
+            stack.append((w[:i] + mid + w[i + 2:], rewritten))
+
+
+def test_straightening_kernel_matches_the_rescanning_one():
+    """Same finished words in the same order, and the same raw coefficients
+    (zeros included), on every concatenated word of a label pair on [0, 5]
+    of total degree <= 6.  The two-term scalar makes rewritten
+    coefficients cancel, so raw zeros occur."""
+    labels = _window(5, 0, 5)
+    pairs = words = 0
+    for m, n in itertools.product(labels, repeat=2):
+        if m.degree() + n.degree() <= 6:
+            word = m.segments + n.segments
+            b = m.binom_sum() + n.binom_sum()
+            new, old = {}, {}
+            algebra._straighten(word, {b: 1, b + 2: 1}, new)
+            _rescanning_straighten(word, {b: 1, b + 2: 1}, old)
+            assert list(new.items()) == list(old.items()), (m, n)
+            pairs += 1
+            words += len(new)
+    assert (pairs, words) == (41308, 64205)
 
 
 # segment_union patched to drop the top of the union, so the linked rewrite

@@ -92,8 +92,9 @@ def test_auxiliary_matches_the_element_level_combination():
     cache = BasisCache()
     pairs = 0
     for m, n in _degree_pairs(5):
-        new = _auxiliary(m, n, structure_constants(m, n, cache),
-                         structure_constants(n, m, cache), cache.order_key)
+        new = _auxiliary(structure_constants(m, n, cache),
+                         structure_constants(n, m, cache), b_form(m, n) + 1,
+                         b_form(n, m) - 1, cache.order_key)
         old = _old_auxiliary(m, n, cache)
         assert list(new.items()) == list(old.items()), (m, n)
         pairs += 1

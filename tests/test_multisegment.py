@@ -293,6 +293,35 @@ def test_rank_test_matches_move_closure_exhaustive():
     assert (pairs, dominated) == (19432, 8744)
 
 
+def _rank(m, i, j):
+    """r_ij(m): the number of segments of m that contain [i, j]."""
+    return sum(1 for s in m.segments if s.start <= i and j <= s.end)
+
+
+def _rank_dominates(m, n):
+    """Reference rank test: one r_ij count per (i, j) for each side."""
+    if m == n:
+        return True
+    if m.weight() != n.weight():
+        return False
+    segs = m.segments + n.segments
+    ends = {s.end for s in segs}
+    return all(_rank(m, i, j) <= _rank(n, i, j)
+               for i in {s.start for s in segs} for j in ends if i <= j)
+
+
+def test_dominates_matches_the_rank_count_oracle():
+    pairs = dominated = 0
+    for w in window_weights(5):
+        labels = enumerate_by_weight(w)
+        for m, n in itertools.product(labels, repeat=2):
+            verdict = dominates(m, n)
+            assert verdict == _rank_dominates(m, n), (m, n)
+            pairs += 1
+            dominated += verdict
+    assert (pairs, dominated) == (2615, 1395)
+
+
 def test_dominance_is_a_partial_order():
     labels = enumerate_by_weight(WORKED_WEIGHT)
     for m in labels:
