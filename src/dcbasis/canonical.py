@@ -11,7 +11,6 @@ whose off-diagonal coefficients all lie in v*Z[v].
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,15 +46,15 @@ __all__ = [
 
 
 def check_unitriangular(m: Multisegment, x: AlgebraElement,
-                        order_key: Callable[[Multisegment], tuple]) -> None:
+                        key: Callable[[Multisegment], tuple]) -> None:
     """Raise InvariantError unless x has the shape of G*(m): coefficient 1
-    at m, every other label above m under order_key, with its coefficient
-    in v*Z[v]."""
-    key_m = order_key(m)
+    at m, every other label above m under key, with its coefficient in
+    v*Z[v]."""
+    key_m = key(m)
     for n, c in x.unordered_items():
         # The key test comes first: it settles every label above m, so
         # only labels not above m pay for a label comparison.
-        if order_key(n) > key_m:
+        if key(n) > key_m:
             ok = c.only_positive_exponents()
         else:
             ok = n == m
@@ -71,36 +70,35 @@ def check_unitriangular(m: Multisegment, x: AlgebraElement,
 class BasisCache:
     """Memoized computation of the corrected basis.
 
-    order_key must be a linear extension of dominance on multisegments (the
-    default compares squared-length sums, then sorted segment lists); any
-    such extension yields the same basis, which a property test exercises.
-    The correction loop and expand_in_dcb share one elimination, an upward
-    sweep along order_key.
+    Every sweep walks its labels upward along Multisegment.extension_key, a
+    linear extension of dominance.  G*(m) is fixed by bar-invariance and
+    unitriangularity alone, so any linear extension yields the same basis,
+    which a property test exercises.  The correction loop and
+    expand_in_dcb share one elimination, an upward sweep along that key.
 
     Besides the basis vectors, the cache holds two memos.  The key memo
-    keeps order_key of every label a sweep has met, so each label is keyed
-    once.  The product memo keeps the products E*([s]) E*(p) that
+    keeps extension_key of every label a sweep has met, so each label is
+    keyed once.  The product memo keeps the products E*([s]) E*(p) that
     aux_vector straightens, keyed by the weight of the product and then by
     p, which fixes s.  dcb_table drops the products of a weight once its
     table is built: every label of that weight is then memoized, so
     aux_vector never asks for them again.
     """
 
-    def __init__(self,
-                 order_key: Callable[[Multisegment], tuple] | None = None):
+    def __init__(self):
         self._memo: dict[Multisegment, AlgebraElement] = {}
         self._keys: dict[Multisegment, tuple] = {}
         self._products: dict[Weight, dict[Multisegment, AlgebraElement]] = {}
-        self.order_key = order_key or Multisegment.extension_key
 
     def labels_computed(self) -> int:
         return len(self._memo)
 
     def _key(self, n: Multisegment) -> tuple:
-        """order_key(n), computed once per label for the life of the cache."""
+        """n.extension_key(), computed once per label for the life of the
+        cache."""
         key = self._keys.get(n)
         if key is None:
-            key = self._keys[n] = self.order_key(n)
+            key = self._keys[n] = n.extension_key()
         return key
 
     def aux_vector(self, m: Multisegment
@@ -152,51 +150,55 @@ class BasisCache:
         hit = self._memo.get(m)
         if hit is not None:
             return hit
-        left, _ = self._sweep(self.aux_vector(m), m,
-                              lambda acc: finish(symmetric_part(acc)))
-        x = AlgebraElement({n: finish(c) for n, c in left.items()})
-        # One check per finished vector.  The sweep never changes the
-        # coefficient of m, so this also checks that of aux_vector(m).
+        coeffs = self.aux_vector(m)
+        # Every G*(n) the sweep subtracts lies above m, so the sweep never
+        # reaches m: its coefficient is set aside and put back unchanged.
+        diagonal = coeffs.pop(m, None)
+        self._sweep(coeffs, lambda acc: finish(symmetric_part(acc)))
+        if diagonal is not None:
+            coeffs[m] = diagonal
+        x = AlgebraElement({n: finish(c) for n, c in coeffs.items()})
+        # One check per finished vector, which also checks the coefficient
+        # of m in aux_vector(m).
         check_unitriangular(m, x, self._key)
         self._memo[m] = x
         return x
 
     def _sweep(self, coeffs: dict[Multisegment, dict[int, int]],
-               skip: Multisegment | None,
                part: Callable[[dict[int, int]], LaurentPoly]
-               ) -> tuple[dict[Multisegment, dict[int, int]],
-                          dict[Multisegment, LaurentPoly]]:
-        """Walk the labels of coeffs upward along order_key, subtracting
-        t G*(n) at each label n but skip, with t = part(coefficient at n).
-        coeffs holds raw coefficients, which the sweep updates in place, so
-        the caller gives them up.  G*(n) adds only labels above n, so a heap
-        of pending labels meets each label once, after all labels below it.
-        Returns coeffs, now the raw leftovers (zeros kept), and the nonzero
-        t's, in walk order."""
+               ) -> dict[Multisegment, LaurentPoly]:
+        """Walk the labels of coeffs upward along extension_key, subtracting
+        t G*(n) at each label n, with t = part(coefficient at n).  coeffs
+        holds raw coefficients, which the sweep updates in place, leaving
+        the raw leftovers (zeros kept) to the caller.  G*(n) adds only
+        labels above n, so a heap of pending labels meets each label once,
+        after all labels below it.  The key ends with the sorted segment
+        list, so no two labels share a key, and each label is pushed once:
+        the heap never compares labels.  Returns the nonzero t's, in walk
+        order."""
         key = self._key
         push, pop = heapq.heappush, heapq.heappop
-        tie = itertools.count()  # labels never compare, even on equal keys
-        heap = [(key(n), next(tie), n) for n in coeffs]
+        heap = [(key(n), n) for n in coeffs]
         heapq.heapify(heap)
         steps: dict[Multisegment, LaurentPoly] = {}
         while heap:
-            n = pop(heap)[2]
-            if skip is not None and n == skip or not (t := part(coeffs[n])):
+            n = pop(heap)[1]
+            if not (t := part(coeffs[n])):
                 continue
             steps[n] = t
             for p, c in self.dual_canonical(n).unordered_items():
                 acc = coeffs.get(p)
                 if acc is None:
                     acc = coeffs[p] = {}
-                    push(heap, (key(p), next(tie), p))
+                    push(heap, (key(p), p))
                 add_product(acc, t, c, sign=-1)
-        return coeffs, steps
+        return steps
 
     def _expand(self, x: AlgebraElement) -> dict[Multisegment, LaurentPoly]:
         """Coefficients of homogeneous x over the basis: one sweep of a raw
         copy of x, which strips the whole coefficient at each label."""
         return self._sweep({q: raw(c) for q, c in x.unordered_items()},
-                           None, finish)[1]
+                           finish)
 
 
 @dataclass(frozen=True)
@@ -242,7 +244,7 @@ def dcb_table(w: Weight, cache: BasisCache) -> DcbTable:
 
 def expand_in_dcb(x: AlgebraElement, cache: BasisCache
                   ) -> dict[Multisegment, LaurentPoly]:
-    """Coefficients of x over the corrected basis, in order_key order.
+    """Coefficients of x over the corrected basis, in extension_key order.
 
     One upward sweep of the cache strips the whole coefficient at each
     label; unitriangularity leaves nothing behind, and the stripped

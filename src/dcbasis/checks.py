@@ -16,7 +16,7 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .algebra import minor_multisegment, quantum_minor
 from .canonical import (
@@ -146,15 +146,15 @@ def _degree_pairs(max_degree: int
 # -- identity suites ---------------------------------------------------------
 
 
-def _auxiliary(forward: dict, backward: dict, up: int, down: int,
-               key: Callable) -> dict:
-    """The expansion of U(m, n) in key order, read off the expansions of
-    G*(m) G*(n) and G*(n) G*(m): (v^up forward - v^down backward) /
-    (v - v^-1), or ExactDivisionError if it does not divide.  U(m, n)
-    takes up = b(m, n) + 1 and down = b(n, m) - 1."""
+def _auxiliary(forward: dict, backward: dict, up: int, down: int) -> dict:
+    """The expansion of U(m, n) in extension_key order, read off the
+    expansions of G*(m) G*(n) and G*(n) G*(m): (v^up forward - v^down
+    backward) / (v - v^-1), or ExactDivisionError if it does not divide.
+    U(m, n) takes up = b(m, n) + 1 and down = b(n, m) - 1."""
     v_up = LaurentPoly.v_power(up)
     v_down = LaurentPoly.v_power(down)
-    return {p: c for p in sorted(forward.keys() | backward.keys(), key=key)
+    return {p: c for p in sorted(forward.keys() | backward.keys(),
+                                 key=Multisegment.extension_key)
             if (c := (v_up * forward.get(p, ZERO)
                       - v_down * backward.get(p, ZERO)
                       ).divide_by_v_minus_vinv())}
@@ -192,8 +192,7 @@ def check_eqrei(max_degree: int = 4,
         # b(m, n) + b(n, m) is the pairing of the weights.
         b_mn = b_form(m, n)
         try:
-            aux = _auxiliary(forward, backward, b_mn + 1, pairing - b_mn - 1,
-                             cache.order_key)
+            aux = _auxiliary(forward, backward, b_mn + 1, pairing - b_mn - 1)
         except ExactDivisionError:
             report.failures.append(
                 f"auxiliary combination of {m} | {n} is not divisible")

@@ -84,14 +84,6 @@ class CoFiniteSet:
         return f"{{..<={self._threshold}{inner}}}"
 
 
-def _cofinite(threshold: int, extras: tuple[int, ...]) -> CoFiniteSet:
-    """The set with these parts, already canonical: no sort, no check."""
-    s = object.__new__(CoFiniteSet)
-    s._threshold = threshold
-    s._extras = extras
-    return s
-
-
 class Partition:
     """A weakly decreasing tuple of positive integers (possibly empty)."""
 
@@ -164,13 +156,14 @@ def evaluation_set(alpha: Partition, shift: int) -> CoFiniteSet:
     an evaluation module, with alpha_i = 0 past the last of the r rows.
 
     Threshold t = shift - r; the extras t + k + alpha_{r+1-k} (k = 1..r)
-    strictly increase from t + 2 on, so they are canonical.  The verdicts
-    read I and its differences as bitsets instead (_differences).
+    strictly increase from t + 2 on, so the canonical form keeps them as
+    they are.  The verdicts read I and its differences as bitsets instead
+    (_differences).
     """
     parts = alpha.parts
     t = shift - len(parts)
-    return _cofinite(t, tuple([t + k + p for k, p
-                               in enumerate(reversed(parts), 1)]))
+    return CoFiniteSet(t, [t + k + p
+                           for k, p in enumerate(reversed(parts), 1)])
 
 
 def evaluation_multisegment(alpha: Partition, shift: int) -> Multisegment:

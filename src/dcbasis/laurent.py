@@ -65,13 +65,12 @@ class ExactDivisionError(ArithmeticError):
 class LaurentPoly:
     """An element of Z[v, v^-1]."""
 
-    __slots__ = ("_c", "_hash")
+    __slots__ = ("_c",)
 
     def __init__(self, coeffs: dict[int, int] | int = 0):
         if isinstance(coeffs, int):
             coeffs = {0: coeffs} if coeffs else {}
         self._c = {e: c for e, c in coeffs.items() if c}
-        self._hash: int | None = None
 
     @classmethod
     def v_power(cls, exponent: int, coefficient: int = 1) -> "LaurentPoly":
@@ -208,9 +207,7 @@ class LaurentPoly:
         return self._c == other._c
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._c.items()))
-        return self._hash
+        return hash(frozenset(self._c.items()))
 
     def __bool__(self) -> bool:
         return bool(self._c)
@@ -249,7 +246,6 @@ def _wrap(coeffs: dict[int, int]) -> LaurentPoly:
     which no one else mutates: no filter, no copy."""
     p = object.__new__(LaurentPoly)
     p._c = coeffs
-    p._hash = None
     return p
 
 

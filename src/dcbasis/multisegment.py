@@ -300,10 +300,17 @@ def dominates(m: Multisegment, n: Multisegment) -> bool:
     segments of m and n.  For each i, the ends of the segments starting
     at or before i are collected once, and r_ij(m) - r_ij(n) counts those
     reaching j.
+
+    The weight test needs only the degrees.  The weight at a position k is
+    r_kk, which equals r_ij for the last start i <= k and the first end
+    j >= k (and is 0 for both labels if either is missing), so the loop
+    also checks r_kk(m) <= r_kk(n) at every k.  The degree is the sum of
+    the r_kk, so when the degrees are equal these inequalities hold only
+    if every r_kk agrees, that is, if the weights are equal.
     """
     if m == n:
         return True
-    if m.weight() != n.weight():
+    if m.degree() != n.degree():
         return False
     ms, ns = m.segments, n.segments
     segs = ms + ns

@@ -209,14 +209,14 @@ def test_membership_pins_the_label_sum():
 
 def _old_correction(m, cache):
     """Reference correction loop: re-sort the support at every step and
-    correct the order_key-least label not yet visited."""
+    correct the extension_key-least label not yet visited."""
     x = AlgebraElement({q: finish(c) for q, c in cache.aux_vector(m).items()})
     done = {m}
     while True:
         todo = [n for n in x.support() if n not in done]
         if not todo:
             return x
-        n = min(todo, key=cache.order_key)
+        n = min(todo, key=Multisegment.extension_key)
         gamma = x.coefficient(n).symmetric_part()
         if gamma:
             x = x - cache.dual_canonical(n).scaled(gamma)
@@ -224,11 +224,11 @@ def _old_correction(m, cache):
 
 
 def _old_expansion(x, cache):
-    """Reference expansion: strip the order_key-least support label until
-    nothing is left."""
+    """Reference expansion: strip the extension_key-least support label
+    until nothing is left."""
     out = {}
     while x:
-        n = min(x.support(), key=cache.order_key)
+        n = min(x.support(), key=Multisegment.extension_key)
         out[n] = x.coefficient(n)
         x = x - cache.dual_canonical(n).scaled(out[n])
     return out
@@ -346,35 +346,32 @@ def test_basis_is_independent_of_the_linear_extension():
         return (m.sq_length_sum(),
                 tuple((s.start, s.end) for s in m.segments))
 
+    class AlternativeOrder(BasisCache):
+        def _key(self, n):
+            return alternative_key(n)
+
     default = BasisCache()
-    other = BasisCache(order_key=alternative_key)
-    # sq_length_sum grows along every move but ties many labels: harmless.
-    coarse = BasisCache(order_key=Multisegment.sq_length_sum)
+    other = AlternativeOrder()
     for w in (WORKED_WEIGHT, Weight({0: 2, 1: 2}),
               Weight({0: 1, 1: 2, 2: 2, 3: 1})):
         for m in enumerate_by_weight(w):
-            expected = default.dual_canonical(m)
-            assert other.dual_canonical(m) == expected
-            assert coarse.dual_canonical(m) == expected
+            assert other.dual_canonical(m) == default.dual_canonical(m)
 
 
-def test_each_label_is_keyed_once_per_cache():
+def test_each_label_is_keyed_once_per_cache(monkeypatch):
     w = parse_weight("0:1,1:2,2:2,3:2,4:2,5:1")
-    tables = []
-    # sq_length_sum ties many labels, so the sweep's heap meets equal keys.
-    for order_key in (Multisegment.extension_key, Multisegment.sq_length_sum):
-        calls = collections.Counter()
+    calls = collections.Counter()
+    extension_key = Multisegment.extension_key
 
-        def counting_key(m, order_key=order_key):
-            calls[m] += 1
-            return order_key(m)
+    def counting_key(m):
+        calls[m] += 1
+        return extension_key(m)
 
-        table = dcb_table(w, BasisCache(order_key=counting_key))
-        assert len(table.labels) == 235
-        assert set(table.labels) <= set(calls)
-        assert max(calls.values()) == 1, calls.most_common(1)
-        tables.append(table)
-    assert tables[0].expansions == tables[1].expansions
+    monkeypatch.setattr(Multisegment, "extension_key", counting_key)
+    table = dcb_table(w, BasisCache())
+    assert len(table.labels) == 235
+    assert set(table.labels) <= set(calls)
+    assert max(calls.values()) == 1, calls.most_common(1)
 
 
 # -- caching and invariants ----------------------------------------------------

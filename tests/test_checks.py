@@ -94,7 +94,7 @@ def test_auxiliary_matches_the_element_level_combination():
     for m, n in _degree_pairs(5):
         new = _auxiliary(structure_constants(m, n, cache),
                          structure_constants(n, m, cache), b_form(m, n) + 1,
-                         b_form(n, m) - 1, cache.order_key)
+                         b_form(n, m) - 1)
         old = _old_auxiliary(m, n, cache)
         assert list(new.items()) == list(old.items()), (m, n)
         pairs += 1

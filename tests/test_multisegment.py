@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from dcbasis.checks import window_weights
+from dcbasis.checks import window_multisegments, window_weights
 from dcbasis.multisegment import (
     EMPTY,
     _generate,
@@ -320,6 +320,21 @@ def test_dominates_matches_the_rank_count_oracle():
             pairs += 1
             dominated += verdict
     assert (pairs, dominated) == (2615, 1395)
+
+
+def test_dominates_decides_the_weight_across_classes():
+    # Pairs of different weight but equal degree reach the rank loop, which
+    # must refuse them on its own.
+    labels = window_multisegments(4, 0, 3)
+    pairs = other_weight = dominated = 0
+    for m, n in itertools.product(labels, repeat=2):
+        verdict = dominates(m, n)
+        assert verdict == _rank_dominates(m, n), (m, n)
+        pairs += 1
+        other_weight += m.weight() != n.weight()
+        dominated += verdict
+    assert (len(labels), pairs, other_weight, dominated) == (
+        131, 17161, 16798, 230)
 
 
 def test_dominance_is_a_partial_order():
