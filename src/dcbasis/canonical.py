@@ -267,22 +267,22 @@ def structure_constants(m: Multisegment, n: Multisegment, cache: BasisCache
 
 def membership_up_to_power(x: AlgebraElement, cache: BasisCache
                            ) -> tuple[int, Multisegment] | None:
-    """(k, q) such that v^k x = G*(q), or None if no such pair exists."""
-    return _single_basis_vector(expand_in_dcb(x, cache))
+    """(k, q) such that v^k x = G*(q), or None if no such pair exists.
 
-
-def _single_basis_vector(expansion: dict[Multisegment, LaurentPoly]
-                         ) -> tuple[int, Multisegment] | None:
-    """(k, q) such that v^k times the expanded element is G*(q), or None.
-
-    Exists exactly when the expansion has a single entry whose coefficient
-    is a bare power of v.
+    G*(q) has coefficient 1 at q, and its other labels dominate q, so
+    extension_key puts them above q.  Hence if v^k x = G*(q), then q is
+    the lowest label of x, x has coefficient v^-k there, and v^-k G*(q)
+    is x: one basis vector decides.  The zero element gives None.
     """
-    if len(expansion) != 1:
+    if not x.is_homogeneous():
+        raise ValueError("can only test homogeneous elements")
+    if not x:
         return None
-    (q, c), = expansion.items()
-    e = c.single_power()
+    q = min((n for n, _ in x.unordered_items()), key=cache._key)
+    e = x.coefficient(q).single_power()
     if e is None:
+        return None
+    if cache.dual_canonical(q).scaled(LaurentPoly.v_power(e)) != x:
         return None
     return (-e, q)
 

@@ -9,13 +9,14 @@ Six subcommands share one executable:
 * ``verify``     -- run one of the property-verification suites
 * ``minor``      -- straighten a quantum minor and confirm its basis label
 
-Every command accepts ``--json``.  ``dcb`` and ``decompose`` enumerate a
-weight class; ``--max-class-size N`` refuses a class of more than N labels
-before any basis vector is computed.  Exit codes: 0 on success, 1 when a
-property or cross-check fails, 2 on usage errors (parse and argument
-errors, size-guard refusals, ``verify`` bounds that select no case or
-that the suite does not take), 3 on an internal fault (any other
-exception, a ValueError from a computation included).
+Every command accepts ``--json``.  ``dcb`` prints a whole weight class,
+and ``decompose`` counts the class of its product; in both,
+``--max-class-size N`` refuses a class of more than N labels before any
+basis vector is computed.  Exit codes: 0 on success, 1 when a property or
+cross-check fails, 2 on usage errors (parse and argument errors,
+size-guard refusals, ``verify`` bounds that select no case or that the
+suite does not take), 3 on an internal fault (any other exception, a
+ValueError from a computation included).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .algebra import (
 )
 from .canonical import (
     BasisCache,
-    _single_basis_vector,
     dcb_table,
     membership_up_to_power,
     structure_constants,
@@ -46,7 +46,6 @@ from .multisegment import (
     Multisegment,
     Weight,
     class_exceeds,
-    enumerate_by_weight,
     parse_multisegment,
     parse_weight,
 )
@@ -93,12 +92,11 @@ def _coef_json(c: LaurentPoly) -> list[list[int]]:
     return [list(pair) for pair in c.items()]
 
 
-def _weight_class(weight: Weight, cap: int) -> tuple[Multisegment, ...]:
-    """The labels of the class, refused before any work above the cap."""
+def _check_class_size(weight: Weight, cap: int) -> None:
+    """Refuse a class of more than cap labels, before any work."""
     if class_exceeds(weight, cap):
         raise _UsageError(f"weight class {weight} has more than {cap} "
                           "labels; raise --max-class-size")
-    return enumerate_by_weight(weight)
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
@@ -113,7 +111,7 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
 
 def cmd_dcb(args: argparse.Namespace) -> int:
     weight = _as_usage(parse_weight, args.weight)
-    _weight_class(weight, args.max_class_size)
+    _check_class_size(weight, args.max_class_size)
     table = dcb_table(weight, BasisCache())
     if args.json:
         print(json.dumps(table.to_json_obj(), indent=2))
@@ -126,10 +124,12 @@ def cmd_dcb(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     m = _as_usage(parse_multisegment, args.m)
     n = _as_usage(parse_multisegment, args.n)
-    labels = _weight_class((m + n).weight(), args.max_class_size)
+    _check_class_size((m + n).weight(), args.max_class_size)
     expansion = structure_constants(m, n, BasisCache())
-    simple = _single_basis_vector(expansion) is not None
-    rows = [(p, expansion[p]) for p in labels if p in expansion]
+    # sort_key is the class enumeration order; no two labels share it.
+    rows = [(p, expansion[p])
+            for p in sorted(expansion, key=Multisegment.sort_key)]
+    simple = len(rows) == 1 and rows[0][1].single_power() is not None
     verdict = "SIMPLE" if simple else "NOT SIMPLE"
     lines = [f"G*({m}) * G*({n}) ="]
     lines += [f"  {c}  G*({p})   [multiplicity {c.at_one()}]" for p, c in rows]
@@ -174,17 +174,16 @@ def cmd_irred(args: argparse.Namespace) -> int:
         "pattern": list(witness) if witness is not None else None,
     }
     text = "IRREDUCIBLE" if verdict else f"REDUCIBLE {_pattern_text(witness)}"
+    algebraic = verdict
     if args.verify:
         algebraic = _algebraic_irreducible(
             alpha, args.a, beta, args.b, BasisCache())
         payload["verified"] = algebraic == verdict
-        if algebraic != verdict:
-            _emit(args, payload, text)
-            print(
-                f"verification failed: separation says {verdict}, "
-                f"membership says {algebraic}", file=sys.stderr)
-            return PROPERTY_FAILURE
     _emit(args, payload, text)
+    if algebraic != verdict:
+        print(f"verification failed: separation says {verdict}, "
+              f"membership says {algebraic}", file=sys.stderr)
+        return PROPERTY_FAILURE
     return OK
 
 

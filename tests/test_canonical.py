@@ -22,9 +22,9 @@ from dcbasis.canonical import (
     membership_up_to_power,
     structure_constants,
 )
-from dcbasis import canonical
+from dcbasis import canonical, checks
 from dcbasis.algebra import AlgebraElement, basis_product, dual_pbw
-from dcbasis.checks import _degree_pairs, window_weights
+from dcbasis.checks import _degree_pairs, check_oracle, window_weights
 from dcbasis.laurent import LaurentPoly, ONE, finish, raw
 from dcbasis.multisegment import (
     Multisegment,
@@ -192,6 +192,9 @@ def test_membership_up_to_power():
     assert membership_up_to_power(scaled, cache) == (3, M4)
     doubled = g(M4).scaled(2)
     assert membership_up_to_power(doubled, cache) is None
+    assert membership_up_to_power(AlgebraElement(), cache) is None
+    with pytest.raises(ValueError):
+        membership_up_to_power(g(pm("[0]")) + g(pm("[1]")), cache)
 
 
 def test_membership_pins_the_label_sum():
@@ -254,6 +257,84 @@ def test_expansion_sweep_matches_the_old_loop():
         assert list(expansion.items()) == list(expected.items()), (m, n)
         pairs += 1
     assert pairs == 2477
+
+
+# -- membership from the lowest label against the full expansion --------------
+
+
+def _single_basis_vector(expansion):
+    """(k, q) such that v^k times the expanded element is G*(q), or None:
+    the expansion must be a single basis vector times a bare power of v."""
+    if len(expansion) != 1:
+        return None
+    (q, c), = expansion.items()
+    e = c.single_power()
+    return None if e is None else (-e, q)
+
+
+def _old_membership(x, cache):
+    """Reference membership test: expand x over the whole basis."""
+    return _single_basis_vector(expand_in_dcb(x, cache))
+
+
+def test_membership_matches_the_expansion_on_the_oracle_cases(monkeypatch):
+    answers = collections.Counter()
+
+    def compared(x, cache):
+        member = membership_up_to_power(x, cache)
+        assert member == _old_membership(x, cache), x
+        answers[member is not None] += 1
+        return member
+
+    monkeypatch.setattr(checks, "membership_up_to_power", compared)
+    report = check_oracle(max_part_sum=4, shift_range=(-6, 6))
+    assert report.ok, report.failures
+    assert report.cases == sum(answers.values()) == 1573
+    assert answers[True] and answers[False]
+
+
+def test_membership_matches_the_expansion_on_non_members():
+    cache = BasisCache()
+    g = cache.dual_canonical
+    v = LaurentPoly.v_power(1)
+    verdicts = collections.Counter()
+
+    def agree(x, expected):
+        member = membership_up_to_power(x, cache)
+        assert member == _old_membership(x, cache) == expected, x
+        verdicts[expected is not None] += 1
+
+    for w in window_weights(4, 0, 3):
+        labels = enumerate_by_weight(w)
+        for q in labels:
+            for k in (-2, 0, 3):
+                agree(g(q).scaled(LaurentPoly.v_power(k)), (-k, q))
+            agree(-g(q), None)
+            for n, c in g(q).unordered_items():
+                if n != q:
+                    terms = dict(g(q).unordered_items())
+                    terms[n] = c + v
+                    agree(AlgebraElement(terms).scaled(v), None)
+            for r in labels:
+                if r != q:
+                    agree(g(q) + g(r), None)
+    assert verdicts == {True: 393, False: 458}
+
+
+@pytest.mark.parametrize("m, n, labels", [
+    ("[1]+[2,3]", "[2]+[3,4]", 16),
+    ("[0]+[1,2]", "[1]+[2]+[0,3]", 13),
+])
+def test_membership_computes_one_basis_vector_of_the_product(m, n, labels):
+    m, n = pm(m), pm(n)
+    cache = BasisCache()
+    product = cache.dual_canonical(m) * cache.dual_canonical(n)
+    assert membership_up_to_power(product, cache) is None
+    factors_and_sum = BasisCache()
+    for p in (m, n, m + n):
+        factors_and_sum.dual_canonical(p)
+    assert (cache.labels_computed() == factors_and_sum.labels_computed()
+            == labels)
 
 
 def _old_aux_vector(m, cache):

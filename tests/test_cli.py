@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -16,7 +18,12 @@ from dcbasis.checks import SUITES
 from dcbasis import canonical, cli, criteria
 from dcbasis.cli import _suite_defaults, main
 from dcbasis.laurent import LaurentPoly
-from dcbasis.multisegment import parse_multisegment, parse_weight
+from dcbasis.multisegment import (
+    Multisegment,
+    enumerate_by_weight,
+    parse_multisegment,
+    parse_weight,
+)
 from test_canonical import DCB_JSON_SHA256
 
 
@@ -234,6 +241,14 @@ def test_decompose_class_at_the_size_cap(capsys):
                    "raise --max-class-size\n")
 
 
+def test_decompose_enumerates_no_class(capsys):
+    enumerate_by_weight.cache_clear()
+    code, _, _ = run_cli(capsys, "decompose",
+                         "--m", "[1]+[2,3]", "--n", "[2]+[3,4]")
+    assert code == 0
+    assert enumerate_by_weight.cache_info().currsize == 0
+
+
 def test_decompose_malformed_label(capsys):
     code, _, err = run_cli(capsys, "decompose", "--m", "[2,1]", "--n", "[0]")
     assert code == 2
@@ -375,6 +390,59 @@ def test_scan_range_errors(capsys):
                            "--range", "x:y")
     assert code == 2
     assert err == "error: range 'x:y' must be integer:integer\n"
+
+
+def _run_interleaved(*argv):
+    """Exit code and the lines of stdout and stderr, in the order written."""
+    both = io.StringIO()
+    with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
+        code = main(list(argv))
+    return code, both.getvalue().splitlines()
+
+
+@pytest.fixture
+def flipped_membership(monkeypatch):
+    """Make the algebraic oracle contradict every verdict."""
+    membership = cli.membership_up_to_power
+
+    def flipped(x, cache):
+        return (None if membership(x, cache) is not None
+                else (0, Multisegment()))
+
+    monkeypatch.setattr(cli, "membership_up_to_power", flipped)
+
+
+def test_irred_verification_failure(flipped_membership):
+    code, lines = _run_interleaved("irred", "--alpha", "2", "--beta", "1,1",
+                                   "--b", "2", "--verify", "--json")
+    assert code == 1
+    assert json.loads("\n".join(lines[:-1]))["verified"] is False
+    assert lines[-1] == ("verification failed: separation says True, "
+                         "membership says False")
+
+
+def test_scan_verification_failure(flipped_membership):
+    code, lines = _run_interleaved("scan", "--alpha", "2", "--beta", "1,1",
+                                   "--range", "-2:2", "--verify", "--json")
+    assert code == 1
+    payload = json.loads("\n".join(lines[:-1]))
+    assert [row["verified"] for row in payload["verdicts"]] == [False] * 5
+    assert lines[-1] == "verification failed at shifts [-2, -1, 0, 1, 2]"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("verify", "--suite", "oracle", "--json"),
+     "15221026399c4a8152c7ad5081036c10f351310162723d446ddc4323e486e62c"),
+    (("verify", "--suite", "frank", "--json"),
+     "266a185f13833f7534f2783284fa99c071c10d0d8b8993bcc0d030ff5d074270"),
+    (("scan", "--alpha", "4,3,2", "--beta", "3,2,1", "--range", "-8:8",
+      "--verify", "--json"),
+     "246ed7681df41ddd8ea8becdd10189aa5b565bc9483c19b278ceb999c56bef18"),
+], ids=["oracle", "frank", "scan"])
+def test_membership_outputs_pinned(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- verify ------------------------------------------------------------------------
