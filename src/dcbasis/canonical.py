@@ -194,12 +194,6 @@ class BasisCache:
                 add_product(acc, t, c, sign=-1)
         return steps
 
-    def _expand(self, x: AlgebraElement) -> dict[Multisegment, LaurentPoly]:
-        """Coefficients of homogeneous x over the basis: one sweep of a raw
-        copy of x, which strips the whole coefficient at each label."""
-        return self._sweep({q: raw(c) for q, c in x.unordered_items()},
-                           finish)
-
 
 @dataclass(frozen=True)
 class DcbTable:
@@ -246,23 +240,22 @@ def expand_in_dcb(x: AlgebraElement, cache: BasisCache
                   ) -> dict[Multisegment, LaurentPoly]:
     """Coefficients of x over the corrected basis, in extension_key order.
 
-    One upward sweep of the cache strips the whole coefficient at each
-    label; unitriangularity leaves nothing behind, and the stripped
-    coefficients are exactly the basis coefficients.
+    One upward sweep of a raw copy of x strips the whole coefficient at
+    each label; unitriangularity leaves nothing behind, and the stripped
+    coefficients are exactly the basis coefficients.  x may mix weights:
+    G*(n) has the weight of n, so no step of the sweep mixes weights, and
+    extension_key puts each label after every label it dominates, whatever
+    other weights are present.  So the sweep of x is the union of the
+    sweeps of its homogeneous parts.
     """
-    if not x.is_homogeneous():
-        raise ValueError("can only expand homogeneous elements")
-    return cache._expand(x)
+    return cache._sweep({q: raw(c) for q, c in x.unordered_items()}, finish)
 
 
 def structure_constants(m: Multisegment, n: Multisegment, cache: BasisCache
                         ) -> dict[Multisegment, LaurentPoly]:
-    """Expansion of G*(m) G*(n) over the corrected basis.
-
-    A product of two basis vectors is homogeneous by construction, so the
-    sweep runs without ``expand_in_dcb``'s homogeneity check.
-    """
-    return cache._expand(cache.dual_canonical(m) * cache.dual_canonical(n))
+    """Expansion of G*(m) G*(n) over the corrected basis."""
+    return expand_in_dcb(cache.dual_canonical(m) * cache.dual_canonical(n),
+                         cache)
 
 
 def membership_up_to_power(x: AlgebraElement, cache: BasisCache
@@ -272,10 +265,10 @@ def membership_up_to_power(x: AlgebraElement, cache: BasisCache
     G*(q) has coefficient 1 at q, and its other labels dominate q, so
     extension_key puts them above q.  Hence if v^k x = G*(q), then q is
     the lowest label of x, x has coefficient v^-k there, and v^-k G*(q)
-    is x: one basis vector decides.  The zero element gives None.
+    is x: one basis vector decides.  The zero element gives None, and so
+    does an x that mixes weights: G*(q) has the weight of q, so it differs
+    from every such x.
     """
-    if not x.is_homogeneous():
-        raise ValueError("can only test homogeneous elements")
     if not x:
         return None
     q = min((n for n, _ in x.unordered_items()), key=cache._key)

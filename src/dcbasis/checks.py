@@ -16,7 +16,7 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .algebra import minor_multisegment, quantum_minor
 from .canonical import (
@@ -378,33 +378,6 @@ def check_minors(index_range: tuple[int, int] = (1, 4),
     return report
 
 
-def _must_precede(x: frozenset[int], y: frozenset[int]) -> bool:
-    """x is forced before y: both differences exist and y's sits lower."""
-    d_yx, d_xy = y - x, x - y
-    return bool(d_yx) and bool(d_xy) and max(d_yx) < min(d_xy)
-
-
-def _strong_order(sets: Sequence[frozenset[int]]
-                  ) -> list[frozenset[int]] | None:
-    """Order a pairwise strongly separated family so later sets sit lower.
-
-    Nested pairs are unconstrained (either order is admissible), so this
-    is a topological sort of the strict constraints; None signals that no
-    consistent order exists, which would refute the ordering hypothesis.
-    """
-    remaining = list(sets)
-    ordered: list[frozenset[int]] = []
-    while remaining:
-        for i, x in enumerate(remaining):
-            if not any(_must_precede(y, x)
-                       for j, y in enumerate(remaining) if j != i):
-                ordered.append(remaining.pop(i))
-                break
-        else:
-            return None
-    return ordered
-
-
 def _column_label(columns: Iterable[int]) -> Multisegment:
     """Label of the flag minor with the given column set."""
     cols = sorted(columns)
@@ -453,11 +426,15 @@ def check_frank(samples: int = 40, max_factors: int = 3, max_entry: int = 6,
         cofinite = [CoFiniteSet(0, sorted(s)) for s in sets]
         if all(strongly_separated(a, b)
                for a, b in itertools.combinations(cofinite, 2)):
-            ordered = _strong_order(sets)
-            if ordered is None:
-                report.failures.append(
-                    f"family {sets}: no consistent strong ordering")
-                return
+            # Later sets must sit lower: x goes before y when y - x lies
+            # wholly below a nonempty x - y; nested pairs go either way.
+            # Sorting by the descending element list, largest first, meets
+            # every such constraint.  For x != y the two lists agree above
+            # d, the largest element of the symmetric difference, so the
+            # set that holds d sorts first; and when x must go before y, d
+            # lies in x - y.
+            ordered = sorted(sets, key=lambda s: sorted(s, reverse=True),
+                             reverse=True)
             ordered_labels = [_column_label(s) for s in ordered]
             total = sum(ordered_labels, Multisegment())
             if not frank_condition(ordered):

@@ -180,13 +180,9 @@ def join_related(a: Iterable[int], b: Iterable[int]) -> bool:
     xs, ys = set(a), set(b)
     if xs & ys:
         raise ValueError("join relation needs disjoint sets")
-    if not xs or not ys:
-        return True
-    for s, g in ((xs, ys), (ys, xs)):
-        lo, hi = min(g), max(g)
-        if len(s) <= len(g) and all(x < lo or x > hi for x in s):
-            return True
-    return False
+    base = min(xs | ys, default=0)
+    return _joined(sum(1 << (x - base) for x in xs),
+                   sum(1 << (y - base) for y in ys))
 
 
 def separated(i_set: CoFiniteSet, j_set: CoFiniteSet) -> bool:
@@ -284,8 +280,9 @@ def _verdict(alpha: Partition, a: int, beta: Partition, b: int
 def main1_pattern(alpha: Partition, a: int, beta: Partition, b: int) -> bool:
     """True iff the product is NOT irreducible, by the pattern criterion.
 
-    Always agrees with the negation of irreducible_pair; kept as an
-    independently coded oracle.
+    Always agrees with the negation of irreducible_pair.  Both read the
+    same _differences bitsets; what stays independent is the test on
+    them, a pattern search (_chain) here against the join test (_joined).
     """
     return main1_witness(alpha, a, beta, b) is not None
 

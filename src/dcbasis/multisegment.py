@@ -386,7 +386,7 @@ def class_exceeds(w: Weight, cap: int) -> bool:
     return sum(1 for _ in itertools.islice(labels, max(cap + 1, 0))) > cap
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def enumerate_by_weight(w: Weight) -> tuple[Multisegment, ...]:
     """All multisegments of weight w, sorted by ``Multisegment.sort_key``.
 
@@ -395,7 +395,8 @@ def enumerate_by_weight(w: Weight) -> tuple[Multisegment, ...]:
     non-empty, [i2, j1].  The least segment in (end, start) order that
     changes is a, which leaves the multiset, so every move strictly
     increases the sorted segment list.  Hence the dominance-least label
-    comes first and no label dominates one listed before it.
+    comes first and no label dominates one listed before it.  Only the
+    last class is cached: every caller works through one weight at a time.
     """
     return tuple(sorted(map(Multisegment, _generate(dict(w.items()))),
                         key=Multisegment.sort_key))

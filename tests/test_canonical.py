@@ -161,10 +161,34 @@ def test_product_decomposition_pinned():
     assert all(c.at_one() == 1 for c in expansion.values())
 
 
-def test_expand_requires_homogeneous_input():
-    with pytest.raises(ValueError):
-        expand_in_dcb(dual_pbw(pm("[0]")) + dual_pbw(pm("[1]")),
-                      BasisCache())
+def test_expansion_of_mixed_weights_is_the_union_of_its_parts():
+    cache = BasisCache()
+    parts = [cache.dual_canonical(pm("[0]")),
+             cache.dual_canonical(pm("[1]")).scaled(lp({1: 1})),
+             dual_pbw(pm("[0]+[1]"))]
+    union = {}
+    for part in parts:
+        union.update(expand_in_dcb(part, cache))
+    assert union == {pm("[0]"): lp(1), pm("[1]"): lp({1: 1}),
+                     pm("[0]+[1]"): lp(1), pm("[0,1]"): lp({1: 1})}
+    expansion = expand_in_dcb(parts[0] + parts[1] + parts[2], cache)
+    assert expansion == union
+    assert list(expansion) == sorted(union, key=Multisegment.extension_key)
+
+
+def test_structure_constants_expands_through_expand_in_dcb(monkeypatch):
+    calls = []
+
+    def counted(x, cache):
+        calls.append(x)
+        return expand_in_dcb(x, cache)
+
+    monkeypatch.setattr(canonical, "expand_in_dcb", counted)
+    cache = BasisCache()
+    m, n = pm("[1]+[2,3]"), pm("[2]+[3,4]")
+    expansion = structure_constants(m, n, cache)
+    assert calls == [cache.dual_canonical(m) * cache.dual_canonical(n)]
+    assert expansion == expand_in_dcb(calls[0], cache)
 
 
 def test_expand_round_trip():
@@ -193,8 +217,7 @@ def test_membership_up_to_power():
     doubled = g(M4).scaled(2)
     assert membership_up_to_power(doubled, cache) is None
     assert membership_up_to_power(AlgebraElement(), cache) is None
-    with pytest.raises(ValueError):
-        membership_up_to_power(g(pm("[0]")) + g(pm("[1]")), cache)
+    assert membership_up_to_power(g(pm("[0]")) + g(pm("[1]")), cache) is None
 
 
 def test_membership_pins_the_label_sum():

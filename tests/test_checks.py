@@ -1,6 +1,7 @@
 """Tests for the verification suites at small, fast bounds."""
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -24,7 +25,12 @@ from dcbasis.checks import (
 )
 from dcbasis.criteria import Partition
 from dcbasis.laurent import LaurentPoly
-from dcbasis.multisegment import Weight, b_form, parse_multisegment
+from dcbasis.multisegment import (
+    Weight,
+    b_form,
+    enumerate_by_weight,
+    parse_multisegment,
+)
 
 
 def sha256(lines):
@@ -156,6 +162,13 @@ def test_triangular_suite():
     assert report.ok, report.failures
 
 
+def test_enumeration_cache_keeps_one_class():
+    enumerate_by_weight.cache_clear()
+    assert check_triangular(4).ok
+    info = enumerate_by_weight.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (138, 69, 1)
+
+
 def test_oracle_suite():
     report = check_oracle(1, (-2, 2))
     assert report.cases == 5
@@ -175,6 +188,44 @@ def test_frank_suite():
     report = check_frank(samples=5, max_factors=2, max_entry=4, seed=1)
     assert report.cases == 21
     assert report.ok, report.failures
+
+
+def _must_precede(x, y):
+    """x is forced before y: both differences exist and y's sits lower."""
+    d_yx, d_xy = y - x, x - y
+    return bool(d_yx) and bool(d_xy) and max(d_yx) < min(d_xy)
+
+
+def _strong_order(sets):
+    """Reference order for check_frank: a topological sort of the strict
+    constraints (nested pairs are unconstrained), or None if none exists."""
+    remaining = list(sets)
+    ordered = []
+    while remaining:
+        for i, x in enumerate(remaining):
+            if not any(_must_precede(y, x)
+                       for j, y in enumerate(remaining) if j != i):
+                ordered.append(remaining.pop(i))
+                break
+        else:
+            return None
+    return ordered
+
+
+def test_frank_sort_key_respects_every_strict_constraint():
+    """All 4,960 families of 2 or 3 distinct nonempty subsets of 1..5."""
+    subsets = [frozenset(c) for r in range(1, 6)
+               for c in itertools.combinations(range(1, 6), r)]
+    families = 0
+    for size in (2, 3):
+        for family in itertools.combinations(subsets, size):
+            families += 1
+            assert _strong_order(family) is not None, family
+            ordered = sorted(family, key=lambda s: sorted(s, reverse=True),
+                             reverse=True)
+            for x, y in itertools.combinations(ordered, 2):
+                assert not _must_precede(y, x), family
+    assert families == 4_960
 
 
 def test_hooks_suite():

@@ -435,10 +435,13 @@ def test_scan_verification_failure(flipped_membership):
      "15221026399c4a8152c7ad5081036c10f351310162723d446ddc4323e486e62c"),
     (("verify", "--suite", "frank", "--json"),
      "266a185f13833f7534f2783284fa99c071c10d0d8b8993bcc0d030ff5d074270"),
+    (("verify", "--suite", "frank", "--samples", "200", "--seed", "3",
+      "--json"),
+     "4fee8e653ea4a3a1e4fe86e3c4e0391cfa6f6cead6b31659ca87f3bab096ccef"),
     (("scan", "--alpha", "4,3,2", "--beta", "3,2,1", "--range", "-8:8",
       "--verify", "--json"),
      "246ed7681df41ddd8ea8becdd10189aa5b565bc9483c19b278ceb999c56bef18"),
-], ids=["oracle", "frank", "scan"])
+], ids=["oracle", "frank", "frank-200", "scan"])
 def test_membership_outputs_pinned(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
