@@ -146,6 +146,14 @@ def _from_words(words: dict[Word, dict[int, int]]) -> "AlgebraElement":
     return AlgebraElement(out)
 
 
+def _wrap(terms: dict[Multisegment, LaurentPoly]) -> "AlgebraElement":
+    """The element owning terms, which holds no zero coefficient and which
+    no one else mutates: no filter, no copy."""
+    x = object.__new__(AlgebraElement)
+    x._terms = terms
+    return x
+
+
 class AlgebraElement:
     """A Z[v,v^-1]-linear combination of basis vectors E*(m)."""
 

@@ -12,12 +12,20 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
-from .algebra import AlgebraElement, InvariantError, basis_product, dual_pbw
+from .algebra import (
+    AlgebraElement,
+    InvariantError,
+    _wrap,
+    basis_product,
+    dual_pbw,
+)
 from .laurent import (
     LaurentPoly,
     ONE,
+    ZERO,
     add_product,
     divide_by_v_minus_vinv,
     finish,
@@ -26,16 +34,16 @@ from .laurent import (
 )
 from .multisegment import (
     Multisegment,
+    Segment,
     Weight,
     _from_sorted,
-    b_form,
     enumerate_by_weight,
+    segment_pairing,
 )
 
 __all__ = [
     "BasisCache",
     "InvariantError",
-    "check_unitriangular",
     "DcbTable",
     "dcb_table",
     "kl_matrix",
@@ -45,26 +53,25 @@ __all__ = [
 ]
 
 
-def check_unitriangular(m: Multisegment, x: AlgebraElement,
-                        key: Callable[[Multisegment], tuple]) -> None:
-    """Raise InvariantError unless x has the shape of G*(m): coefficient 1
-    at m, every other label above m under key, with its coefficient in
-    v*Z[v]."""
-    key_m = key(m)
-    for n, c in x.unordered_items():
-        # The key test comes first: it settles every label above m, so
-        # only labels not above m pay for a label comparison.
-        if key(n) > key_m:
-            ok = c.only_positive_exponents()
-        else:
-            ok = n == m
-        if not ok:
-            raise InvariantError(
-                f"G*({m}) has coefficient {c} at {n}: off-diagonal "
-                f"terms must lie above {m}, with coefficients in v*Z[v]")
-    if x.coefficient(m) != ONE:
-        raise InvariantError(
-            f"G*({m}) has coefficient {x.coefficient(m)} at {m}, not 1")
+def _commutator_exponents(rest: Multisegment, s: Segment
+                          ) -> tuple[int, int]:
+    """(b(rest, s) + 1, b(s, rest) - 1) for a segment s that no segment of
+    rest lies above.  Then b(rest, s) is the number mu of copies of s in
+    rest, and b(s, rest) is mu plus (wt t, wt s) summed over the segments
+    t of rest other than s."""
+    segs = rest.segments
+    mu = segs.count(s)
+    return mu + 1, mu - 1 + sum(segment_pairing(t, s)
+                                for t in segs if t != s)
+
+
+def _needs_correction(coeffs: dict[int, int]) -> bool:
+    """True iff the raw coefficient has a nonzero term at an exponent <= 0,
+    which is exactly when its symmetric part is nonzero."""
+    for e, c in coeffs.items():
+        if c and e <= 0:
+            return True
+    return False
 
 
 class BasisCache:
@@ -75,6 +82,10 @@ class BasisCache:
     unitriangularity alone, so any linear extension yields the same basis,
     which a property test exercises.  The correction loop and
     expand_in_dcb share one elimination, an upward sweep along that key.
+    expand_in_dcb queues every label it meets.  The correction queues only
+    the labels whose coefficient has a nonzero term at an exponent <= 0:
+    every other coefficient already lies in v*Z[v], so its label needs no
+    step.
 
     Besides the basis vectors, the cache holds two memos.  The key memo
     keeps extension_key of every label a sweep has met, so each label is
@@ -119,8 +130,7 @@ class BasisCache:
         s = m.largest_segment()
         rest = _from_sorted(m.segments[:-1])
         single = _from_sorted((s,))
-        forward = b_form(rest, single) + 1
-        backward = b_form(single, rest) - 1
+        forward, backward = _commutator_exponents(rest, s)
         products = self._products.setdefault(m.weight(), {})
         num: dict[Multisegment, dict[int, int]] = {}
         for p, c in self.dual_canonical(rest).unordered_items():
@@ -154,31 +164,64 @@ class BasisCache:
         # Every G*(n) the sweep subtracts lies above m, so the sweep never
         # reaches m: its coefficient is set aside and put back unchanged.
         diagonal = coeffs.pop(m, None)
-        self._sweep(coeffs, lambda acc: finish(symmetric_part(acc)))
+        self._sweep(coeffs, lambda acc: finish(symmetric_part(acc)),
+                    _needs_correction)
         if diagonal is not None:
             coeffs[m] = diagonal
-        x = AlgebraElement({n: finish(c) for n, c in coeffs.items()})
-        # One check per finished vector, which also checks the coefficient
-        # of m in aux_vector(m).
-        check_unitriangular(m, x, self._key)
-        self._memo[m] = x
+        # One pass finishes each coefficient and checks that the vector has
+        # the shape of G*(m): every label other than m above m, with its
+        # coefficient in v*Z[v], and coefficient 1 at m.  This also checks
+        # the coefficient of m in aux_vector(m).
+        key = self._key
+        key_m = key(m)
+        terms: dict[Multisegment, LaurentPoly] = {}
+        for n, acc in coeffs.items():
+            c = finish(acc)
+            if not c:
+                continue
+            # The key test comes first: it settles every label above m, so
+            # only labels not above m pay for a label comparison.
+            if not (c.only_positive_exponents() if key(n) > key_m
+                    else n == m):
+                raise InvariantError(
+                    f"G*({m}) has coefficient {c} at {n}: off-diagonal "
+                    f"terms must lie above {m}, with coefficients in v*Z[v]")
+            terms[n] = c
+        if terms.get(m, ZERO) != ONE:
+            raise InvariantError(
+                f"G*({m}) has coefficient {terms.get(m, ZERO)} at {m}, "
+                "not 1")
+        x = self._memo[m] = _wrap(terms)
         return x
 
     def _sweep(self, coeffs: dict[Multisegment, dict[int, int]],
-               part: Callable[[dict[int, int]], LaurentPoly]
+               part: Callable[[dict[int, int]], LaurentPoly],
+               needs: Callable[[dict[int, int]], bool] | None = None
                ) -> dict[Multisegment, LaurentPoly]:
-        """Walk the labels of coeffs upward along extension_key, subtracting
-        t G*(n) at each label n, with t = part(coefficient at n).  coeffs
-        holds raw coefficients, which the sweep updates in place, leaving
-        the raw leftovers (zeros kept) to the caller.  G*(n) adds only
-        labels above n, so a heap of pending labels meets each label once,
-        after all labels below it.  The key ends with the sorted segment
-        list, so no two labels share a key, and each label is pushed once:
-        the heap never compares labels.  Returns the nonzero t's, in walk
-        order."""
+        """Walk the labels of coeffs upward along extension_key,
+        subtracting t G*(n) at each label n, with t = part(coefficient at
+        n).  coeffs holds raw coefficients, which the sweep updates in
+        place, leaving the raw leftovers (zeros kept) to the caller.
+
+        Without needs, every label goes on the heap.  With it, a label
+        waits in idle while needs rejects its coefficient, and goes on the
+        heap, once, as soon as needs accepts it: at the start, or after a
+        step touches it.  part must vanish on every coefficient that needs
+        rejects, so a label left idle would take no step.  A step at n
+        touches only labels of G*(n), which lie above n, so every label is
+        on the heap before its turn and is met once, after all labels
+        below it.  The key ends with the sorted segment list, so no two
+        labels share a key: the heap never compares labels.  Returns the
+        nonzero t's, in walk order."""
         key = self._key
         push, pop = heapq.heappush, heapq.heappop
-        heap = [(key(n), n) for n in coeffs]
+        heap = []
+        idle = set()
+        for n, acc in coeffs.items():
+            if needs is None or needs(acc):
+                heap.append((key(n), n))
+            else:
+                idle.add(n)
         heapq.heapify(heap)
         steps: dict[Multisegment, LaurentPoly] = {}
         while heap:
@@ -190,8 +233,16 @@ class BasisCache:
                 acc = coeffs.get(p)
                 if acc is None:
                     acc = coeffs[p] = {}
-                    push(heap, (key(p), p))
+                    if needs is None:
+                        push(heap, (key(p), p))
+                    else:
+                        idle.add(p)
                 add_product(acc, t, c, sign=-1)
+                # Testing idle first spares a label hash whenever idle is
+                # empty, as it always is without needs.
+                if idle and p in idle and needs(acc):
+                    idle.remove(p)
+                    push(heap, (key(p), p))
         return steps
 
 
@@ -209,9 +260,23 @@ class DcbTable:
     def coefficient(self, m: Multisegment, n: Multisegment) -> LaurentPoly:
         return self.expansions[m].coefficient(n)
 
+    @cached_property
+    def _rank(self) -> dict[Multisegment, int]:
+        """Each label's place in extension_key order, which keys every
+        label of the class once.  G*(m) is homogeneous, so every label of
+        an expansion is one of the class's labels."""
+        order = sorted(self.labels, key=Multisegment.extension_key)
+        return {m: i for i, m in enumerate(order)}
+
+    def row(self, m: Multisegment) -> list[tuple[Multisegment, LaurentPoly]]:
+        """The terms of G*(m) in extension_key order, as
+        AlgebraElement.items() lists them."""
+        rank = self._rank
+        return sorted(self.expansions[m].unordered_items(),
+                      key=lambda term: rank[term[0]])
+
     def to_json_obj(self) -> dict:
-        # Each label is rendered once.  G*(m) is homogeneous, so every
-        # label of an expansion is one of the class's labels.
+        # Each label is rendered once.
         names = {m: str(m) for m in self.labels}
         return {
             "weight": str(self.weight),
@@ -221,7 +286,7 @@ class DcbTable:
                     "expansion": [
                         {"label": names[n],
                          "coef": [list(p) for p in c.items()]}
-                        for n, c in self.expansions[m].items()
+                        for n, c in self.row(m)
                     ],
                 }
                 for m in self.labels

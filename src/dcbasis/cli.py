@@ -99,11 +99,8 @@ def _check_class_size(weight: Weight, cap: int) -> None:
                           "labels; raise --max-class-size")
 
 
-def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+def _print_json(payload: dict) -> None:
+    print(json.dumps(payload, indent=2))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -114,10 +111,10 @@ def cmd_dcb(args: argparse.Namespace) -> int:
     _check_class_size(weight, args.max_class_size)
     table = dcb_table(weight, BasisCache())
     if args.json:
-        print(json.dumps(table.to_json_obj(), indent=2))
+        _print_json(table.to_json_obj())
     else:
-        print("\n".join(f"G*({m}) = {render_combination(x.items(), 'E*')}"
-                        for m, x in table.expansions.items()))
+        print("\n".join(f"G*({m}) = {render_combination(table.row(m), 'E*')}"
+                        for m in table.labels))
     return OK
 
 
@@ -130,21 +127,23 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     rows = [(p, expansion[p])
             for p in sorted(expansion, key=Multisegment.sort_key)]
     simple = len(rows) == 1 and rows[0][1].single_power() is not None
-    verdict = "SIMPLE" if simple else "NOT SIMPLE"
-    lines = [f"G*({m}) * G*({n}) ="]
-    lines += [f"  {c}  G*({p})   [multiplicity {c.at_one()}]" for p, c in rows]
-    lines.append(verdict)
-    payload = {
-        "m": str(m),
-        "n": str(n),
-        "factors": [
-            {"label": str(p), "coef": _coef_json(c),
-             "multiplicity": c.at_one()}
-            for p, c in rows
-        ],
-        "simple": simple,
-    }
-    _emit(args, payload, "\n".join(lines))
+    if args.json:
+        _print_json({
+            "m": str(m),
+            "n": str(n),
+            "factors": [
+                {"label": str(p), "coef": _coef_json(c),
+                 "multiplicity": c.at_one()}
+                for p, c in rows
+            ],
+            "simple": simple,
+        })
+    else:
+        lines = [f"G*({m}) * G*({n}) ="]
+        lines += [f"  {c}  G*({p})   [multiplicity {c.at_one()}]"
+                  for p, c in rows]
+        lines.append("SIMPLE" if simple else "NOT SIMPLE")
+        print("\n".join(lines))
     return OK
 
 
@@ -165,21 +164,25 @@ def cmd_irred(args: argparse.Namespace) -> int:
     alpha = _as_usage(parse_partition, args.alpha)
     beta = _as_usage(parse_partition, args.beta)
     verdict, witness = _verdict(alpha, args.a, beta, args.b)
-    payload = {
-        "alpha": list(alpha.parts),
-        "a": args.a,
-        "beta": list(beta.parts),
-        "b": args.b,
-        "irreducible": verdict,
-        "pattern": list(witness) if witness is not None else None,
-    }
-    text = "IRREDUCIBLE" if verdict else f"REDUCIBLE {_pattern_text(witness)}"
     algebraic = verdict
     if args.verify:
         algebraic = _algebraic_irreducible(
             alpha, args.a, beta, args.b, BasisCache())
-        payload["verified"] = algebraic == verdict
-    _emit(args, payload, text)
+    if args.json:
+        payload = {
+            "alpha": list(alpha.parts),
+            "a": args.a,
+            "beta": list(beta.parts),
+            "b": args.b,
+            "irreducible": verdict,
+            "pattern": list(witness) if witness is not None else None,
+        }
+        if args.verify:
+            payload["verified"] = algebraic == verdict
+        _print_json(payload)
+    else:
+        print("IRREDUCIBLE" if verdict
+              else f"REDUCIBLE {_pattern_text(witness)}")
     if algebraic != verdict:
         print(f"verification failed: separation says {verdict}, "
               f"membership says {algebraic}", file=sys.stderr)
@@ -208,21 +211,23 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 disagreements.append(shift)
         rows.append(row)
     reducible = [row["shift"] for row in rows if not row["irreducible"]]
-    lines = []
-    for row in rows:
-        mark = "IRREDUCIBLE" if row["irreducible"] else "REDUCIBLE"
-        lines.append(f"b-a = {row['shift']:+d}: {mark}")
-    lines.append("reducible shifts: "
-                 + (", ".join(str(s) for s in reducible) if reducible
-                    else "none"))
-    payload = {
-        "alpha": list(alpha.parts),
-        "beta": list(beta.parts),
-        "range": [lo, hi],
-        "verdicts": rows,
-        "reducible_shifts": reducible,
-    }
-    _emit(args, payload, "\n".join(lines))
+    if args.json:
+        _print_json({
+            "alpha": list(alpha.parts),
+            "beta": list(beta.parts),
+            "range": [lo, hi],
+            "verdicts": rows,
+            "reducible_shifts": reducible,
+        })
+    else:
+        lines = []
+        for row in rows:
+            mark = "IRREDUCIBLE" if row["irreducible"] else "REDUCIBLE"
+            lines.append(f"b-a = {row['shift']:+d}: {mark}")
+        lines.append("reducible shifts: "
+                     + (", ".join(str(s) for s in reducible) if reducible
+                        else "none"))
+        print("\n".join(lines))
     if disagreements:
         print(
             f"verification failed at shifts {disagreements}", file=sys.stderr)
@@ -267,14 +272,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = suite(**_suite_kwargs(args))
     if report.cases == 0:
         raise _UsageError(f"the bounds select no case of suite {report.name}")
-    payload = {
-        "suite": report.name,
-        "cases": report.cases,
-        "ok": report.ok,
-        "failures": report.failures,
-    }
-    lines = [report.summary()] + [f"  {f}" for f in report.failures]
-    _emit(args, payload, "\n".join(lines))
+    if args.json:
+        _print_json({
+            "suite": report.name,
+            "cases": report.cases,
+            "ok": report.ok,
+            "failures": report.failures,
+        })
+    else:
+        print("\n".join([report.summary()]
+                        + [f"  {f}" for f in report.failures]))
     return OK if report.ok else PROPERTY_FAILURE
 
 
@@ -284,28 +291,33 @@ def cmd_minor(args: argparse.Namespace) -> int:
     _as_usage(_check_indices, rows, cols)
     minor = quantum_minor(rows, cols)
     if not minor:
-        payload = {"rows": list(rows), "cols": list(cols), "zero": True}
-        _emit(args, payload, "0")
+        if args.json:
+            _print_json({"rows": list(rows), "cols": list(cols),
+                         "zero": True})
+        else:
+            print("0")
         return OK
     label = minor_multisegment(rows, cols)
     confirmed = minor == BasisCache().dual_canonical(label)
-    payload = {
-        "rows": list(rows),
-        "cols": list(cols),
-        "zero": False,
-        "expansion": [
-            {"label": str(p), "coef": _coef_json(c)}
-            for p, c in minor.items()
-        ],
-        "label": str(label),
-        "confirmed": confirmed,
-    }
-    text = "\n".join([
-        f"minor = {render_combination(minor.items(), 'E*')}",
-        f"label: {label}",
-        f"confirmed equal to G*({label}): {'yes' if confirmed else 'NO'}",
-    ])
-    _emit(args, payload, text)
+    if args.json:
+        _print_json({
+            "rows": list(rows),
+            "cols": list(cols),
+            "zero": False,
+            "expansion": [
+                {"label": str(p), "coef": _coef_json(c)}
+                for p, c in minor.items()
+            ],
+            "label": str(label),
+            "confirmed": confirmed,
+        })
+    else:
+        print("\n".join([
+            f"minor = {render_combination(minor.items(), 'E*')}",
+            f"label: {label}",
+            f"confirmed equal to G*({label}): "
+            f"{'yes' if confirmed else 'NO'}",
+        ]))
     return OK if confirmed else PROPERTY_FAILURE
 
 

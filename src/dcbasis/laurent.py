@@ -114,7 +114,7 @@ class LaurentPoly:
 
     def only_positive_exponents(self) -> bool:
         """True iff self lies in v*Z[v]."""
-        return all(e > 0 for e in self._c)
+        return not self._c or min(self._c) > 0
 
     def at_one(self) -> int:
         """Evaluate at v = 1."""
@@ -315,11 +315,13 @@ def divide_by_v_minus_vinv(coeffs: dict[int, int]) -> dict[int, int]:
     lo = min(coeffs)
     hi = max(coeffs)
     q: dict[int, int] = {}
+    below = at = 0  # q[k - 1] and q[k]
     for k in range(lo, hi + 1):
-        val = q.get(k - 1, 0) - coeffs.get(k, 0)
-        if val:
-            q[k + 1] = val
-    if q.get(hi, 0) or q.get(hi + 1, 0):
+        below, at = at, below - coeffs.get(k, 0)
+        if at:
+            q[k + 1] = at
+    # Now at is q[hi + 1] and below is q[hi].
+    if below or at:
         raise ExactDivisionError(
             f"{finish(coeffs)} is not divisible by v - v^-1")
     return q

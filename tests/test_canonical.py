@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import heapq
 import importlib
 import itertools
 import json
@@ -23,7 +24,12 @@ from dcbasis.canonical import (
     structure_constants,
 )
 from dcbasis import canonical, checks
-from dcbasis.algebra import AlgebraElement, basis_product, dual_pbw
+from dcbasis.algebra import (
+    AlgebraElement,
+    InvariantError,
+    basis_product,
+    dual_pbw,
+)
 from dcbasis.checks import _degree_pairs, check_oracle, window_weights
 from dcbasis.laurent import LaurentPoly, ONE, finish, raw
 from dcbasis.multisegment import (
@@ -270,6 +276,44 @@ def test_correction_sweep_matches_the_old_loop():
     assert labels == 623
 
 
+def test_correction_queues_only_labels_that_need_a_step(monkeypatch):
+    sweeps = []  # the coefficients of the sweeps in progress, innermost last
+    queued = []  # for each label put on a heap: whether it needed a step
+
+    class Recording(BasisCache):
+        def _sweep(self, coeffs, *args):
+            sweeps.append(coeffs)
+            try:
+                return super()._sweep(coeffs, *args)
+            finally:
+                sweeps.pop()
+
+    def record(entries):
+        coeffs = sweeps[-1]
+        queued.extend(any(c and e <= 0 for e, c in coeffs[n].items())
+                      for _, n in entries)
+
+    class CountingHeapq:
+        heappop = staticmethod(heapq.heappop)
+
+        @staticmethod
+        def heapify(heap):
+            record(heap)
+            heapq.heapify(heap)
+
+        @staticmethod
+        def heappush(heap, entry):
+            record([entry])
+            heapq.heappush(heap, entry)
+
+    monkeypatch.setattr(canonical, "heapq", CountingHeapq)
+    table = dcb_table(parse_weight("0:1,1:2,2:2,3:2,4:2,5:1"), Recording())
+    assert len(table.labels) == 235
+    # Queueing every label a correction meets puts 9,954 on its heaps.
+    assert len(queued) == 2883
+    assert all(queued)
+
+
 def test_expansion_sweep_matches_the_old_loop():
     cache = BasisCache()
     pairs = 0
@@ -389,6 +433,19 @@ def test_aux_vector_matches_the_old_products():
     assert labels == 623
 
 
+def test_commutator_exponents_match_the_bilinear_form():
+    # aux_vector reads both exponents off rest; b_form is the oracle.
+    labels = 0
+    for w in window_weights(5, 0, 4):
+        for m in enumerate_by_weight(w):
+            s = m.largest_segment()
+            rest, single = m.remove(s), Multisegment([s])
+            assert canonical._commutator_exponents(rest, s) == (
+                b_form(rest, single) + 1, b_form(single, rest) - 1), m
+            labels += 1
+    assert labels == 623
+
+
 def test_forward_product_is_a_relabelling():
     # aux_vector never straightens E*(p) E*(s): every p in the support of
     # G*(rest) has no segment above s, so the product is v^-mu E*(p + s).
@@ -479,6 +536,38 @@ def test_each_label_is_keyed_once_per_cache(monkeypatch):
 
 
 # -- caching and invariants ----------------------------------------------------
+
+
+def _check_unitriangular(m, x, key):
+    """Raise InvariantError unless x has the shape of G*(m): coefficient 1
+    at m, every other label above m under key, with its coefficient in
+    v*Z[v].  The reference for the check dual_canonical makes while it
+    finishes each vector."""
+    key_m = key(m)
+    for n, c in x.unordered_items():
+        if key(n) > key_m:
+            ok = c.only_positive_exponents()
+        else:
+            ok = n == m
+        if not ok:
+            raise InvariantError(
+                f"G*({m}) has coefficient {c} at {n}: off-diagonal "
+                f"terms must lie above {m}, with coefficients in v*Z[v]")
+    if x.coefficient(m) != ONE:
+        raise InvariantError(
+            f"G*({m}) has coefficient {x.coefficient(m)} at {m}, not 1")
+
+
+def test_every_window_vector_passes_the_reference_check():
+    cache = BasisCache()
+    labels = 0
+    for w in window_weights(5, 0, 4):
+        for m in enumerate_by_weight(w):
+            x = cache.dual_canonical(m)
+            _check_unitriangular(m, x, Multisegment.extension_key)
+            assert all(x.unordered_items())
+            labels += 1
+    assert labels == 623
 
 
 def test_labels_computed():
@@ -604,6 +693,26 @@ DCB_JSON_SHA256 = {
     "0:1,1:2,2:2,3:2,4:2,5:1":
         "a2f68e47aca01941d37bd835e2b939d8124a3b1a738ec8587f628502b3012ea1",
 }
+
+
+def test_table_rows_key_each_label_once(monkeypatch):
+    table = dcb_table(parse_weight("0:1,1:2,2:2,3:2,4:2,5:1"), BasisCache())
+    calls = collections.Counter()
+    extension_key = Multisegment.extension_key
+
+    def counting_key(m):
+        calls[m] += 1
+        return extension_key(m)
+
+    monkeypatch.setattr(Multisegment, "extension_key", counting_key)
+    rows = [table.row(m) for m in table.labels]
+    obj = table.to_json_obj()
+    assert calls == collections.Counter(table.labels)
+    monkeypatch.undo()
+    assert rows == [table.expansion(m).items() for m in table.labels]
+    assert [[entry["label"] for entry in row["expansion"]]
+            for row in obj["basis"]] == [[str(n) for n, _ in row]
+                                         for row in rows]
 
 
 @pytest.mark.parametrize("weight", sorted(DCB_JSON_SHA256))

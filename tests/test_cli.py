@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from dcbasis.algebra import AlgebraElement
 from dcbasis.canonical import BasisCache, dcb_table, structure_constants
 from dcbasis.checks import SUITES
 from dcbasis import canonical, cli, criteria
@@ -118,6 +119,41 @@ def test_dcb_builds_only_the_output_it_prints(monkeypatch, capsys):
         code, out, _ = run_cli(capsys, "dcb", "--weight", "0:1,1:1")
     assert code == 0
     assert len(out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (("decompose", "--m", "[1]+[2,3]", "--n", "[2]+[3,4]"), "_coef_json"),
+    (("minor", "--rows", "1,2,4", "--cols", "2,3,5"), "_coef_json"),
+    (("minor", "--rows", "1,2,4", "--cols", "2,3,5", "--json"),
+     "render_combination"),
+    (("irred", "--alpha", "4,2", "--beta", "2,2,1", "--b", "1", "--json"),
+     "_pattern_text"),
+], ids=["decompose", "minor", "minor-json", "irred-json"])
+def test_commands_build_only_the_output_they_print(monkeypatch, capsys,
+                                                   argv, unused):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built output that is not printed")
+
+    monkeypatch.setattr(cli, unused, refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_minor_sorts_its_expansion_once(monkeypatch, capsys, json_flag):
+    calls = []
+    items = AlgebraElement.items
+
+    def counting(x):
+        calls.append(x)
+        return items(x)
+
+    monkeypatch.setattr(AlgebraElement, "items", counting)
+    code, _, _ = run_cli(capsys, "minor", "--rows", "1,2,4", "--cols",
+                         "2,3,5", *json_flag)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_dcb_has_no_cache_dir_option(tmp_path, capsys):
