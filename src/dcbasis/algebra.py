@@ -15,7 +15,14 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .laurent import LaurentPoly, ONE, ZERO, add_product, finish
+from .laurent import (
+    LaurentPoly,
+    ONE,
+    ZERO,
+    _render_terms,
+    add_product,
+    finish,
+)
 from .multisegment import (
     Multisegment,
     Segment,
@@ -262,24 +269,28 @@ class AlgebraElement:
         return render_combination(self.items(), "E*")
 
 
-def render_combination(items: Iterable[tuple[Multisegment, LaurentPoly]],
+def render_combination(items: Iterable[tuple[Multisegment | str,
+                                              LaurentPoly]],
                        symbol: str) -> str:
-    """Render coefficient/label pairs like ``E*([0]+[1]) - v E*([0,1])``.
+    """Render label/coefficient pairs like ``E*([0]+[1]) - v E*([0,1])``.
 
     Single-term coefficients are inlined with their sign; longer ones are
-    parenthesized.
+    parenthesized.  A label may be given as its text, so that a caller
+    rendering many combinations over one set of labels renders each label
+    once.  Each coefficient's terms are sorted once.
     """
     chunks: list[str] = []
     for m, c in items:
         body, negative = f"{symbol}({m})", False
-        if len(c.items()) == 1:
-            (e, coef), = c.items()
+        terms = c.items()
+        if len(terms) == 1:
+            (e, coef), = terms
             negative = coef < 0
-            mag = LaurentPoly.v_power(e, abs(coef))
-            if not mag.is_one():
-                body = f"{mag} {body}"
+            mag = abs(coef)
+            if (e, mag) != (0, 1):
+                body = f"{_render_terms(((e, mag),))} {body}"
         else:
-            body = f"({c}) {body}"
+            body = f"({_render_terms(terms)}) {body}"
         if chunks:
             body = f"- {body}" if negative else f"+ {body}"
         elif negative:

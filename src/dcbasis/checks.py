@@ -135,11 +135,10 @@ def partitions_up_to(total: int) -> list[Partition]:
 def _degree_pairs(max_degree: int
                   ) -> Iterable[tuple[Multisegment, Multisegment]]:
     """Unordered pairs of window multisegments with total degree bounded."""
-    msegs = [(m, m.degree())
-             for m in window_multisegments(max_degree - 1, 0, max_degree - 1)]
-    for i, (m, dm) in enumerate(msegs):
-        for n, dn in msegs[i:]:
-            if dm + dn <= max_degree:
+    msegs = window_multisegments(max_degree - 1, 0, max_degree - 1)
+    for i, m in enumerate(msegs):
+        for n in msegs[i:]:
+            if m.degree() + n.degree() <= max_degree:
                 yield m, n
 
 

@@ -113,8 +113,13 @@ def cmd_dcb(args: argparse.Namespace) -> int:
     if args.json:
         _print_json(table.to_json_obj())
     else:
-        print("\n".join(f"G*({m}) = {render_combination(table.row(m), 'E*')}"
-                        for m in table.labels))
+        # Each label is rendered once.
+        names = {m: str(m) for m in table.labels}
+        print("\n".join(
+            f"G*({names[m]}) = "
+            + render_combination([(names[n], c) for n, c in table.row(m)],
+                                 "E*")
+            for m in table.labels))
     return OK
 
 

@@ -38,6 +38,8 @@ owns, and ``raw`` hands out a copy.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 __all__ = [
     "ExactDivisionError",
     "LaurentPoly",
@@ -216,21 +218,26 @@ class LaurentPoly:
         return f"LaurentPoly({self._c!r})"
 
     def __str__(self) -> str:
-        if not self._c:
-            return "0"
-        pieces = []
-        for e, c in self.items():
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "v" if e == 1 else f"v^{e}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return _render_terms(self.items())
+
+
+def _render_terms(terms: Iterable[tuple[int, int]]) -> str:
+    """The text of the polynomial with the given nonzero (exponent,
+    coefficient) pairs, in the order given (descending exponent, as
+    ``LaurentPoly.items()`` lists them), like ``v^3 - 2*v + 1``."""
+    pieces = []
+    for e, c in terms:
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            var = "v" if e == 1 else f"v^{e}"
+            body = var if mag == 1 else f"{mag}*{var}"
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces) or "0"
 
 
 def _coerce(x) -> "LaurentPoly":

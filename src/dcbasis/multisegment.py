@@ -18,6 +18,7 @@ reproducible.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -56,9 +57,9 @@ class Segment(NamedTuple):
         return f"[{self.start},{self.end}]"
 
 
-def segment_key(s: Segment) -> tuple[int, int]:
-    """Sort key realizing the segment order: compare ends, then starts."""
-    return (s.end, s.start)
+# Sort key realizing the segment order: compare ends, then starts.  A
+# C-level getter, so a sort by it calls no Python function.
+segment_key = operator.itemgetter(1, 0)
 
 
 def _check_segment(s: Segment) -> Segment:
@@ -102,16 +103,18 @@ class Multisegment:
     """An immutable finite multiset of segments.
 
     Stored expanded (one entry per copy), sorted ascending by the segment
-    order, so identical multisets always compare and hash equal.
+    order, so identical multisets always compare and hash equal.  A label
+    keeps its hash, and its degree once asked for it.
     """
 
-    __slots__ = ("_segs", "_hash")
+    __slots__ = ("_segs", "_hash", "_degree")
 
     def __init__(self, segments: Iterable[Segment | tuple[int, int]] = ()):
         segs = tuple(sorted(
             (_check_segment(Segment(*s)) for s in segments), key=segment_key))
         self._segs = segs
         self._hash = hash(segs)
+        self._degree = None
 
     # -- structure ----------------------------------------------------------
 
@@ -127,7 +130,10 @@ class Multisegment:
         return len(self._segs)
 
     def degree(self) -> int:
-        return sum(s.length for s in self._segs)
+        d = self._degree
+        if d is None:
+            d = self._degree = sum(j - i + 1 for i, j in self._segs)
+        return d
 
     def weight(self) -> "Weight":
         d: dict[int, int] = {}
@@ -158,7 +164,7 @@ class Multisegment:
 
     def sort_key(self) -> tuple[tuple[int, int], ...]:
         """Lexicographic key on the sorted segment list."""
-        return tuple(segment_key(s) for s in self._segs)
+        return tuple(map(segment_key, self._segs))
 
     def extension_key(self) -> tuple:
         """A cheap linear extension of dominance: squared-length sum, then
@@ -175,13 +181,14 @@ class Multisegment:
     # -- multiset arithmetic --------------------------------------------------
 
     def __add__(self, other: "Multisegment") -> "Multisegment":
-        return Multisegment(self._segs + other._segs)
+        return _from_sorted(tuple(sorted(self._segs + other._segs,
+                                         key=segment_key)))
 
     def remove(self, s: Segment) -> "Multisegment":
         """A copy with one occurrence of s removed."""
-        segs = list(self._segs)
-        segs.remove(s)
-        return Multisegment(segs)
+        segs = self._segs
+        i = segs.index(s)
+        return _from_sorted(segs[:i] + segs[i + 1:])
 
     # -- comparison, rendering -------------------------------------------------
 
@@ -205,10 +212,13 @@ class Multisegment:
 
 def _from_sorted(segs: tuple[Segment, ...]) -> Multisegment:
     """The multisegment of valid segments already sorted by segment_key:
-    no sort, no check."""
+    no sort, no check.  Only for tuples of ``Segment`` built in this package
+    (the segments of labels, a straightened word, a generated class), never
+    for user input, which goes through ``Multisegment``."""
     m = object.__new__(Multisegment)
     m._segs = segs
     m._hash = hash(segs)
+    m._degree = None
     return m
 
 
@@ -274,18 +284,19 @@ def cartan_pairing(w1: Weight, w2: Weight) -> int:
 def b_form(m: Multisegment, n: Multisegment) -> int:
     """Bilinear form controlling leading coefficients of basis products.
 
-    Sum of pairings (wt s, wt s') over pairs with s' from m strictly above
-    s from n, plus the number of common pairs; not symmetric, but
-    b(m, n) + b(n, m) equals the Cartan pairing of the weights.
+    Sum of pairings (wt s, wt s') over pairs of copies, s' from m strictly
+    above s from n, plus the number of pairs of equal copies; not
+    symmetric, but b(m, n) + b(n, m) equals the Cartan pairing of the
+    weights.
     """
     total = 0
-    for s2, c2 in m.counts():
+    for s2 in m.segments:
         k2 = segment_key(s2)
-        for s1, c1 in n.counts():
+        for s1 in n.segments:
             if k2 > segment_key(s1):
-                total += c2 * c1 * segment_pairing(s1, s2)
+                total += segment_pairing(s1, s2)
             elif s1 == s2:
-                total += c2 * c1
+                total += 1
     return total
 
 
@@ -332,51 +343,54 @@ def dominates(m: Multisegment, n: Multisegment) -> bool:
     return True
 
 
-def _peel_range(d: dict[int, int], bound: tuple[int, int] | None
-                ) -> tuple[int, int]:
-    """(p, lo): the largest weighted position of d and the least start of a
-    segment ending there that may be peeled next.  bound is the (end, start)
-    of the last segment peeled; it forces starts of equal-end segments to
-    be non-decreasing, so each multiset appears once."""
-    p = max(d)
-    lo = p
-    while (lo - 1) in d:
-        lo -= 1
-    if bound is not None and bound[0] == p:
-        lo = max(lo, bound[1])
-    return p, lo
-
-
 def _generate(d: dict[int, int]):
     """All expanded segment tuples of weight d.
 
     Each step peels a segment [start, p] ending at the largest weighted
-    position p.  A stack entry (d, p, start, peeled) stands for that peel
-    from the weight d, after the segments peeled so far.  Popping it pushes
-    its next sibling, with start + 1, and then its child, so the tree is
-    walked depth first with the least start first, and each level holds
-    one weight at a time, however wide the class.  The stack takes the
-    place of recursion, so no number of segments meets the interpreter's
-    recursion limit.
+    position p, with the least start first; when the segment peeled before
+    it also ends at p, start may not fall below that one's start, so each
+    multiset appears once.  A tuple lists its segments in the reverse of
+    the order they were peeled.  The counts live in one dict, decremented
+    by a peel and restored when the walk backs out of it: the next sibling
+    of [start, p] is [start + 1, p], one restored count away, so no weight
+    is ever copied, however wide the class.  The walk is a loop over the
+    list of peels, not recursion, so no number of segments meets the
+    interpreter's recursion limit.
     """
     if not d:
         yield ()
         return
-    stack = [(d, *_peel_range(d, None), ())]
-    while stack:
-        d, p, start, peeled = stack.pop()
-        if start < p:
-            stack.append((d, p, start + 1, peeled))
-        nd = dict(d)
+    count = dict.fromkeys(range(min(d), max(d) + 1), 0)
+    count.update(d)
+    left = sum(d.values())
+    peeled: list[Segment] = []
+    p = max(d)
+    while True:
+        start = p
+        while count.get(start - 1):
+            start -= 1
+        if peeled:
+            i, j = peeled[-1]
+            if j == p and i > start:
+                start = i
         for k in range(start, p + 1):
-            nd[k] -= 1
-            if not nd[k]:
-                del nd[k]
-        peeled = (Segment(start, p),) + peeled
-        if nd:
-            stack.append((nd, *_peel_range(nd, (p, start)), peeled))
-        else:
-            yield peeled
+            count[k] -= 1
+        left -= p - start + 1
+        peeled.append(Segment(start, p))
+        if not left:
+            yield tuple(reversed(peeled))
+            # back out to the deepest peel that has a next sibling
+            while peeled:
+                i, p = peeled.pop()
+                count[i] += 1
+                left += 1
+                if i < p:
+                    peeled.append(Segment(i + 1, p))
+                    break
+            else:
+                return
+        while not count[p]:
+            p -= 1
 
 
 def class_exceeds(w: Weight, cap: int) -> bool:
@@ -397,9 +411,14 @@ def enumerate_by_weight(w: Weight) -> tuple[Multisegment, ...]:
     increases the sorted segment list.  Hence the dominance-least label
     comes first and no label dominates one listed before it.  Only the
     last class is cached: every caller works through one weight at a time.
+    A generated tuple lists segments with equal ends by descending start,
+    so each is sorted before ``_from_sorted`` makes it a label; its segments
+    are valid by construction, so none is checked.
     """
-    return tuple(sorted(map(Multisegment, _generate(dict(w.items()))),
-                        key=Multisegment.sort_key))
+    return tuple(sorted(
+        (_from_sorted(tuple(sorted(t, key=segment_key)))
+         for t in _generate(dict(w.items()))),
+        key=Multisegment.sort_key))
 
 
 # -- parsing ------------------------------------------------------------------

@@ -121,6 +121,28 @@ def test_dcb_builds_only_the_output_it_prints(monkeypatch, capsys):
     assert len(out.splitlines()) == 2
 
 
+def test_dcb_text_renders_each_label_and_coefficient_once(monkeypatch,
+                                                         capsys):
+    calls = {"label": 0, "coefficient": 0}
+    label_str, coefficient_items = Multisegment.__str__, LaurentPoly.items
+
+    def counted_str(self):
+        calls["label"] += 1
+        return label_str(self)
+
+    def counted_items(self):
+        calls["coefficient"] += 1
+        return coefficient_items(self)
+
+    monkeypatch.setattr(Multisegment, "__str__", counted_str)
+    monkeypatch.setattr(LaurentPoly, "items", counted_items)
+    code, out, _ = run_cli(capsys, "dcb", "--weight", "0:1,1:2,2:2,3:1")
+    assert code == 0
+    # 18 labels, 97 entries
+    assert (len(out.splitlines()), out.count("E*(")) == (18, 97)
+    assert calls == {"label": 18, "coefficient": 97}
+
+
 @pytest.mark.parametrize("argv, unused", [
     (("decompose", "--m", "[1]+[2,3]", "--n", "[2]+[3,4]"), "_coef_json"),
     (("minor", "--rows", "1,2,4", "--cols", "2,3,5"), "_coef_json"),

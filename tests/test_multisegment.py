@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from dcbasis.checks import window_multisegments, window_weights
+from dcbasis.checks import _degree_pairs, window_multisegments, window_weights
 from dcbasis.multisegment import (
     EMPTY,
     _generate,
@@ -157,6 +157,47 @@ def test_add_remove_largest():
         m.remove(Segment(5, 5))
 
 
+def _assert_built_like_user_input(m):
+    """m has sorted, valid segments, equals the label built from them by the
+    checked constructor (same hash, same text), and measures its degree
+    right on the first call and on a repeat call."""
+    segs = m.segments
+    assert all(type(s) is Segment and s.start <= s.end for s in segs), m
+    assert list(segs) == sorted(segs, key=lambda s: (s.end, s.start)), m
+    ref = Multisegment(segs)
+    assert m == ref and hash(m) == hash(ref) and str(m) == str(ref)
+    degree = sum(s.length for s in segs)
+    assert m.degree() == degree
+    assert m.degree() == degree
+
+
+def test_window_class_labels_are_built_sorted():
+    enumerate_by_weight.cache_clear()
+    weights = window_weights(6, 0, 5)
+    assert len(weights) == 923
+    count = 0
+    for w in weights:
+        for m in enumerate_by_weight(w):
+            _assert_built_like_user_input(m)
+            assert m.weight() == w
+            count += 1
+    assert count == 3028
+
+
+def test_sum_and_remove_build_sorted_labels():
+    labels = window_multisegments(4, 0, 5)
+    assert len(labels) == 395
+    for i, m in enumerate(labels):
+        for n in labels[i:]:
+            total = m + n
+            _assert_built_like_user_input(total)
+            assert (n + m).segments == total.segments
+        for s in m.segments:
+            rest = m.remove(s)
+            _assert_built_like_user_input(rest)
+            assert rest + Multisegment([s]) == m
+
+
 # -- weights -------------------------------------------------------------------------
 
 
@@ -201,6 +242,27 @@ def test_b_form_sum_identity_exhaustive():
     for m, n in itertools.product(window, repeat=2):
         assert b_form(m, n) + b_form(n, m) == \
             cartan_pairing(m.weight(), n.weight())
+
+
+def _b_form_by_counts(m, n):
+    """Reference b_form: the sum over distinct segments, weighted by the
+    product of their multiplicities."""
+    total = 0
+    for s2, c2 in m.counts():
+        for s1, c1 in n.counts():
+            if segment_key(s2) > segment_key(s1):
+                total += c2 * c1 * segment_pairing(s1, s2)
+            elif s1 == s2:
+                total += c2 * c1
+    return total
+
+
+def test_b_form_matches_the_counts_oracle_exhaustive():
+    pairs = list(_degree_pairs(6))
+    assert len(pairs) == 20715
+    for m, n in pairs:
+        assert b_form(m, n) == _b_form_by_counts(m, n), (m, n)
+        assert b_form(n, m) == _b_form_by_counts(n, m), (n, m)
 
 
 @given(multisegments, multisegments)
