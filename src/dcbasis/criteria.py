@@ -4,9 +4,18 @@ An evaluation module is indexed by a partition alpha and an integer shift
 a; its combinatorial shadow is the co-finite set I = {a + 1 - i + alpha_i :
 i >= 1}, with alpha_i = 0 past the last row.  A product of two such modules
 is irreducible exactly when the two co-finite sets are separated, a
-condition on the mutual set differences, which the verdicts read off as
-integer bitsets; families reduce to pairwise tests.  For a partition
-against itself the criterion collapses to hook lengths.
+condition on the mutual set differences; families reduce to pairwise
+tests.  For a partition against itself the criterion collapses to hook
+lengths.
+
+Above its threshold a - r (r rows), I is the beta-set of alpha shifted:
+the beta-numbers alpha_i + r - i (the first-column hook lengths) each
+plus a - r + 1.  A Partition keeps its beta-set as one bitset, so the
+verdicts read both differences off two shifted copies of it.  When one
+threshold lies at or above the largest element of the other set, one set
+contains the other, and the pair is irreducible with no witness: the far
+apart rule, settled from the thresholds before any bitset is built.  So
+the memory of a verdict is bounded by the partitions, not by |a - b|.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import itertools
 import re
 from typing import Iterable, Sequence
 
-from .multisegment import Multisegment, Segment
+from .multisegment import Multisegment, Segment, _from_sorted
 
 __all__ = [
     "CoFiniteSet",
@@ -85,9 +94,13 @@ class CoFiniteSet:
 
 
 class Partition:
-    """A weakly decreasing tuple of positive integers (possibly empty)."""
+    """A weakly decreasing tuple of positive integers (possibly empty).
 
-    __slots__ = ("_parts",)
+    It keeps its beta-set as a bitset: bit alpha_i + r - i for each of the
+    r rows.
+    """
+
+    __slots__ = ("_parts", "_bits")
 
     def __init__(self, parts: Iterable[int] = ()):
         ps = tuple(int(p) for p in parts)
@@ -96,6 +109,8 @@ class Partition:
         if any(a < b for a, b in zip(ps, ps[1:])):
             raise ValueError(f"partition parts must weakly decrease: {ps}")
         self._parts = ps
+        r = len(ps)
+        self._bits = sum(1 << (p + r - i) for i, p in enumerate(ps, 1))
 
     @property
     def parts(self) -> tuple[int, ...]:
@@ -157,8 +172,11 @@ def evaluation_set(alpha: Partition, shift: int) -> CoFiniteSet:
 
     Threshold t = shift - r; the extras t + k + alpha_{r+1-k} (k = 1..r)
     strictly increase from t + 2 on, so the canonical form keeps them as
-    they are.  The verdicts read I and its differences as bitsets instead
-    (_differences).
+    they are.  They are t + 1 plus the beta-numbers alpha_i + r - i, which
+    is how the verdicts read I instead: as the partition's beta-set bitset
+    shifted by t (_differences).  The largest element of I is t plus the
+    bit length of that bitset, which is all the far apart rule (_apart)
+    needs to know of I.
     """
     parts = alpha.parts
     t = shift - len(parts)
@@ -167,10 +185,15 @@ def evaluation_set(alpha: Partition, shift: int) -> CoFiniteSet:
 
 
 def evaluation_multisegment(alpha: Partition, shift: int) -> Multisegment:
-    """Row i of the partition becomes the segment [shift-i+1, shift-i+alpha_i]."""
-    return Multisegment(
-        Segment(shift - i + 1, shift - i + alpha[i - 1])
-        for i in range(1, len(alpha) + 1))
+    """Row i of the partition becomes the segment [shift-i+1, shift-i+alpha_i].
+
+    The end shift - i + alpha_i strictly decreases in i, so the rows from
+    the last up are already in segment order, and valid as alpha_i >= 1.
+    """
+    parts = alpha.parts
+    return _from_sorted(tuple(
+        Segment(shift - i + 1, shift - i + parts[i - 1])
+        for i in range(len(parts), 0, -1)))
 
 
 def join_related(a: Iterable[int], b: Iterable[int]) -> bool:
@@ -199,16 +222,30 @@ def strongly_separated(i_set: CoFiniteSet, j_set: CoFiniteSet) -> bool:
 def _differences(alpha: Partition, a: int, beta: Partition, b: int
                  ) -> tuple[int, int, int]:
     """I minus J, J minus I and the base below which both sets are full,
-    for the evaluation sets I and J: bitsets with bit k for base + 1 + k."""
-    p, q = alpha.parts, beta.parts
-    base = min(a - len(p), b - len(q))
-    i_bits = (1 << (a - len(p) - base)) - 1
-    for i, part in enumerate(p, 1):
-        i_bits |= 1 << (a - i + part - base)
-    j_bits = (1 << (b - len(q) - base)) - 1
-    for i, part in enumerate(q, 1):
-        j_bits |= 1 << (b - i + part - base)
+    for the evaluation sets I and J: bitsets with bit k for base + 1 + k.
+
+    With s and t the thresholds a - len(alpha) and b - len(beta) taken
+    relative to base = min(s, t), I is the s low bits plus alpha's
+    beta-set shifted by s, and J the t low bits plus beta's shifted by t.
+    Outside the far apart case (_apart) s and t are below the beta-sets'
+    bit lengths, so no bitset is wider than the two partitions allow.
+    """
+    s, t = a - len(alpha._parts), b - len(beta._parts)
+    base = min(s, t)
+    s -= base
+    t -= base
+    i_bits = ((1 << s) - 1) | (alpha._bits << s)
+    j_bits = ((1 << t) - 1) | (beta._bits << t)
     return i_bits & ~j_bits, j_bits & ~i_bits, base
+
+
+def _apart(alpha: Partition, a: int, beta: Partition, b: int) -> bool:
+    """True iff one evaluation set contains the other, from the thresholds
+    alone: J lies at or below b - len(beta) + beta._bits.bit_length(), so
+    J is inside I once a - len(alpha) reaches that, and the other way
+    round.  Then one difference is empty: irreducible, with no witness."""
+    gap = (a - len(alpha._parts)) - (b - len(beta._parts))
+    return gap >= beta._bits.bit_length() or -gap >= alpha._bits.bit_length()
 
 
 def _inside(small: int, big: int) -> bool:
@@ -228,6 +265,8 @@ def _joined(x: int, y: int) -> bool:
 
 def irreducible_pair(alpha: Partition, a: int, beta: Partition, b: int) -> bool:
     """Irreducibility of the product of two evaluation modules."""
+    if _apart(alpha, a, beta, b):
+        return True
     x, y, _ = _differences(alpha, a, beta, b)
     return _joined(x, y)
 
@@ -241,6 +280,8 @@ def main1_witness(alpha: Partition, a: int, beta: Partition, b: int
     interleaving either way round.  The witness is the increasing tuple of
     positions realizing the pattern.
     """
+    if _apart(alpha, a, beta, b):
+        return None
     return _witness(*_differences(alpha, a, beta, b), a, b)
 
 
@@ -273,6 +314,8 @@ def _verdict(alpha: Partition, a: int, beta: Partition, b: int
              ) -> tuple[bool, tuple[int, ...] | None]:
     """irreducible_pair and main1_witness of one pair, from one
     computation of the differences."""
+    if _apart(alpha, a, beta, b):
+        return True, None
     x, y, base = _differences(alpha, a, beta, b)
     return _joined(x, y), _witness(x, y, base, a, b)
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from dcbasis.checks import (
     SuiteReport,
     _auxiliary,
     _degree_pairs,
+    _difference_size,
     check_eqrei,
     check_frank,
     check_hooks,
@@ -23,7 +25,7 @@ from dcbasis.checks import (
     window_multisegments,
     window_weights,
 )
-from dcbasis.criteria import Partition
+from dcbasis.criteria import Partition, evaluation_set
 from dcbasis.laurent import LaurentPoly
 from dcbasis.multisegment import (
     Weight,
@@ -173,6 +175,34 @@ def test_oracle_suite():
     report = check_oracle(1, (-2, 2))
     assert report.cases == 5
     assert report.ok, report.failures
+
+
+def test_difference_size_counts_the_difference_exhaustive():
+    """All 97 partitions of size 0-9, squared, at every shift in -8..8, in
+    both orders."""
+    parts = [Partition()] + partitions_up_to(9)
+    for alpha in parts:
+        i_set = evaluation_set(alpha, 0)
+        for beta in parts:
+            for b in range(-8, 9):
+                j_set = evaluation_set(beta, b)
+                assert _difference_size(i_set, j_set) == \
+                    len(i_set.difference(j_set))
+                assert _difference_size(j_set, i_set) == \
+                    len(j_set.difference(i_set))
+
+
+def test_oracle_at_a_far_shift_allocates_little():
+    """Neither the verdicts nor the cardinality law list the O(|b|)-long
+    differences."""
+    tracemalloc.start()
+    try:
+        report = check_oracle(max_part_sum=1, shift_range=(10**5, 10**5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.cases == 1 and report.ok, report.failures
+    assert peak < 256 * 1024, peak
 
 
 def test_minors_suite():

@@ -357,6 +357,19 @@ def test_irred_verified_json(capsys):
     assert payload["verified"] is True
 
 
+@pytest.mark.parametrize("b", [10**18, -10**18])
+def test_irred_far_apart_shifts(capsys, b):
+    code, out, err = run_cli(capsys, "irred", "--alpha", "3", "--beta", "3",
+                             "--b", str(b))
+    assert (code, out, err) == (0, "IRREDUCIBLE\n", "")
+    code, out, err = run_cli(capsys, "irred", "--alpha", "4,2",
+                             "--beta", "2,2,1", "--b", str(b), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "alpha": [4, 2], "a": 0, "beta": [2, 2, 1], "b": b,
+        "irreducible": True, "pattern": None}
+
+
 def test_irred_has_no_class_size_option(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["irred", "--alpha", "3", "--beta", "3",
@@ -413,6 +426,25 @@ def test_scan_json_digest_pinned(capsys, alpha, beta, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("lo", [10**18 - 1, -10**18])
+def test_scan_far_apart_shifts(capsys, lo):
+    span = f"{lo}:{lo + 1}"
+    code, out, err = run_cli(capsys, "scan", "--alpha", "3", "--beta", "3",
+                             "--range", span)
+    assert (code, err) == (0, "")
+    assert out == (f"b-a = {lo:+d}: IRREDUCIBLE\n"
+                   f"b-a = {lo + 1:+d}: IRREDUCIBLE\n"
+                   "reducible shifts: none\n")
+    code, out, err = run_cli(capsys, "scan", "--alpha", "4,2",
+                             "--beta", "2,2,1", "--range", span, "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["verdicts"] == [
+        {"shift": s, "irreducible": True, "pattern": None}
+        for s in (lo, lo + 1)]
+    assert payload["reducible_shifts"] == []
+
+
 def test_scan_and_irred_build_the_differences_once(capsys, monkeypatch):
     calls = []
     differences = criteria._differences
@@ -424,10 +456,10 @@ def test_scan_and_irred_build_the_differences_once(capsys, monkeypatch):
     monkeypatch.setattr(criteria, "_differences", counting)
     code, _, _ = run_cli(capsys, "scan", "--alpha", "4,2", "--beta", "2,2,1",
                          "--range", "-8:8", "--json")
-    assert (code, len(calls)) == (0, 17)
+    assert (code, len(calls)) == (0, 10)
     code, _, _ = run_cli(capsys, "irred", "--alpha", "4,2", "--beta", "2,2,1",
                          "--b", "3")
-    assert (code, len(calls)) == (0, 18)
+    assert (code, len(calls)) == (0, 11)
 
 
 def test_scan_verified(capsys):

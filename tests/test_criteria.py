@@ -1,6 +1,7 @@
 """Tests for co-finite sets, separation, and the irreducibility criteria."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -21,8 +22,8 @@ from dcbasis.criteria import (
     strongly_separated,
 )
 from dcbasis.checks import partitions_up_to
-from dcbasis.criteria import _differences, _inside, _verdict
-from dcbasis.multisegment import parse_multisegment
+from dcbasis.criteria import _apart, _differences, _inside, _verdict
+from dcbasis.multisegment import Multisegment, Segment, parse_multisegment
 
 cofinite_sets = st.builds(
     CoFiniteSet,
@@ -119,6 +120,20 @@ def test_evaluation_multisegment_pins():
     assert (evaluation_multisegment(Partition([2, 2, 1]), 1)
             == parse_multisegment("[-1]+[0,1]+[1,2]"))
     assert evaluation_multisegment(Partition(), 5) == parse_multisegment("[]")
+
+
+def test_evaluation_multisegment_is_built_sorted_exhaustive():
+    """All 97 partitions of size 0-9 at every shift in -8..8: the label
+    built without a sort equals the one Multisegment sorts and checks."""
+    for alpha in [Partition()] + partitions_up_to(9):
+        for shift in range(-8, 9):
+            m = evaluation_multisegment(alpha, shift)
+            rows = Multisegment(
+                Segment(shift - i + 1, shift - i + alpha[i - 1])
+                for i in range(1, len(alpha) + 1))
+            assert m.segments == rows.segments
+            assert m == rows and hash(m) == hash(rows)
+            assert str(m) == str(rows)
 
 
 @given(partitions, shifts)
@@ -279,6 +294,26 @@ def _old_witness(d_ij, d_ji, c):
     return _four_pattern(d_ij, d_ji) or _four_pattern(d_ji, d_ij)
 
 
+def _old_differences(alpha, a, beta, b):
+    """_differences row by row: each row of each partition sets one bit."""
+    p, q = alpha.parts, beta.parts
+    base = min(a - len(p), b - len(q))
+    i_bits = (1 << (a - len(p) - base)) - 1
+    for i, part in enumerate(p, 1):
+        i_bits |= 1 << (a - i + part - base)
+    j_bits = (1 << (b - len(q) - base)) - 1
+    for i, part in enumerate(q, 1):
+        j_bits |= 1 << (b - i + part - base)
+    return i_bits & ~j_bits, j_bits & ~i_bits, base
+
+
+def test_beta_set_bits():
+    assert Partition([5, 4, 2, 1])._bits == sum(1 << k for k in (1, 3, 6, 8))
+    for alpha in [Partition()] + partitions_up_to(9):
+        extras = evaluation_set(alpha, len(alpha) - 1).extras
+        assert alpha._bits == sum(1 << x for x in extras)
+
+
 def test_set_arithmetic_matches_the_scanning_oracle_exhaustive():
     """All 97 partitions of size 0-9, squared, at every shift in -8..8:
     159,953 triples.  Both evaluation sets, both differences, the verdict
@@ -303,6 +338,8 @@ def test_set_arithmetic_matches_the_scanning_oracle_exhaustive():
                 d_ji = _old_difference(j_old, i_old)
                 assert i_set.difference(j_set) == d_ij
                 assert j_set.difference(i_set) == d_ji
+                assert _differences(alpha, 0, beta, b) == \
+                    _old_differences(alpha, 0, beta, b)
                 assert (irreducible_pair(alpha, 0, beta, b)
                         is _old_join_related(d_ij, d_ji))
                 assert main1_witness(alpha, 0, beta, b) == \
@@ -311,6 +348,62 @@ def test_set_arithmetic_matches_the_scanning_oracle_exhaustive():
                     _old_join_related(d_ij, d_ji), _old_witness(d_ij, d_ji, -b))
                 triples += 1
     assert triples == 159_953
+
+
+def test_far_apart_cutoff_matches_the_scanning_oracle():
+    """Partitions of size 0-6, a in {-3, 0, 4}, b in -25..25: 137,700
+    triples on both sides of the far apart cutoff.  The verdict, the
+    witness and _verdict match the oracle, and where _apart holds one
+    difference is empty."""
+    parts = [Partition()] + partitions_up_to(6)
+    triples = 0
+    for alpha in parts:
+        for a in (-3, 0, 4):
+            i_set = _old_evaluation_set(alpha, a)
+            for beta in parts:
+                for b in range(-25, 26):
+                    j_set = _old_evaluation_set(beta, b)
+                    d_ij = _old_difference(i_set, j_set)
+                    d_ji = _old_difference(j_set, i_set)
+                    joined = _old_join_related(d_ij, d_ji)
+                    witness = _old_witness(d_ij, d_ji, a - b)
+                    assert irreducible_pair(alpha, a, beta, b) is joined
+                    assert main1_witness(alpha, a, beta, b) == witness
+                    assert _verdict(alpha, a, beta, b) == (joined, witness)
+                    if _apart(alpha, a, beta, b):
+                        assert not d_ij or not d_ji
+                    triples += 1
+    assert triples == 137_700
+
+
+@pytest.mark.parametrize("b", [10**18, -10**18])
+def test_far_apart_shifts_are_irreducible(b):
+    for alpha, beta in ((Partition([3]), Partition([3])),
+                        (Partition([4, 2]), Partition([2, 2, 1])),
+                        (Partition(), Partition([5, 4, 2, 1]))):
+        assert irreducible_pair(alpha, 0, beta, b) is True
+        assert main1_witness(alpha, 0, beta, b) is None
+        assert main1_pattern(alpha, 0, beta, b) is False
+        assert _verdict(alpha, 0, beta, b) == (True, None)
+        assert _verdict(beta, b, alpha, 0) == (True, None)
+        assert irreducible_pair(alpha, -b, beta, b) is True
+    assert irreducible_family(
+        [(Partition([2]), 0), (Partition([1, 1]), b), (Partition([3]), -b)])
+
+
+def test_far_apart_verdicts_allocate_little():
+    """The memory of a verdict is bounded by the partitions: at shift 10**7
+    a difference bitset alone would take 1.25 MB."""
+    alpha, beta = Partition([4, 2]), Partition([2, 2, 1])
+    for verdict in (irreducible_pair, main1_witness, _verdict):
+        for b in (10**7, -10**7):
+            tracemalloc.start()
+            try:
+                verdict(alpha, 0, beta, b)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 256 * 1024, (verdict.__name__, b, peak)
 
 
 @given(st.sets(st.integers(-6, 6), max_size=5),
