@@ -8,14 +8,12 @@ condition on the mutual set differences; families reduce to pairwise
 tests.  For a partition against itself the criterion collapses to hook
 lengths.
 
-Above its threshold a - r (r rows), I is the beta-set of alpha shifted:
-the beta-numbers alpha_i + r - i (the first-column hook lengths) each
-plus a - r + 1.  A Partition keeps its beta-set as one bitset, so the
-verdicts read both differences off two shifted copies of it.  When one
-threshold lies at or above the largest element of the other set, one set
-contains the other, and the pair is irreducible with no witness: the far
-apart rule, settled from the thresholds before any bitset is built.  So
-the memory of a verdict is bounded by the partitions, not by |a - b|.
+A co-finite set is a threshold t and a bitset, bit k for t + 1 + k.  Above
+a - r (r rows), I is the beta-set {alpha_i + r - i} of alpha shifted by
+a - r + 1: its bitset is the Partition's own.  Every separation verdict
+reads both differences off two shifted bitsets (_differences), and when
+one set holds the other, as the thresholds tell (the far apart rule), it
+builds none: its memory is bounded by the sets' spans, not by |a - b|.
 """
 
 from __future__ import annotations
@@ -42,22 +40,30 @@ __all__ = [
 ]
 
 
+def _bitset(ks: Iterable[int]) -> int:
+    """The integer with bit k set for each k >= 0 of ks, in one pass."""
+    ks = list(ks)
+    buf = bytearray((max(ks, default=-1) >> 3) + 1)
+    for k in ks:
+        buf[k >> 3] |= 1 << (k & 7)
+    return int.from_bytes(buf, "little")
+
+
 class CoFiniteSet:
     """The set of all integers <= threshold plus finitely many larger extras.
 
-    Canonical form: extras sit strictly above threshold + 1; an extra equal
-    to threshold + 1 is absorbed by raising the threshold.
+    The extras are a bitset, bit k for threshold + 1 + k, so the memory is
+    their span above the threshold.  Canonical form keeps bit 0 clear: the
+    extras threshold + 1, threshold + 2, ... are absorbed into it.
     """
 
-    __slots__ = ("_threshold", "_extras")
+    __slots__ = ("_threshold", "_bits")
 
     def __init__(self, threshold: int, extras: Iterable[int] = ()):
         t = int(threshold)
-        xs = sorted({int(x) for x in extras if int(x) > t})
-        while xs and xs[0] == t + 1:
-            t += 1
-            xs.pop(0)
-        self._threshold, self._extras = t, tuple(xs)
+        bits = _bitset(k for k in (int(x) - t - 1 for x in extras) if k >= 0)
+        ones = (bits ^ (bits + 1)).bit_length() - 1  # trailing ones
+        self._threshold, self._bits = t + ones, bits >> ones
 
     @property
     def threshold(self) -> int:
@@ -65,39 +71,34 @@ class CoFiniteSet:
 
     @property
     def extras(self) -> tuple[int, ...]:
-        return self._extras
+        t = self._threshold + 1
+        return tuple([t + k for k, c in enumerate(f"{self._bits:b}"[::-1])
+                      if c == "1"])
 
     def __contains__(self, x: int) -> bool:
-        return x <= self._threshold or x in self._extras
-
-    def difference(self, other: "CoFiniteSet") -> tuple[int, ...]:
-        """The finite set self minus other, ascending: for self = (-inf, t]
-        + X and other = (-inf, u] + Y, the part of (u, t] outside Y, then
-        the extras of X above u outside Y (all above t, so in order)."""
-        t, u, ys = self._threshold, other._threshold, other._extras
-        return tuple([x for x in range(u + 1, t + 1) if x not in ys]
-                     + [x for x in self._extras if x > u and x not in ys])
+        k = x - self._threshold - 1
+        return k < 0 or self._bits >> k & 1 == 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CoFiniteSet) and (
-            self._threshold, self._extras) == (other._threshold, other._extras)
+            self._threshold, self._bits) == (other._threshold, other._bits)
 
     def __hash__(self) -> int:
-        return hash((self._threshold, self._extras))
+        return hash((self._threshold, self.extras))
 
     def __repr__(self) -> str:
-        return f"CoFiniteSet({self._threshold}, {list(self._extras)})"
+        return f"CoFiniteSet({self._threshold}, {list(self.extras)})"
 
     def __str__(self) -> str:
-        inner = "".join(f",{x}" for x in self._extras)
+        inner = "".join(f",{x}" for x in self.extras)
         return f"{{..<={self._threshold}{inner}}}"
 
 
 class Partition:
     """A weakly decreasing tuple of positive integers (possibly empty).
 
-    It keeps its beta-set as a bitset: bit alpha_i + r - i for each of the
-    r rows.
+    It keeps its beta-set as a bitset, bit alpha_i + r - i for each of the
+    r rows: the extras of evaluation_set(alpha, r), alpha_1 + r bits.
     """
 
     __slots__ = ("_parts", "_bits")
@@ -109,8 +110,7 @@ class Partition:
         if any(a < b for a, b in zip(ps, ps[1:])):
             raise ValueError(f"partition parts must weakly decrease: {ps}")
         self._parts = ps
-        r = len(ps)
-        self._bits = sum(1 << (p + r - i) for i, p in enumerate(ps, 1))
+        self._bits = _bitset(p + len(ps) - i for i, p in enumerate(ps, 1))
 
     @property
     def parts(self) -> tuple[int, ...]:
@@ -170,18 +170,13 @@ def evaluation_set(alpha: Partition, shift: int) -> CoFiniteSet:
     """The co-finite set I = {shift + 1 - i + alpha_i : i >= 1} attached to
     an evaluation module, with alpha_i = 0 past the last of the r rows.
 
-    Threshold t = shift - r; the extras t + k + alpha_{r+1-k} (k = 1..r)
-    strictly increase from t + 2 on, so the canonical form keeps them as
-    they are.  They are t + 1 plus the beta-numbers alpha_i + r - i, which
-    is how the verdicts read I instead: as the partition's beta-set bitset
-    shifted by t (_differences).  The largest element of I is t plus the
-    bit length of that bitset, which is all the far apart rule (_apart)
-    needs to know of I.
+    Threshold t = shift - r, and the extras t + 1 + (alpha_i + r - i) are
+    the partition's beta-set bitset.  Its least bit alpha_r is at least 1,
+    so the set is canonical as it stands: O(1).
     """
-    parts = alpha.parts
-    t = shift - len(parts)
-    return CoFiniteSet(t, [t + k + p
-                           for k, p in enumerate(reversed(parts), 1)])
+    s = object.__new__(CoFiniteSet)
+    s._threshold, s._bits = shift - len(alpha._parts), alpha._bits
+    return s
 
 
 def evaluation_multisegment(alpha: Partition, shift: int) -> Multisegment:
@@ -204,48 +199,43 @@ def join_related(a: Iterable[int], b: Iterable[int]) -> bool:
     if xs & ys:
         raise ValueError("join relation needs disjoint sets")
     base = min(xs | ys, default=0)
-    return _joined(sum(1 << (x - base) for x in xs),
-                   sum(1 << (y - base) for y in ys))
+    return _joined(_bitset(x - base for x in xs),
+                   _bitset(y - base for y in ys))
 
 
 def separated(i_set: CoFiniteSet, j_set: CoFiniteSet) -> bool:
     """True iff the mutual differences are join-related."""
-    return join_related(i_set.difference(j_set), j_set.difference(i_set))
+    d = _differences(i_set._threshold, i_set._bits,
+                     j_set._threshold, j_set._bits)
+    return d is None or _joined(d[0], d[1])
 
 
 def strongly_separated(i_set: CoFiniteSet, j_set: CoFiniteSet) -> bool:
     """True iff one mutual difference lies entirely below the other."""
-    a, b = i_set.difference(j_set), j_set.difference(i_set)
-    return not a or not b or a[-1] < b[0] or b[-1] < a[0]
+    d = _differences(i_set._threshold, i_set._bits,
+                     j_set._threshold, j_set._bits)
+    x, y, _ = d or (0, 0, 0)  # far apart: one difference is empty
+    # an empty side lies below anything, and x below y iff x < lowbit(y)
+    return not x or not y or x < (y & -y) or y < (x & -x)
 
 
-def _differences(alpha: Partition, a: int, beta: Partition, b: int
-                 ) -> tuple[int, int, int]:
+def _differences(s: int, x: int, t: int, y: int
+                 ) -> tuple[int, int, int] | None:
     """I minus J, J minus I and the base below which both sets are full,
-    for the evaluation sets I and J: bitsets with bit k for base + 1 + k.
-
-    With s and t the thresholds a - len(alpha) and b - len(beta) taken
-    relative to base = min(s, t), I is the s low bits plus alpha's
-    beta-set shifted by s, and J the t low bits plus beta's shifted by t.
-    Outside the far apart case (_apart) s and t are below the beta-sets'
-    bit lengths, so no bitset is wider than the two partitions allow.
+    for I = (threshold s, bitset x) and J = (t, y): bitsets with bit k for
+    base + 1 + k.  None when the thresholds show that one set holds the
+    other (the far apart rule): J lies at or below t + y.bit_length(), so
+    inside I once s reaches that, and the other way round.  Otherwise
+    |s - t| is below the bit lengths of x and y; relative to base, I is
+    the s low bits plus x shifted by s, and J the same from t and y.
     """
-    s, t = a - len(alpha._parts), b - len(beta._parts)
+    if s - t >= y.bit_length() or t - s >= x.bit_length():
+        return None
     base = min(s, t)
-    s -= base
-    t -= base
-    i_bits = ((1 << s) - 1) | (alpha._bits << s)
-    j_bits = ((1 << t) - 1) | (beta._bits << t)
+    s, t = s - base, t - base
+    i_bits = ((1 << s) - 1) | (x << s)
+    j_bits = ((1 << t) - 1) | (y << t)
     return i_bits & ~j_bits, j_bits & ~i_bits, base
-
-
-def _apart(alpha: Partition, a: int, beta: Partition, b: int) -> bool:
-    """True iff one evaluation set contains the other, from the thresholds
-    alone: J lies at or below b - len(beta) + beta._bits.bit_length(), so
-    J is inside I once a - len(alpha) reaches that, and the other way
-    round.  Then one difference is empty: irreducible, with no witness."""
-    gap = (a - len(alpha._parts)) - (b - len(beta._parts))
-    return gap >= beta._bits.bit_length() or -gap >= alpha._bits.bit_length()
 
 
 def _inside(small: int, big: int) -> bool:
@@ -265,10 +255,9 @@ def _joined(x: int, y: int) -> bool:
 
 def irreducible_pair(alpha: Partition, a: int, beta: Partition, b: int) -> bool:
     """Irreducibility of the product of two evaluation modules."""
-    if _apart(alpha, a, beta, b):
-        return True
-    x, y, _ = _differences(alpha, a, beta, b)
-    return _joined(x, y)
+    d = _differences(a - len(alpha._parts), alpha._bits,
+                     b - len(beta._parts), beta._bits)
+    return d is None or _joined(d[0], d[1])
 
 
 def main1_witness(alpha: Partition, a: int, beta: Partition, b: int
@@ -280,9 +269,9 @@ def main1_witness(alpha: Partition, a: int, beta: Partition, b: int
     interleaving either way round.  The witness is the increasing tuple of
     positions realizing the pattern.
     """
-    if _apart(alpha, a, beta, b):
-        return None
-    return _witness(*_differences(alpha, a, beta, b), a, b)
+    d = _differences(a - len(alpha._parts), alpha._bits,
+                     b - len(beta._parts), beta._bits)
+    return None if d is None else _witness(*d, a, b)
 
 
 def _witness(x: int, y: int, base: int, a: int, b: int
@@ -314,9 +303,11 @@ def _verdict(alpha: Partition, a: int, beta: Partition, b: int
              ) -> tuple[bool, tuple[int, ...] | None]:
     """irreducible_pair and main1_witness of one pair, from one
     computation of the differences."""
-    if _apart(alpha, a, beta, b):
+    d = _differences(a - len(alpha._parts), alpha._bits,
+                     b - len(beta._parts), beta._bits)
+    if d is None:
         return True, None
-    x, y, base = _differences(alpha, a, beta, b)
+    x, y, base = d
     return _joined(x, y), _witness(x, y, base, a, b)
 
 

@@ -5,15 +5,25 @@ import itertools
 import tracemalloc
 
 import pytest
+from hypothesis import given
 
 from dcbasis.algebra import AlgebraElement, dual_pbw
-from dcbasis.canonical import BasisCache, expand_in_dcb, structure_constants
+from dcbasis import checks
+from dcbasis.canonical import (
+    BasisCache,
+    DcbTable,
+    dcb_table,
+    expand_in_dcb,
+    kl_matrix,
+    structure_constants,
+)
 from dcbasis.checks import (
     SUITES,
     SuiteReport,
     _auxiliary,
     _degree_pairs,
     _difference_size,
+    _product_row,
     check_eqrei,
     check_frank,
     check_hooks,
@@ -26,13 +36,15 @@ from dcbasis.checks import (
     window_weights,
 )
 from dcbasis.criteria import Partition, evaluation_set
-from dcbasis.laurent import LaurentPoly
+from dcbasis.laurent import ONE, ZERO, LaurentPoly
 from dcbasis.multisegment import (
     Weight,
     b_form,
     enumerate_by_weight,
     parse_multisegment,
 )
+
+from test_criteria import _old_difference, cofinite_sets
 
 
 def sha256(lines):
@@ -164,6 +176,62 @@ def test_triangular_suite():
     assert report.ok, report.failures
 
 
+def _dense_row(row, table, labels):
+    """Row times table entry by entry over every label of the class."""
+    return {p: sum((c * table.coefficient(q, p) for q, c in row.items()),
+                   ZERO)
+            for p in labels}
+
+
+def test_sparse_identity_check_matches_the_dense_product():
+    """Every row of every class of degree <= 5, then a tampered entry."""
+    cache = BasisCache()
+    rows = 0
+    for w in window_weights(5, 0, 4):
+        labels = enumerate_by_weight(w)
+        table, inverse = dcb_table(w, cache), kl_matrix(w, cache)
+        for m in labels:
+            dense = _dense_row(inverse[m], table, labels)
+            assert _product_row(inverse[m], table) == \
+                {p: e for p, e in dense.items() if e} == {m: ONE}
+            rows += 1
+    assert rows == 623
+    w = parse_multisegment("[0]+[1]+[0,1]").weight()
+    labels = enumerate_by_weight(w)
+    table, inverse = dcb_table(w, cache), kl_matrix(w, cache)
+    top = parse_multisegment("[0]+[1]+[0,1]")
+    expansions = dict(table.expansions)
+    expansions[top] = expansions[top] + dual_pbw(
+        parse_multisegment("[0,1]+[0,1]")).scaled(LaurentPoly({1: 1}))
+    tampered = DcbTable(w, table.labels, expansions)
+    broken = 0
+    for m in labels:
+        dense = _dense_row(inverse[m], tampered, labels)
+        sparse = _product_row(inverse[m], tampered)
+        assert sparse == {p: e for p, e in dense.items() if e}
+        broken += sparse != {m: ONE}
+    assert broken > 0
+
+
+def test_triangular_suite_reports_a_tampered_table(monkeypatch):
+    top = parse_multisegment("[0]+[1]")
+    extra = dual_pbw(parse_multisegment("[0,1]")).scaled(LaurentPoly({1: 1}))
+
+    def tampered(w, cache):
+        table = dcb_table(w, cache)
+        if top not in table.expansions:
+            return table
+        expansions = dict(table.expansions)
+        expansions[top] = expansions[top] + extra
+        return DcbTable(w, table.labels, expansions)
+
+    monkeypatch.setattr(checks, "dcb_table", tampered)
+    report = check_triangular(2)
+    assert report.failures == [
+        "matrix product at ([0]+[1], [0,1]) in class "
+        f"{top.weight()} is v, expected 0"]
+
+
 def test_enumeration_cache_keeps_one_class():
     enumerate_by_weight.cache_clear()
     assert check_triangular(4).ok
@@ -187,9 +255,14 @@ def test_difference_size_counts_the_difference_exhaustive():
             for b in range(-8, 9):
                 j_set = evaluation_set(beta, b)
                 assert _difference_size(i_set, j_set) == \
-                    len(i_set.difference(j_set))
+                    len(_old_difference(i_set, j_set))
                 assert _difference_size(j_set, i_set) == \
-                    len(j_set.difference(i_set))
+                    len(_old_difference(j_set, i_set))
+
+
+@given(cofinite_sets, cofinite_sets)
+def test_difference_size_counts_any_difference(a, b):
+    assert _difference_size(a, b) == len(_old_difference(a, b))
 
 
 def test_oracle_at_a_far_shift_allocates_little():

@@ -446,6 +446,8 @@ def test_scan_far_apart_shifts(capsys, lo):
 
 
 def test_scan_and_irred_build_the_differences_once(capsys, monkeypatch):
+    """One _differences call per verdict, far apart shifts included (they
+    return None from it): 17 for the scan, then one for irred."""
     calls = []
     differences = criteria._differences
 
@@ -456,10 +458,10 @@ def test_scan_and_irred_build_the_differences_once(capsys, monkeypatch):
     monkeypatch.setattr(criteria, "_differences", counting)
     code, _, _ = run_cli(capsys, "scan", "--alpha", "4,2", "--beta", "2,2,1",
                          "--range", "-8:8", "--json")
-    assert (code, len(calls)) == (0, 10)
+    assert (code, len(calls)) == (0, 17)
     code, _, _ = run_cli(capsys, "irred", "--alpha", "4,2", "--beta", "2,2,1",
                          "--b", "3")
-    assert (code, len(calls)) == (0, 11)
+    assert (code, len(calls)) == (0, 18)
 
 
 def test_scan_verified(capsys):

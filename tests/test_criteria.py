@@ -1,6 +1,7 @@
 """Tests for co-finite sets, separation, and the irreducibility criteria."""
 
 import itertools
+import time
 import tracemalloc
 
 import pytest
@@ -22,7 +23,7 @@ from dcbasis.criteria import (
     strongly_separated,
 )
 from dcbasis.checks import partitions_up_to
-from dcbasis.criteria import _apart, _differences, _inside, _verdict
+from dcbasis.criteria import _differences, _inside, _verdict
 from dcbasis.multisegment import Multisegment, Segment, parse_multisegment
 
 cofinite_sets = st.builds(
@@ -62,15 +63,44 @@ def test_cofinite_str():
     assert repr(CoFiniteSet(1, [3, 5])) == "CoFiniteSet(1, [3, 5])"
 
 
+def _old_canonical(threshold, extras):
+    """The tuple constructor: absorb each extra equal to threshold + 1."""
+    t = threshold
+    xs = sorted({x for x in extras if x > t})
+    while xs and xs[0] == t + 1:
+        t += 1
+        xs.pop(0)
+    return t, tuple(xs)
+
+
+@given(st.integers(-6, 6), st.lists(st.integers(-6, 13), max_size=5))
+def test_cofinite_bitset_matches_the_tuple_constructor(threshold, extras):
+    s = CoFiniteSet(threshold, extras)
+    t, xs = _old_canonical(threshold, extras)
+    assert (s.threshold, s.extras) == (t, xs)
+    assert s == CoFiniteSet(t, xs)
+    assert hash(s) == hash((t, xs))
+    assert str(s) == "{..<=%d%s}" % (t, "".join(f",{x}" for x in xs))
+    assert all((x in s) is (x <= t or x in xs) for x in range(-9, 17))
+
+
+def _set_functions_match_the_listing(a, b):
+    """The listed differences a - b and b - a, after checking separated
+    and strongly_separated against the list forms of both relations."""
+    d_ab, d_ba = _old_difference(a, b), _old_difference(b, a)
+    assert separated(a, b) is _old_join_related(d_ab, d_ba)
+    assert strongly_separated(a, b) is _wholly_below(d_ab, d_ba)
+    return d_ab, d_ba
+
+
 def test_difference_pins():
     a = CoFiniteSet(0)
     b = CoFiniteSet(-2)
-    assert a.difference(b) == (-1, 0)
-    assert b.difference(a) == ()
+    assert _set_functions_match_the_listing(a, b) == ((-1, 0), ())
     i_set = CoFiniteSet(-2, [1, 4])
     j_set = CoFiniteSet(-4, [-1, 0, 1])
-    assert i_set.difference(j_set) == (-3, -2, 4)
-    assert j_set.difference(i_set) == (-1, 0)
+    assert _set_functions_match_the_listing(i_set, j_set) == (
+        (-3, -2, 4), (-1, 0))
 
 
 @given(cofinite_sets, cofinite_sets)
@@ -79,12 +109,13 @@ def test_difference_matches_brute_force(a, b):
     hi = max((a.threshold, b.threshold) + a.extras + b.extras) + 2
     expected = tuple(x for x in range(lo, hi + 1)
                      if x in a and x not in b)
-    assert a.difference(b) == expected
+    assert _set_functions_match_the_listing(a, b)[0] == expected
 
 
 @given(cofinite_sets)
 def test_difference_with_self_is_empty(a):
-    assert a.difference(a) == ()
+    assert _set_functions_match_the_listing(a, a) == ((), ())
+    assert separated(a, a) and strongly_separated(a, a)
 
 
 # -- evaluation data -----------------------------------------------------------
@@ -218,10 +249,9 @@ def test_pair_criterion_is_translation_invariant(alpha, a, beta, b, t):
 
 @given(partitions, shifts, partitions, shifts)
 def test_difference_cardinalities(alpha, a, beta, b):
-    i_set = evaluation_set(alpha, a)
-    j_set = evaluation_set(beta, b)
-    assert (len(i_set.difference(j_set))
-            - len(j_set.difference(i_set))) == a - b
+    d_ij, d_ji = _set_functions_match_the_listing(
+        evaluation_set(alpha, a), evaluation_set(beta, b))
+    assert len(d_ij) - len(d_ji) == a - b
 
 
 def test_reducible_shift_scan():
@@ -241,6 +271,11 @@ def _old_difference(a, b):
     lo = min(a.threshold, b.threshold)
     hi = max((a.threshold, b.threshold) + a.extras + b.extras)
     return tuple(x for x in range(lo + 1, hi + 1) if x in a and x not in b)
+
+
+def _wholly_below(d_ij, d_ji):
+    """strongly_separated on the listed differences."""
+    return not d_ij or not d_ji or d_ij[-1] < d_ji[0] or d_ji[-1] < d_ij[0]
 
 
 def _old_evaluation_set(alpha, shift):
@@ -316,9 +351,9 @@ def test_beta_set_bits():
 
 def test_set_arithmetic_matches_the_scanning_oracle_exhaustive():
     """All 97 partitions of size 0-9, squared, at every shift in -8..8:
-    159,953 triples.  Both evaluation sets, both differences, the verdict
-    and the witness, apart and from _verdict, match the oracle at every
-    triple."""
+    159,953 triples.  Both evaluation sets, both differences, both
+    set-level relations, the verdict and the witness, apart and from
+    _verdict, match the oracle at every triple."""
     parts = [Partition()] + partitions_up_to(9)
     shifts = range(-8, 9)
     assert len(parts) == 97
@@ -336,10 +371,16 @@ def test_set_arithmetic_matches_the_scanning_oracle_exhaustive():
                     j_old.threshold, j_old.extras)
                 d_ij = _old_difference(i_old, j_old)
                 d_ji = _old_difference(j_old, i_old)
-                assert i_set.difference(j_set) == d_ij
-                assert j_set.difference(i_set) == d_ji
-                assert _differences(alpha, 0, beta, b) == \
-                    _old_differences(alpha, 0, beta, b)
+                assert separated(i_set, j_set) is \
+                    _old_join_related(d_ij, d_ji)
+                assert strongly_separated(i_set, j_set) is \
+                    _wholly_below(d_ij, d_ji)
+                d = _differences(-len(alpha), alpha._bits,
+                                 b - len(beta), beta._bits)
+                if d is None:
+                    assert not d_ij or not d_ji
+                else:
+                    assert d == _old_differences(alpha, 0, beta, b)
                 assert (irreducible_pair(alpha, 0, beta, b)
                         is _old_join_related(d_ij, d_ji))
                 assert main1_witness(alpha, 0, beta, b) == \
@@ -353,8 +394,8 @@ def test_set_arithmetic_matches_the_scanning_oracle_exhaustive():
 def test_far_apart_cutoff_matches_the_scanning_oracle():
     """Partitions of size 0-6, a in {-3, 0, 4}, b in -25..25: 137,700
     triples on both sides of the far apart cutoff.  The verdict, the
-    witness and _verdict match the oracle, and where _apart holds one
-    difference is empty."""
+    witness and _verdict match the oracle, and where the far apart rule
+    holds one difference is empty."""
     parts = [Partition()] + partitions_up_to(6)
     triples = 0
     for alpha in parts:
@@ -370,7 +411,8 @@ def test_far_apart_cutoff_matches_the_scanning_oracle():
                     assert irreducible_pair(alpha, a, beta, b) is joined
                     assert main1_witness(alpha, a, beta, b) == witness
                     assert _verdict(alpha, a, beta, b) == (joined, witness)
-                    if _apart(alpha, a, beta, b):
+                    if _differences(a - len(alpha), alpha._bits,
+                                    b - len(beta), beta._bits) is None:
                         assert not d_ij or not d_ji
                     triples += 1
     assert triples == 137_700
@@ -395,15 +437,41 @@ def test_far_apart_verdicts_allocate_little():
     """The memory of a verdict is bounded by the partitions: at shift 10**7
     a difference bitset alone would take 1.25 MB."""
     alpha, beta = Partition([4, 2]), Partition([2, 2, 1])
-    for verdict in (irreducible_pair, main1_witness, _verdict):
-        for b in (10**7, -10**7):
-            tracemalloc.start()
-            try:
-                verdict(alpha, 0, beta, b)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 256 * 1024, (verdict.__name__, b, peak)
+    calls = [(verdict, (alpha, 0, beta, b))
+             for verdict in (irreducible_pair, main1_witness, _verdict)
+             for b in (10**7, -10**7)]
+    calls += [(relation, (evaluation_set(alpha, 0), evaluation_set(beta, b)))
+              for relation in (separated, strongly_separated)
+              for b in (10**7, -10**7, 10**18)]
+    for function, args in calls:
+        tracemalloc.start()
+        try:
+            function(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, (function.__name__, args, peak)
+
+
+def test_set_relations_at_a_far_shift_return_at_once():
+    """Listing either difference would take 10**18 steps; the best of three
+    timings keeps a scheduler pause from failing the bound."""
+    i_set = evaluation_set(Partition([3]), 0)
+    j_set = evaluation_set(Partition([3]), 10**18)
+    for relation in (separated, strongly_separated):
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            assert relation(i_set, j_set) is True
+            assert relation(j_set, i_set) is True
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.01, (relation.__name__, best)
+
+
+def test_join_related_builds_wide_bitsets_in_one_pass():
+    start = time.perf_counter()
+    assert join_related(range(0, 400000, 2), range(1, 400000, 2)) is False
+    assert time.perf_counter() - start < 1.0
 
 
 @given(st.sets(st.integers(-6, 6), max_size=5),
@@ -433,24 +501,36 @@ wide_shifts = st.integers(-300, 300)
 def test_bitsets_match_the_tuple_oracle_beyond_a_machine_word(
         alpha, a, beta, b):
     i_set, j_set = evaluation_set(alpha, a), evaluation_set(beta, b)
-    d_ij, d_ji = i_set.difference(j_set), j_set.difference(i_set)
-    x, y, base = _differences(alpha, a, beta, b)
-    assert (_decode(x, base), _decode(y, base)) == (d_ij, d_ji)
+    d_ij, d_ji = _set_functions_match_the_listing(i_set, j_set)
+    d = _differences(a - len(alpha), alpha._bits, b - len(beta), beta._bits)
+    if d is None:
+        assert not d_ij or not d_ji
+    else:
+        x, y, base = d
+        assert (_decode(x, base), _decode(y, base)) == (d_ij, d_ji)
     assert irreducible_pair(alpha, a, beta, b) is join_related(d_ij, d_ji)
     assert main1_witness(alpha, a, beta, b) == _old_witness(d_ij, d_ji, a - b)
 
 
 def test_verdict_edge_cases():
     empty, row = Partition(), Partition([4])
-    assert _differences(empty, 0, empty, 0) == (0, 0, 0)
-    assert _differences(empty, 2, empty, -1) == (0b111, 0, -1)
+    # full sets (no extras) are always nested: far apart
+    assert _differences(0, 0, 0, 0) is None
+    assert _differences(2, 0, -1, 0) is None
+    # the threshold gap fills the low bits: (-inf, 2] against
+    # (-inf, -1] + {3}
+    assert _differences(2, 0, -1, 0b1000) == (0b111, 0b1000, -1)
     assert _verdict(empty, 2, empty, -1) == (True, None)
     assert _verdict(empty, 0, Partition([3, 1]), 1) == (True, None)
-    # equal modules: both differences empty
-    for alpha, s in ((empty, 5), (row, 0), (Partition([5, 4, 2, 1]), -7)):
-        x, y, _ = _differences(alpha, s, alpha, s)
+    # equal modules: both differences empty; far apart only as full sets
+    assert _verdict(empty, 5, empty, 5) == (True, None)
+    for alpha, s in ((row, 0), (Partition([5, 4, 2, 1]), -7)):
+        x, y, _ = _differences(s - len(alpha), alpha._bits,
+                               s - len(alpha), alpha._bits)
         assert (x, y) == (0, 0)
         assert _verdict(alpha, s, alpha, s) == (True, None)
+        i_set = evaluation_set(alpha, s)
+        assert separated(i_set, i_set) and strongly_separated(i_set, i_set)
     # one-element differences, on either side and either way round
     assert _verdict(empty, 0, row, 0) == (True, None)
     assert _verdict(row, 0, empty, 0) == (True, None)
