@@ -156,10 +156,21 @@ class BasisCache:
                 if (quotient := divide_by_v_minus_vinv(acc))}
 
     def dual_canonical(self, m: Multisegment) -> AlgebraElement:
-        """The basis vector G*(m), expanded over the E* basis."""
+        """The basis vector G*(m), expanded over the E* basis.  The missing
+        prefixes of m's segments, which aux_vector chains through, are built
+        bottom-up in the order a recursion would finish them, so the stack
+        does not grow with the number of segments.  The sweep recurses."""
         hit = self._memo.get(m)
         if hit is not None:
             return hit
+        segs = m.segments
+        k = len(segs) - 1
+        while k > 1 and _from_sorted(segs[:k]) not in self._memo:
+            k -= 1
+        for j in range(k, len(segs) - 1):
+            prefix = _from_sorted(segs[:j])
+            if prefix not in self._memo:
+                self.dual_canonical(prefix)
         coeffs = self.aux_vector(m)
         # Every G*(n) the sweep subtracts lies above m, so the sweep never
         # reaches m: its coefficient is set aside and put back unchanged.

@@ -40,7 +40,6 @@ from .criteria import (
 from .laurent import ONE, ZERO, ExactDivisionError, LaurentPoly
 from .multisegment import (
     Multisegment,
-    Segment,
     Weight,
     b_form,
     cartan_pairing,
@@ -73,24 +72,11 @@ class SuiteReport:
 
 def window_multisegments(max_degree: int, lo: int = 0,
                          hi: int | None = None) -> list[Multisegment]:
-    """All nonempty multisegments within [lo, hi] of degree <= max_degree."""
-    if hi is None:
-        hi = lo + max_degree - 1
-    segs = [Segment(i, j) for i in range(lo, hi + 1) for j in range(i, hi + 1)]
-    out: list[Multisegment] = []
-    chosen: list[Segment] = []
-
-    def rec(idx: int, budget: int) -> None:
-        if chosen:
-            out.append(Multisegment(chosen))
-        for k in range(idx, len(segs)):
-            if segs[k].length <= budget:
-                chosen.append(segs[k])
-                rec(k, budget - segs[k].length)
-                chosen.pop()
-
-    rec(0, max_degree)
-    return out
+    """All nonempty multisegments within [lo, hi] of degree <= max_degree,
+    ordered lexicographically by their segments sorted by (start, end)."""
+    return sorted((m for w in window_weights(max_degree, lo, hi)
+                   for m in enumerate_by_weight(w)),
+                  key=lambda m: sorted(m.segments))
 
 
 def window_weights(max_degree: int, lo: int = 0,

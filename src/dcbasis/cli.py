@@ -16,7 +16,8 @@ basis vector is computed.  Exit codes: 0 on success, 1 when a property or
 cross-check fails, 2 on usage errors (parse and argument errors,
 size-guard refusals, ``verify`` bounds that select no case or that the
 suite does not take), 3 on an internal fault (any other exception, a
-ValueError from a computation included).
+ValueError from a computation included).  ``scan`` writes each row once it
+is decided, so a fault partway through exits 3 after the rows written.
 """
 
 from __future__ import annotations
@@ -153,91 +154,90 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _pattern_text(witness: tuple[int, ...] | None) -> str:
-    if witness is None:
-        return ""
-    return "pattern " + " < ".join(str(x) for x in witness)
+    return ("" if witness is None
+            else "pattern " + " < ".join(str(x) for x in witness))
 
 
-def _algebraic_irreducible(alpha, a: int, beta, b: int,
-                           cache: BasisCache) -> bool:
+def _decide(alpha, a: int, beta, b: int, cache: BasisCache | None
+            ) -> tuple[bool, tuple[int, ...] | None, bool]:
+    """The verdict, its witness, and, given a cache, whether membership of
+    G*(m_alpha) G*(m_beta) up to a power of v agrees with the verdict."""
+    verdict, witness = _verdict(alpha, a, beta, b)
+    if cache is None:
+        return verdict, witness, True
     product = (cache.dual_canonical(evaluation_multisegment(alpha, a))
                * cache.dual_canonical(evaluation_multisegment(beta, b)))
-    return membership_up_to_power(product, cache) is not None
+    algebraic = membership_up_to_power(product, cache) is not None
+    return verdict, witness, algebraic == verdict
 
 
 def cmd_irred(args: argparse.Namespace) -> int:
     alpha = _as_usage(parse_partition, args.alpha)
     beta = _as_usage(parse_partition, args.beta)
-    verdict, witness = _verdict(alpha, args.a, beta, args.b)
-    algebraic = verdict
-    if args.verify:
-        algebraic = _algebraic_irreducible(
-            alpha, args.a, beta, args.b, BasisCache())
+    verdict, witness, agrees = _decide(
+        alpha, args.a, beta, args.b, BasisCache() if args.verify else None)
     if args.json:
         payload = {
-            "alpha": list(alpha.parts),
-            "a": args.a,
-            "beta": list(beta.parts),
-            "b": args.b,
+            "alpha": list(alpha.parts), "a": args.a,
+            "beta": list(beta.parts), "b": args.b,
             "irreducible": verdict,
             "pattern": list(witness) if witness is not None else None,
         }
         if args.verify:
-            payload["verified"] = algebraic == verdict
+            payload["verified"] = agrees
         _print_json(payload)
     else:
         print("IRREDUCIBLE" if verdict
               else f"REDUCIBLE {_pattern_text(witness)}")
-    if algebraic != verdict:
+    if not agrees:
         print(f"verification failed: separation says {verdict}, "
-              f"membership says {algebraic}", file=sys.stderr)
+              f"membership says {not verdict}", file=sys.stderr)
         return PROPERTY_FAILURE
     return OK
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    """One pass: each row is written once its shift is decided, and only
+    the reducible shifts (a window the partitions fix) are kept.  --json
+    writes the bytes of json.dumps(payload, indent=2) piece by piece; the
+    head goes out with the first row, so a fault there writes nothing."""
     alpha = _as_usage(parse_partition, args.alpha)
     beta = _as_usage(parse_partition, args.beta)
     lo, hi = _parse_range(args.range)
     cache = BasisCache() if args.verify else None
-    rows = []
-    disagreements = []
+    reducible, disagreements = [], []
+    sep = json.dumps({"alpha": list(alpha.parts), "beta": list(beta.parts),
+                      "range": [lo, hi]}, indent=2)[:-2] + \
+        ',\n  "verdicts": [\n'
     for shift in range(lo, hi + 1):
-        verdict, witness = _verdict(alpha, 0, beta, shift)
-        row = {
-            "shift": shift,
-            "irreducible": verdict,
-            "pattern": list(witness) if witness is not None else None,
-        }
-        if cache is not None:
-            algebraic = _algebraic_irreducible(alpha, 0, beta, shift, cache)
-            row["verified"] = algebraic == verdict
-            if algebraic != verdict:
-                disagreements.append(shift)
-        rows.append(row)
-    reducible = [row["shift"] for row in rows if not row["irreducible"]]
+        verdict, witness, agrees = _decide(alpha, 0, beta, shift, cache)
+        if not verdict:
+            reducible.append(shift)
+        if not agrees:
+            disagreements.append(shift)
+        if not args.json:
+            sys.stdout.write(f"b-a = {shift:+d}: "
+                             f"{'IRREDUCIBLE' if verdict else 'REDUCIBLE'}\n")
+            continue
+        # Rows have a fixed shape; only a pattern pays for the encoder.
+        pattern = "null" if witness is None else json.dumps(
+            list(witness), indent=2).replace("\n", "\n      ")
+        verified = "" if cache is None else \
+            f',\n      "verified": {str(agrees).lower()}'
+        sys.stdout.write(f'{sep}    {{\n      "shift": {shift},\n      '
+                         f'"irreducible": {str(verdict).lower()},\n      '
+                         f'"pattern": {pattern}{verified}\n    }}')
+        sep = ",\n"
     if args.json:
-        _print_json({
-            "alpha": list(alpha.parts),
-            "beta": list(beta.parts),
-            "range": [lo, hi],
-            "verdicts": rows,
-            "reducible_shifts": reducible,
-        })
+        tail = json.dumps(reducible, indent=2).replace("\n", "\n  ")
+        sys.stdout.write(f'\n  ],\n  "reducible_shifts": {tail}\n}}\n')
     else:
-        lines = []
-        for row in rows:
-            mark = "IRREDUCIBLE" if row["irreducible"] else "REDUCIBLE"
-            lines.append(f"b-a = {row['shift']:+d}: {mark}")
-        lines.append("reducible shifts: "
-                     + (", ".join(str(s) for s in reducible) if reducible
-                        else "none"))
-        print("\n".join(lines))
+        print("reducible shifts: "
+              + (", ".join(str(s) for s in reducible) or "none"))
     if disagreements:
-        print(
-            f"verification failed at shifts {disagreements}", file=sys.stderr)
-        return PROPERTY_FAILURE
-    return OK
+        print(f"verification failed at shifts {disagreements}",
+              file=sys.stderr)
+    return PROPERTY_FAILURE if disagreements else OK
 
 
 # The verify flags, each named after the one suite parameter it sets.

@@ -38,6 +38,8 @@ from dcbasis.checks import (
 from dcbasis.criteria import Partition, evaluation_set
 from dcbasis.laurent import ONE, ZERO, LaurentPoly
 from dcbasis.multisegment import (
+    Multisegment,
+    Segment,
     Weight,
     b_form,
     enumerate_by_weight,
@@ -68,6 +70,38 @@ def test_window_multisegments():
     assert len(window) == 6
     assert window_multisegments(2) == window
     assert all(m.degree() <= 3 for m in window_multisegments(3, 0, 2))
+
+
+def _old_window_multisegments(max_degree, lo=0, hi=None):
+    """The recursive generator that window_multisegments replaced: a
+    preorder over nondecreasing choices from the window's segments, listed
+    by (start, end)."""
+    if hi is None:
+        hi = lo + max_degree - 1
+    segs = [Segment(i, j) for i in range(lo, hi + 1) for j in range(i, hi + 1)]
+    out, chosen = [], []
+
+    def rec(idx, budget):
+        if chosen:
+            out.append(Multisegment(chosen))
+        for k in range(idx, len(segs)):
+            if segs[k].length <= budget:
+                chosen.append(segs[k])
+                rec(k, budget - segs[k].length)
+                chosen.pop()
+
+    rec(0, max_degree)
+    return out
+
+
+@pytest.mark.parametrize("window, count", [
+    ((2, 0, 1), 6), ((2,), 6), ((3, 0, 2), 28), ((4, 0, 5), 395),
+    ((4, 0, 3), 131), ((5, 0, 5), 1141), ((6,), 3028), ((3, -2, 4), 172),
+])
+def test_window_multisegments_match_the_recursive_generator(window, count):
+    old = _old_window_multisegments(*window)
+    assert window_multisegments(*window) == old
+    assert len(old) == count
 
 
 def test_window_weights():

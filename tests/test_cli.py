@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,18 @@ def test_minor_sorts_its_expansion_once(monkeypatch, capsys, json_flag):
                          "2,3,5", *json_flag)
     assert code == 0
     assert len(calls) == 1
+
+
+def test_dcb_long_rest_chain_under_the_default_recursion_limit():
+    """600 segments: the prefixes are built bottom-up, so the stack does not
+    grow with them.  A fresh interpreter keeps the default limit."""
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "dcbasis.cli", "dcb", "--weight", "0:600",
+         "--max-class-size", "1"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "G*(600[0]) = E*(600[0])\n"
 
 
 def test_dcb_has_no_cache_dir_option(tmp_path, capsys):
@@ -482,6 +495,82 @@ def test_scan_range_errors(capsys):
                            "--range", "x:y")
     assert code == 2
     assert err == "error: range 'x:y' must be integer:integer\n"
+
+
+def _row_list_scan(alpha, beta, lo, hi, verify):
+    """The scan that the one-pass scan replaced, as the oracle: every row is
+    kept in a list, then the whole payload is rendered.  Returns the JSON
+    and the text output."""
+    alpha = criteria.parse_partition(alpha)
+    beta = criteria.parse_partition(beta)
+    cache = BasisCache() if verify else None
+    rows = []
+    for shift in range(lo, hi + 1):
+        verdict, witness = criteria._verdict(alpha, 0, beta, shift)
+        row = {
+            "shift": shift,
+            "irreducible": verdict,
+            "pattern": list(witness) if witness is not None else None,
+        }
+        if cache is not None:
+            product = (cache.dual_canonical(
+                criteria.evaluation_multisegment(alpha, 0))
+                * cache.dual_canonical(
+                    criteria.evaluation_multisegment(beta, shift)))
+            algebraic = canonical.membership_up_to_power(
+                product, cache) is not None
+            row["verified"] = algebraic == verdict
+        rows.append(row)
+    reducible = [row["shift"] for row in rows if not row["irreducible"]]
+    payload = {
+        "alpha": list(alpha.parts),
+        "beta": list(beta.parts),
+        "range": [lo, hi],
+        "verdicts": rows,
+        "reducible_shifts": reducible,
+    }
+    lines = [f"b-a = {row['shift']:+d}: "
+             + ("IRREDUCIBLE" if row["irreducible"] else "REDUCIBLE")
+             for row in rows]
+    lines.append("reducible shifts: "
+                 + (", ".join(str(s) for s in reducible) if reducible
+                    else "none"))
+    return json.dumps(payload, indent=2) + "\n", "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("verify", [(), ("--verify",)], ids=["", "verify"])
+@pytest.mark.parametrize("alpha, beta, lo, hi", [
+    ("2", "1,1", -3, 3),
+    ("3,1", "2", -6, 6),        # four-term patterns at shift 0
+    ("4,2", "2,2,1", -1, -1),   # one shift
+    ("3", "3", 40, 44),         # far apart: no reducible shift
+])
+def test_one_pass_scan_matches_the_row_list(capsys, alpha, beta, lo, hi,
+                                            verify):
+    want_json, want_text = _row_list_scan(alpha, beta, lo, hi, verify)
+    argv = ("scan", "--alpha", alpha, "--beta", beta, "--range",
+            f"{lo}:{hi}", *verify)
+    assert run_cli(capsys, *argv, "--json") == (0, want_json, "")
+    assert run_cli(capsys, *argv) == (0, want_text, "")
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def test_scan_memory_does_not_grow_with_the_range(monkeypatch):
+    """200,001 shifts in well under 1 MiB: no row is kept once written."""
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    tracemalloc.start()
+    try:
+        code = main(["scan", "--alpha", "3", "--beta", "3",
+                     "--range", "0:200000", "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2**20
 
 
 def _run_interleaved(*argv):
