@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 from .algebra import (
     AlgebraElement,
@@ -23,14 +22,11 @@ from .algebra import (
     dual_pbw,
 )
 from .laurent import (
+    ExactDivisionError,
     LaurentPoly,
     ONE,
     ZERO,
-    add_product,
-    divide_by_v_minus_vinv,
-    finish,
-    raw,
-    symmetric_part,
+    _wrap as _poly,
 )
 from .multisegment import (
     Multisegment,
@@ -65,57 +61,165 @@ def _commutator_exponents(rest: Multisegment, s: Segment
                                 for t in segs if t != s)
 
 
-def _needs_correction(coeffs: dict[int, int]) -> bool:
-    """True iff the raw coefficient has a nonzero term at an exponent <= 0,
-    which is exactly when its symmetric part is nonzero."""
-    for e, c in coeffs.items():
-        if c and e <= 0:
-            return True
-    return False
+class _Widened(Exception):
+    """A bound outgrew the digit width, which has doubled: start again."""
+
+
+def _pack(c: LaurentPoly, base: int, k: int) -> tuple[int, int]:
+    """c as one int, digit e at bits k(e - base), and the L1 norm of c."""
+    packed = l1 = 0
+    for e, d in c._c.items():
+        packed += d << k * (e - base)
+        l1 += abs(d)
+    return packed, l1
+
+
+def _digits(x: int, base: int, k: int, stop: int | None = None
+            ) -> tuple[dict[int, int], int]:
+    """The nonzero digits of x by exponent, digit e read from bits
+    k(e - base) into [-2^(k-1), 2^(k-1)), below exponent stop if given;
+    and their L1 norm."""
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out, l1, e = {}, 0, base
+    while x and e != stop:
+        if d := x & mask:
+            if d >= half:
+                d -= mask + 1
+            out[e] = d
+            l1 += abs(d)
+            x -= d
+        x >>= k
+        e += 1
+    return out, l1
+
+
+def _symmetric_part(x: int, base: int, k: int) -> tuple[int, int]:
+    """The symmetric part of a packed coefficient, packed at its base, and
+    its L1 norm."""
+    low, l1 = _digits(x, base, k, 1)
+    t = 0
+    for e, c in low.items():
+        t += c << k * (e - base)
+        if e:
+            t += c << k * (-e - base)
+    return t, 2 * l1 - abs(low.get(0, 0))
+
+
+def _divide(num: dict[int, int], base: int, k: int) -> dict[int, int]:
+    """The nonzero quotients of packed numerators by v - v^-1, packed at
+    base + 1, or ExactDivisionError (see BasisCache for why)."""
+    div, out = (1 << 2 * k) - 1, {}
+    for q, x in num.items():
+        quotient, remainder = divmod(x, div)
+        if remainder:
+            raise ExactDivisionError(f"{_poly(_digits(x, base, k)[0])} "
+                                     "is not divisible by v - v^-1")
+        if quotient:
+            out[q] = quotient
+    return out
 
 
 class BasisCache:
     """Memoized computation of the corrected basis.
 
-    Every sweep walks its labels upward along Multisegment.extension_key, a
-    linear extension of dominance.  G*(m) is fixed by bar-invariance and
-    unitriangularity alone, so any linear extension yields the same basis,
-    which a property test exercises.  The correction loop and
-    expand_in_dcb share one elimination, an upward sweep along that key.
-    expand_in_dcb queues every label it meets.  The correction queues only
-    the labels whose coefficient has a nonzero term at an exponent <= 0:
-    every other coefficient already lies in v*Z[v], so its label needs no
-    step.
+    The correction loop and expand_in_dcb share one elimination, a sweep
+    upward along Multisegment.extension_key, a linear extension of
+    dominance.  G*(m) is fixed by bar-invariance and unitriangularity
+    alone, so any linear extension yields the same basis, as a test checks.
 
-    Besides the basis vectors, the cache holds two memos.  The key memo
-    keeps extension_key of every label a sweep has met, so each label is
-    keyed once.  The product memo keeps the products E*([s]) E*(p) that
-    aux_vector straightens, keyed by the weight of the product and then by
-    p, which fixes s.  dcb_table drops the products of a weight once its
-    table is built: every label of that weight is then memoized, so
-    aux_vector never asks for them again.
+    The cache computes on integers.  A label gets a dense id when first
+    seen (_ids; _labels and _order hold its label and its key, taken once
+    through _key), and accumulators, heaps, rows and products are keyed by
+    id.  A coefficient is one int: digit e, balanced in [-2^(K-1),
+    2^(K-1)), sits at bits K(e - base), base being the least exponent the
+    vector can produce.  A multiply-add is one product and one shift.
+
+    Each packed step bounds every digit it holds and checks the bound below
+    2^(K-2) before reading a digit, so digits decode uniquely and low bits
+    are zero exactly when their digits are.  aux_vector's bound, the L1 sum
+    of G*(rest) times 1 + the largest L1 norm of a product coefficient,
+    bounds each numerator's L1 norm; each sweep step adds L1(t) times the
+    largest L1 norm in G*(n).  Division by v - v^-1 divides by X^2 - 1,
+    X = 2^K, as v^e (v - v^-1) packs to X^(e-1-base) (X^2 - 1).  Modulo
+    X^2 - 1 a numerator p is A + X B, A and B the sums of its digits at
+    even and at odd places, each below 2^(K-2); so the remainder is 0
+    exactly when A = B = 0, that is p(1) = p(-1) = 0: when v - v^-1
+    divides p.  No carry can hide a remainder.  A bound reaching 2^(K-2)
+    doubles K (16 at first), drops the rows and the product memo, and
+    restarts the step: no input the dict kernel of laurent takes is refused.
+
+    The rows, by id, pack each G*(n) at base 0 (dual_canonical checks that
+    it lies in Z[v]), by a shift as the correction finishes it and again
+    whenever dual_canonical returns another object.  The product memo keeps
+    each E*([s]) E*(p) that aux_vector straightens, packed at its own base
+    with mu, the copies of s in p, and the id of p + [s], by weight and then
+    by the id of p, which fixes s.  dcb_table drops a weight's products once
+    its table is built, when every label of that weight is memoized.
     """
 
     def __init__(self):
         self._memo: dict[Multisegment, AlgebraElement] = {}
-        self._keys: dict[Multisegment, tuple] = {}
-        self._products: dict[Weight, dict[Multisegment, AlgebraElement]] = {}
+        self._ids: dict[Multisegment, int] = {}
+        self._labels: list[Multisegment] = []
+        self._order: list[tuple] = []
+        self._k = 16
+        self._rows: list[tuple | None] = []
+        self._products: dict[Weight, dict[int, tuple]] = {}
 
     def labels_computed(self) -> int:
         return len(self._memo)
 
     def _key(self, n: Multisegment) -> tuple:
-        """n.extension_key(), computed once per label for the life of the
-        cache."""
-        key = self._keys.get(n)
-        if key is None:
-            key = self._keys[n] = n.extension_key()
-        return key
+        """n.extension_key(), which _id takes once per label."""
+        return n.extension_key()
+
+    def _id(self, n: Multisegment) -> int:
+        i = self._ids.get(n)
+        if i is None:
+            i = self._ids[n] = len(self._labels)
+            self._labels.append(n)
+            self._order.append(self._key(n))
+            self._rows.append(None)
+        return i
+
+    def _packed(self, step, *args):
+        """step(*args), run again after each widening it meets."""
+        while True:
+            try:
+                return step(*args)
+            except _Widened:
+                pass
+
+    def _check(self, bound: int, k: int) -> None:
+        """Widen and restart unless digits up to bound fit width k."""
+        if bound >> (k - 2):
+            self._k = 2 * k
+            self._rows = [None] * len(self._labels)
+            self._products = {}
+            raise _Widened
+
+    def _row(self, i: int, k: int) -> tuple:
+        """The row of G*(n), n of id i, flat to stay small: G*(n), largest
+        and summed L1 norms, then each id and its coefficient at base 0."""
+        g = self.dual_canonical(self._labels[i])
+        if self._k != k:
+            raise _Widened
+        row = self._rows[i]
+        if row is None or row[0] is not g:
+            terms, top, total = [], 0, 0
+            for n, c in g.unordered_items():
+                packed, l1 = _pack(c, 0, k)
+                terms += self._id(n), packed
+                top = l1 if l1 > top else top
+                total += l1
+            row = self._rows[i] = (g, top, total, *terms)
+        return row
 
     def aux_vector(self, m: Multisegment
                    ) -> dict[Multisegment, dict[int, int]]:
         """The pre-correction vector: E*(m) plus dominance-greater terms, as
-        nonzero raw coefficients (see laurent) that the caller owns.
+        nonzero raw coefficients (see laurent) that the caller owns, decoded
+        from _aux, the packed step dual_canonical takes.
 
         For at most one segment this is the basis vector itself.  Otherwise
         split off one copy of the largest segment s, and divide the graded
@@ -125,35 +229,61 @@ class BasisCache:
         weight; each E*(p) E*(s) is the single term v^-mu E*(p + s), with
         mu the number of copies of s in p, and is never straightened.
         """
+        acc, base, _ = self._packed(self._aux, m)
+        k, labels = self._k, self._labels
+        return {labels[i]: _digits(x, base, k)[0] for i, x in acc.items()}
+
+    def _aux(self, m: Multisegment) -> tuple[dict[int, int], int, int]:
+        """aux_vector(m) packed: (nonzero coefficients by id, base, bound)."""
+        k = self._k
         if len(m) <= 1:
-            return {m: {0: 1}}
+            return {self._id(m): 1}, 0, 1
         s = m.largest_segment()
         rest = _from_sorted(m.segments[:-1])
-        single = _from_sorted((s,))
         forward, backward = _commutator_exponents(rest, s)
+        row = self._row(self._id(rest), k)
         products = self._products.setdefault(m.weight(), {})
-        num: dict[Multisegment, dict[int, int]] = {}
-        for p, c in self.dual_canonical(rest).unordered_items():
-            product = products.get(p)
-            if product is None:
-                product = products[p] = basis_product(single, p)
-            for q, d in product.unordered_items():
-                acc = num.get(q)
-                if acc is None:
-                    acc = num[q] = {}
-                add_product(acc, c, d, backward, -1)
-            # rest dominates p, and no elementary move raises the largest
-            # segment, so the word p*s is sorted.  p + s is the all-swap
-            # term of E*(s) E*(p), summed above, so num holds its label;
-            # an unsorted word would match no label and fail the lookup.
-            acc = num.get(_from_sorted(p.segments + (s,)))
-            if acc is None:
-                raise InvariantError(
-                    f"aux_vector({m}): E*({s}) E*({p}) has no term at "
-                    f"{p} + {s}, so E*({p}) E*({s}) is not a relabelling")
-            add_product(acc, c, ONE, forward - p.segments.count(s))
-        return {q: quotient for q, acc in num.items()
-                if (quotient := divide_by_v_minus_vinv(acc))}
+        # Each c lies in Z[v], so no term goes below its product's base
+        # plus backward, or below forward - mu.
+        entries, base, top = [], -1, 0
+        for p in row[3::2]:
+            entry = products.get(p)
+            if entry is None:
+                entry = products[p] = self._product(m, s, p, k)
+            entries.append(entry)
+            base = min(base, backward + entry[0], forward - entry[3])
+            top = max(top, entry[4])
+        num: dict[int, int] = {}
+        for c, (low, terms, swap, mu, _) in zip(row[4::2], entries):
+            shift = k * (backward + low - base)
+            for q, d in terms.items():
+                num[q] = num.get(q, 0) - (c * d << shift)
+            num[swap] += c << k * (forward - mu - base)
+        bound = row[2] * top
+        self._check(bound, k)
+        return _divide(num, base, k), base + 1, bound
+
+    def _product(self, m: Multisegment, s: Segment, p: int, k: int
+                 ) -> tuple:
+        """The memo entry of E*([s]) E*(p), p by id: (base, {id: coefficient},
+        id of p + [s], mu, 1 + the largest L1 norm, for v^-mu E*(p + s))."""
+        label = self._labels[p]
+        x = basis_product(_from_sorted((s,)), label)
+        base = min(c.min_exponent() for _, c in x.unordered_items())
+        terms, top = {}, 0
+        for q, c in x.unordered_items():
+            terms[self._id(q)], l1 = _pack(c, base, k)
+            top = l1 if l1 > top else top
+        # The label's largest segment is at most s, and no elementary move
+        # raises the largest segment, so the word p*s is sorted.  p + s is
+        # the all-swap term of E*(s) E*(p); an unsorted word would match no
+        # label and fail the lookup.
+        swap = self._ids.get(_from_sorted(label.segments + (s,)))
+        if swap not in terms:
+            raise InvariantError(
+                f"aux_vector({m}): E*({s}) E*({label}) has no term at "
+                f"{label} + {s}, so E*({label}) E*({s}) is not a relabelling")
+        return base, terms, swap, label.segments.count(s), top + 1
 
     def dual_canonical(self, m: Multisegment) -> AlgebraElement:
         """The basis vector G*(m), expanded over the E* basis.  The missing
@@ -171,89 +301,99 @@ class BasisCache:
             prefix = _from_sorted(segs[:j])
             if prefix not in self._memo:
                 self.dual_canonical(prefix)
-        coeffs = self.aux_vector(m)
+        x = self._memo[m] = self._packed(self._correct, m)
+        return x
+
+    def _correct(self, m: Multisegment) -> AlgebraElement:
+        acc, base, bound = self._aux(m)
+        k, i = self._k, self._id(m)
         # Every G*(n) the sweep subtracts lies above m, so the sweep never
         # reaches m: its coefficient is set aside and put back unchanged.
-        diagonal = coeffs.pop(m, None)
-        self._sweep(coeffs, lambda acc: finish(symmetric_part(acc)),
-                    _needs_correction)
+        diagonal = acc.pop(i, None)
+        self._sweep(acc, base, bound, True)
         if diagonal is not None:
-            coeffs[m] = diagonal
-        # One pass finishes each coefficient and checks that the vector has
-        # the shape of G*(m): every label other than m above m, with its
-        # coefficient in v*Z[v], and coefficient 1 at m.  This also checks
-        # the coefficient of m in aux_vector(m).
-        key = self._key
-        key_m = key(m)
+            acc[i] = diagonal
+        # One pass finishes each coefficient, packs the row at base 0 by a
+        # shift, and checks the shape of G*(m): every other label above m,
+        # with no digit at an exponent <= 0, and coefficient 1 at m.
+        order, labels, key_m = self._order, self._labels, self._order[i]
+        shift, low = k * -base, (1 << k * (1 - base)) - 1
         terms: dict[Multisegment, LaurentPoly] = {}
-        for n, acc in coeffs.items():
-            c = finish(acc)
-            if not c:
+        row, top, total = [], 0, 0
+        for j, x in acc.items():
+            if not x:
                 continue
-            # The key test comes first: it settles every label above m, so
-            # only labels not above m pay for a label comparison.
-            if not (c.only_positive_exponents() if key(n) > key_m
-                    else n == m):
+            y = x >> shift
+            if order[j] > key_m and not x & low:
+                c, l1 = _digits(y, 0, k)
+            elif j == i:
+                c, l1 = _digits(x, base, k)
+            else:
                 raise InvariantError(
-                    f"G*({m}) has coefficient {c} at {n}: off-diagonal "
-                    f"terms must lie above {m}, with coefficients in v*Z[v]")
-            terms[n] = c
+                    f"G*({m}) has coefficient {_poly(_digits(x, base, k)[0])}"
+                    f" at {labels[j]}: off-diagonal terms must lie above "
+                    f"{m}, with coefficients in v*Z[v]")
+            row += j, y
+            terms[labels[j]] = _poly(c)
+            top = l1 if l1 > top else top
+            total += l1
         if terms.get(m, ZERO) != ONE:
             raise InvariantError(
                 f"G*({m}) has coefficient {terms.get(m, ZERO)} at {m}, "
                 "not 1")
-        x = self._memo[m] = _wrap(terms)
-        return x
+        g = _wrap(terms)
+        self._rows[i] = (g, top, total, *row)
+        return g
 
-    def _sweep(self, coeffs: dict[Multisegment, dict[int, int]],
-               part: Callable[[dict[int, int]], LaurentPoly],
-               needs: Callable[[dict[int, int]], bool] | None = None
-               ) -> dict[Multisegment, LaurentPoly]:
-        """Walk the labels of coeffs upward along extension_key,
-        subtracting t G*(n) at each label n, with t = part(coefficient at
-        n).  coeffs holds raw coefficients, which the sweep updates in
-        place, leaving the raw leftovers (zeros kept) to the caller.
-
-        Without needs, every label goes on the heap.  With it, a label
-        waits in idle while needs rejects its coefficient, and goes on the
-        heap, once, as soon as needs accepts it: at the start, or after a
-        step touches it.  part must vanish on every coefficient that needs
-        rejects, so a label left idle would take no step.  A step at n
-        touches only labels of G*(n), which lie above n, so every label is
-        on the heap before its turn and is met once, after all labels
-        below it.  The key ends with the sorted segment list, so no two
-        labels share a key: the heap never compares labels.  Returns the
-        nonzero t's, in walk order."""
-        key = self._key
+    def _sweep(self, acc: dict[int, int], base: int, bound: int,
+               correct: bool) -> list[tuple[int, dict[int, int]]]:
+        """Walk the ids of acc upward along their keys, subtracting
+        t G*(n) at each label n, in place; acc holds coefficients packed at
+        base, no digit above bound.  The correction takes t = the symmetric
+        part, nonzero exactly when a digit at an exponent <= 0 is, which is
+        a mask of the low bits; the expansion takes the whole coefficient
+        (mask -1).  A label waits in idle until its mask is nonzero, then
+        goes on the heap once; a step at n touches only labels above n, so
+        each label is queued before its turn.  Keys are unique, so the heap
+        never compares ids.  Returns the expansion's (id, digits of t) for
+        each nonzero t, in walk order."""
+        k = self._k
+        self._check(bound, k)
+        low = (1 << k * (1 - base)) - 1 if correct else -1
+        order = self._order
         push, pop = heapq.heappush, heapq.heappop
-        heap = []
-        idle = set()
-        for n, acc in coeffs.items():
-            if needs is None or needs(acc):
-                heap.append((key(n), n))
+        heap, idle, steps = [], set(), []
+        for i, x in acc.items():
+            if x & low:
+                heap.append((order[i], i))
             else:
-                idle.add(n)
+                idle.add(i)
         heapq.heapify(heap)
-        steps: dict[Multisegment, LaurentPoly] = {}
         while heap:
-            n = pop(heap)[1]
-            if not (t := part(coeffs[n])):
+            i = pop(heap)[1]
+            if correct:
+                t, l1 = _symmetric_part(acc[i], base, k)
+            elif t := acc[i]:
+                digits, l1 = _digits(t, base, k)
+                steps.append((i, digits))
+            if not t:
                 continue
-            steps[n] = t
-            for p, c in self.dual_canonical(n).unordered_items():
-                acc = coeffs.get(p)
-                if acc is None:
-                    acc = coeffs[p] = {}
-                    if needs is None:
-                        push(heap, (key(p), p))
+            row = self._row(i, k)
+            bound += l1 * row[1]
+            self._check(bound, k)
+            for p, c in zip(row[3::2], row[4::2]):
+                x = acc.get(p)
+                if x is None:
+                    x = acc[p] = -t * c
+                    if x & low:
+                        push(heap, (order[p], p))
                     else:
                         idle.add(p)
-                add_product(acc, t, c, sign=-1)
-                # Testing idle first spares a label hash whenever idle is
-                # empty, as it always is without needs.
-                if idle and p in idle and needs(acc):
-                    idle.remove(p)
-                    push(heap, (key(p), p))
+                else:
+                    x = acc[p] = x - t * c
+                    if p in idle and x & low:
+                        idle.remove(p)
+                        push(heap, (order[p], p))
         return steps
 
 
@@ -316,15 +456,28 @@ def expand_in_dcb(x: AlgebraElement, cache: BasisCache
                   ) -> dict[Multisegment, LaurentPoly]:
     """Coefficients of x over the corrected basis, in extension_key order.
 
-    One upward sweep of a raw copy of x strips the whole coefficient at
+    One upward sweep of a packed copy of x strips the whole coefficient at
     each label; unitriangularity leaves nothing behind, and the stripped
-    coefficients are exactly the basis coefficients.  x may mix weights:
-    G*(n) has the weight of n, so no step of the sweep mixes weights, and
-    extension_key puts each label after every label it dominates, whatever
-    other weights are present.  So the sweep of x is the union of the
-    sweeps of its homogeneous parts.
+    coefficients are exactly the basis coefficients.  The copy's base is
+    the least exponent of x, which no step t G*(n) goes below, G*(n) being
+    in Z[v]; its bound starts at the largest L1 norm of x, and each
+    widening packs it again.  x may mix weights: G*(n) has the weight of n,
+    so no step mixes weights, and extension_key puts each label after
+    every label it dominates, whatever other weights are present.  So the
+    sweep of x is the union of the sweeps of its homogeneous parts.
     """
-    return cache._sweep({q: raw(c) for q, c in x.unordered_items()}, finish)
+    terms = x.unordered_items()
+    base = min((min(c._c) for _, c in terms), default=0)
+    while True:
+        k, acc, bound = cache._k, {}, 0
+        for q, c in terms:
+            acc[cache._id(q)], l1 = _pack(c, base, k)
+            bound = l1 if l1 > bound else bound
+        try:
+            steps = cache._sweep(acc, base, bound, False)
+        except _Widened:
+            continue
+        return {cache._labels[i]: _poly(digits) for i, digits in steps}
 
 
 def structure_constants(m: Multisegment, n: Multisegment, cache: BasisCache
@@ -347,7 +500,8 @@ def membership_up_to_power(x: AlgebraElement, cache: BasisCache
     """
     if not x:
         return None
-    q = min((n for n, _ in x.unordered_items()), key=cache._key)
+    q = min((n for n, _ in x.unordered_items()),
+            key=lambda n: cache._order[cache._id(n)])
     e = x.coefficient(q).single_power()
     if e is None:
         return None

@@ -36,6 +36,7 @@ from .algebra import (
 )
 from .canonical import (
     BasisCache,
+    DcbTable,
     dcb_table,
     membership_up_to_power,
     structure_constants,
@@ -104,6 +105,23 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
+def _table_json(table: DcbTable) -> str:
+    """json.dumps(table.to_json_obj(), indent=2), written from the table's
+    fixed shape, in which no list is empty."""
+    names = {m: json.dumps(str(m)) for m in table.labels}
+    pair = "            [\n              {},\n              {}\n            ]"
+    rows = ",\n".join(
+        f'    {{\n      "label": {names[m]},\n      "expansion": [\n'
+        + ",\n".join(
+            f'        {{\n          "label": {names[n]},\n'
+            '          "coef": [\n'
+            + ",\n".join(pair.format(e, c) for e, c in coef.items())
+            + "\n          ]\n        }" for n, coef in table.row(m))
+        + "\n      ]\n    }" for m in table.labels)
+    return (f'{{\n  "weight": {json.dumps(str(table.weight))},\n'
+            f'  "basis": [\n{rows}\n  ]\n}}')
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -112,7 +130,7 @@ def cmd_dcb(args: argparse.Namespace) -> int:
     _check_class_size(weight, args.max_class_size)
     table = dcb_table(weight, BasisCache())
     if args.json:
-        _print_json(table.to_json_obj())
+        print(_table_json(table))
     else:
         # Each label is rendered once.
         names = {m: str(m) for m in table.labels}

@@ -12,10 +12,10 @@ bar-symmetric truncation ``symmetric_part``, and exact division by
 >>> print(quantum_integer(3))
 v^2 + 1 + v^-2
 
-The hot loops downstream sum many products of coefficients.  They
-accumulate each coefficient in a plain ``dict[int, int]`` (a *raw* dict,
-which may hold zeros) through a small kernel, and make a ``LaurentPoly``
-only for a finished coefficient:
+``LaurentPoly`` and ``AlgebraElement`` arithmetic accumulate each
+coefficient in a plain ``dict[int, int]`` (a *raw* dict, which may hold
+zeros) through a small kernel, the oracle of the packed ints of
+``canonical.BasisCache``, and make a ``LaurentPoly`` only when finished:
 
 * ``add_product(acc, a, b, shift, sign)`` adds ``sign * v^shift * a * b``
   to ``acc`` in place; ``a`` and ``b`` are polynomials or raw dicts;

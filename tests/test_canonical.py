@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import dcbasis
 from dcbasis.canonical import (
@@ -31,7 +32,18 @@ from dcbasis.algebra import (
     dual_pbw,
 )
 from dcbasis.checks import _degree_pairs, check_oracle, window_weights
-from dcbasis.laurent import LaurentPoly, ONE, finish, raw
+from dcbasis.laurent import (
+    ExactDivisionError,
+    LaurentPoly,
+    ONE,
+    V,
+    ZERO,
+    add_product,
+    divide_by_v_minus_vinv,
+    finish,
+    raw,
+    symmetric_part,
+)
 from dcbasis.multisegment import (
     Multisegment,
     Segment,
@@ -281,17 +293,18 @@ def test_correction_queues_only_labels_that_need_a_step(monkeypatch):
     queued = []  # for each label put on a heap: whether it needed a step
 
     class Recording(BasisCache):
-        def _sweep(self, coeffs, *args):
-            sweeps.append(coeffs)
+        def _sweep(self, acc, base, *args):
+            sweeps.append((acc, base, self._k))
             try:
-                return super()._sweep(coeffs, *args)
+                return super()._sweep(acc, base, *args)
             finally:
                 sweeps.pop()
 
     def record(entries):
-        coeffs = sweeps[-1]
-        queued.extend(any(c and e <= 0 for e, c in coeffs[n].items())
-                      for _, n in entries)
+        acc, base, k = sweeps[-1]
+        for _, i in entries:
+            digits, _ = canonical._digits(acc[i], base, k)
+            queued.append(any(e <= 0 for e in digits))
 
     class CountingHeapq:
         heappop = staticmethod(heapq.heappop)
@@ -499,11 +512,138 @@ def test_dcb_table_drops_the_products_of_its_weight():
     assert cache._products == {}
 
 
+# -- the packed kernel against the dict kernel ---------------------------------
+
+# At width 32 a digit is read while bounded by 2^30: these coefficients keep
+# every L1 norm below that through one product.
+WIDTH = 32
+packable = st.dictionaries(st.integers(-40, 40), st.integers(-1000, 1000),
+                           max_size=8).map(LaurentPoly)
+
+
+def _unpack(x, base, k=WIDTH):
+    return LaurentPoly(canonical._digits(x, base, k)[0])
+
+
+def _low(p):
+    return min(raw(p), default=0)
+
+
+@given(st.sampled_from([2, 3, 8, 32, 64]), st.integers(0, 3), st.data())
+def test_pack_and_decode_round_trip(k, below, data):
+    # Every balanced digit of the width, the extremes included.
+    half = 1 << (k - 1)
+    p = LaurentPoly(data.draw(st.dictionaries(
+        st.integers(-40, 40), st.integers(-half, half - 1), max_size=8)))
+    base = _low(p) - below
+    packed, l1 = canonical._pack(p, base, k)
+    assert canonical._digits(packed, base, k) == (
+        raw(p), sum(abs(c) for c in raw(p).values()))
+    assert l1 == sum(abs(c) for c in raw(p).values())
+
+
+@given(packable, packable, packable, st.integers(-40, 40), st.integers(0, 3))
+def test_multiply_add_matches_add_product(acc, a, b, shift, below):
+    expected = raw(acc)
+    add_product(expected, a, b, shift, -1)
+    base_a, base_b = _low(a), _low(b)
+    base = min(_low(acc), shift + base_a + base_b) - below
+    x = canonical._pack(acc, base, WIDTH)[0] - (
+        canonical._pack(a, base_a, WIDTH)[0]
+        * canonical._pack(b, base_b, WIDTH)[0]
+        << WIDTH * (shift + base_a + base_b - base))
+    assert _unpack(x, base) == finish(expected)
+
+
+@given(packable, st.one_of(st.just(ZERO), packable), st.integers(0, 3))
+def test_division_matches_the_dict_kernel(q, r, below):
+    # q (v - v^-1) is divisible; adding r mostly makes it not.
+    p = q * (V - LaurentPoly.v_power(-1)) + r
+    base = _low(p) - below
+    num = {7: canonical._pack(p, base, WIDTH)[0]}
+    try:
+        expected = divide_by_v_minus_vinv(raw(p))
+    except ExactDivisionError as exc:
+        with pytest.raises(ExactDivisionError) as packed:
+            canonical._divide(num, base, WIDTH)
+        assert str(packed.value) == str(exc)
+        return
+    quotients = canonical._divide(num, base, WIDTH)
+    assert {i: _unpack(x, base + 1) for i, x in quotients.items()} == (
+        {7: finish(expected)} if expected else {})
+    if not r:
+        assert finish(expected) == q
+
+
+@given(packable, st.integers(0, 3))
+def test_symmetric_part_matches_the_dict_kernel(p, below):
+    # Sweeps pack at a base <= 0, where the mirrored digits fit.
+    base = min(_low(p), 0) - below
+    x = canonical._pack(p, base, WIDTH)[0]
+    t, l1 = canonical._symmetric_part(x, base, WIDTH)
+    expected = finish(symmetric_part(raw(p)))
+    assert _unpack(t, base) == expected
+    assert l1 == sum(abs(c) for c in raw(expected).values())
+    # Needing a correction step is a mask of the digits at exponents <= 0.
+    assert bool(x & (1 << WIDTH * (1 - base)) - 1) == bool(expected)
+
+
+def test_every_window_row_packs_its_coefficients():
+    cache = BasisCache()
+    k = cache._k
+    labels = 0
+    for w in window_weights(5, 0, 4):
+        for m in enumerate_by_weight(w):
+            g = cache.dual_canonical(m)
+            # The correction packed this row by a shift of its accumulators.
+            source, top, total, *terms = cache._row(cache._id(m), k)
+            assert source is g
+            ids, values = terms[::2], terms[1::2]
+            packed = [(cache._id(n), canonical._pack(c, 0, k))
+                      for n, c in g.unordered_items()]
+            assert list(zip(ids, values)) == [(i, x) for i, (x, _) in packed]
+            assert {cache._labels[i]: _unpack(x, 0, k)
+                    for i, x in zip(ids, values)} == dict(g.unordered_items())
+            l1s = [l1 for _, (_, l1) in packed]
+            assert (top, total) == (max(l1s), sum(l1s))
+            labels += 1
+    assert labels == 623
+    assert cache._k == k
+
+
+def test_a_cache_at_a_tiny_width_widens_to_the_same_basis():
+    w = parse_weight("0:1,1:2,2:2,3:2,4:2,5:1")
+    tiny = BasisCache()
+    tiny._k = 2
+    table = dcb_table(w, tiny)
+    assert len(table.labels) == 235
+    assert tiny._k == 16
+    assert table.expansions == dcb_table(w, BasisCache()).expansions
+
+
+def test_expansion_widens_for_large_coefficients():
+    big = 10**15 + 1
+    cache = BasisCache()
+    g = cache.dual_canonical(M1)
+    assert expand_in_dcb(g.scaled(big), cache) == {M1: LaurentPoly(big)}
+    assert cache._k == 64
+    m, n = pm("[1]+[2,3]"), pm("[2]+[3,4]")
+    x = cache.dual_canonical(m) * cache.dual_canonical(n)
+    expansion = expand_in_dcb(x, BasisCache())
+    fresh = BasisCache()
+    assert expand_in_dcb(x.scaled(big), fresh) == {
+        q: c * big for q, c in expansion.items()}
+    assert fresh._k == 64
+
+
 # -- independence from the processing order --------------------------------------------
 
 
 def test_basis_is_independent_of_the_linear_extension():
+    calls = collections.Counter()
+
     def alternative_key(m):
+        calls[m] += 1
         return (m.sq_length_sum(),
                 tuple((s.start, s.end) for s in m.segments))
 
@@ -515,8 +655,11 @@ def test_basis_is_independent_of_the_linear_extension():
     other = AlternativeOrder()
     for w in (WORKED_WEIGHT, Weight({0: 2, 1: 2}),
               Weight({0: 1, 1: 2, 2: 2, 3: 1})):
-        for m in enumerate_by_weight(w):
+        labels = enumerate_by_weight(w)
+        for m in labels:
             assert other.dual_canonical(m) == default.dual_canonical(m)
+        # The override orders every label of the class, once.
+        assert [calls[m] for m in labels] == [1] * len(labels)
 
 
 def test_each_label_is_keyed_once_per_cache(monkeypatch):
@@ -585,36 +728,49 @@ import sys
 from dcbasis import canonical
 from dcbasis.algebra import AlgebraElement, basis_product, dual_pbw
 from dcbasis.canonical import BasisCache, InvariantError
-from dcbasis.laurent import LaurentPoly
+from dcbasis.laurent import ExactDivisionError, LaurentPoly
 from dcbasis.multisegment import parse_multisegment
 
 TOP, LOW = parse_multisegment("[0]+[1]"), parse_multisegment("[0,1]")
 
 
+# Each case changes the packed step: coefficients by id, digit e at bits
+# K (e - base).
 class Diagonal(BasisCache):
-    def aux_vector(self, m):
-        return {n: {e + 1: c for e, c in coeffs.items()}
-                for n, coeffs in super().aux_vector(m).items()}
+    def _aux(self, m):
+        acc, base, bound = super()._aux(m)
+        return {i: x << self._k for i, x in acc.items()}, base, bound
 
 
 class Below(BasisCache):
-    def aux_vector(self, m):
-        x = super().aux_vector(m)
+    def _aux(self, m):
+        acc, base, bound = super()._aux(m)
         if m == LOW:
-            x[TOP] = {1: 1}
-        return x
+            acc[self._id(TOP)] = 1 << self._k * (1 - base)
+        return acc, base, bound
 
 
 class NotInVZv(BasisCache):
-    def aux_vector(self, m):
+    def _aux(self, m):
         if m == TOP:
-            return {TOP: {0: 1}, LOW: {0: 1}}
-        return super().aux_vector(m)
+            return {self._id(TOP): 1, self._id(LOW): 1}, 0, 1
+        return super()._aux(m)
 
     def dual_canonical(self, m):
         if m == LOW:
             return dual_pbw(LOW).scaled(LaurentPoly({0: 2}))
         return super().dual_canonical(m)
+
+
+def doubled(single, p):
+    return basis_product(single, p).scaled(2)
+
+
+class Indivisible(BasisCache):
+    # The next case replaces the patch.
+    def _aux(self, m):
+        canonical.basis_product = doubled
+        return super()._aux(m)
 
 
 def without_all_swap_term(single, p):
@@ -625,18 +781,18 @@ def without_all_swap_term(single, p):
 
 class NoAllSwapTerm(BasisCache):
     # The last case, so the patch is never undone.
-    def aux_vector(self, m):
+    def _aux(self, m):
         canonical.basis_product = without_all_swap_term
-        return super().aux_vector(m)
+        return super()._aux(m)
 
 
 print("optimize", sys.flags.optimize)
 for cls, label in ((Diagonal, LOW), (Below, LOW), (NotInVZv, TOP),
-                   (NoAllSwapTerm, TOP)):
+                   (Indivisible, TOP), (NoAllSwapTerm, TOP)):
     try:
         cls().dual_canonical(label)
         print(cls.__name__, "no error")
-    except InvariantError as exc:
+    except (InvariantError, ExactDivisionError) as exc:
         print(cls.__name__, exc)
 """
 
@@ -654,6 +810,7 @@ def test_invariant_checks_survive_python_O():
         "must lie above [0,1], with coefficients in v*Z[v]",
         "NotInVZv G*([0]+[1]) has coefficient -1 at [0,1]: off-diagonal "
         "terms must lie above [0]+[1], with coefficients in v*Z[v]",
+        "Indivisible v - 2*v^-1 is not divisible by v - v^-1",
         "NoAllSwapTerm aux_vector([0]+[1]): E*([1]) E*([0]) has no term at "
         "[0] + [1], so E*([0]) E*([1]) is not a relabelling",
     ]

@@ -92,6 +92,17 @@ def test_dcb_json_matches_the_table(capsys):
 LADDER_TOP = "0:1,1:2,2:2,3:2,4:2,5:1"
 
 
+@pytest.mark.parametrize("weight", [
+    "0:1,1:2,2:2,3:1", "0:1,1:2,2:2,3:2,4:1", "0:1,1:2,2:3,3:2,4:1",
+    "0:1,1:2,2:3,3:3,4:1", LADDER_TOP, "0:1,1:2,2:3,3:3,4:2,5:1", "5:1",
+])
+def test_dcb_json_writer_matches_json_dumps(weight):
+    # The five ladder classes, the 522-label class and a one-label class.
+    table = dcb_table(parse_weight(weight), BasisCache())
+    assert cli._table_json(table) == json.dumps(table.to_json_obj(),
+                                                indent=2)
+
+
 def test_dcb_output_digest_pinned(capsys):
     # The digests of what cmd_dcb prints, not only of the table it builds.
     code, out, err = run_cli(capsys, "dcb", "--weight", LADDER_TOP, "--json")
