@@ -19,9 +19,9 @@ from .laurent import (
     LaurentPoly,
     ONE,
     ZERO,
+    _add_product,
+    _finish,
     _render_terms,
-    add_product,
-    finish,
 )
 from .multisegment import (
     Multisegment,
@@ -69,8 +69,9 @@ def _straighten(word: Word, scalar: dict[int, int],
                 out: dict[Word, dict[int, int]]) -> None:
     """Accumulate the normal form of scalar * word into out.
 
-    Coefficients are raw dicts (see laurent): scalar must be one the caller
-    gives up, since out may take it over, and out may keep zeros.
+    Coefficients are plain exponent -> coefficient dicts: scalar must be one
+    the caller gives up, since out may take it over, and out may keep
+    zeros.
 
     Rewrites the rightmost out-of-order pair first.  Each rewrite either
     swaps the pair (one fewer inversion, same multiset) or, for linked
@@ -149,7 +150,7 @@ def _from_words(words: dict[Word, dict[int, int]]) -> "AlgebraElement":
     for w, c in words.items():
         label = _from_sorted(w)
         shift = label.binom_sum()
-        out[label] = finish({e - shift: x for e, x in c.items()})
+        out[label] = _finish({e - shift: x for e, x in c.items()})
     return AlgebraElement(out)
 
 
@@ -250,7 +251,7 @@ class AlgebraElement:
             shift = m.binom_sum()
             for rhs, rshift, cn in right:
                 scalar: dict[int, int] = {}
-                add_product(scalar, cm, cn, shift=shift + rshift)
+                _add_product(scalar, cm, cn, shift + rshift)
                 _straighten(lhs + rhs, scalar, words)
         return _from_words(words)
 

@@ -146,15 +146,17 @@ class BasisCache:
     exactly when A = B = 0, that is p(1) = p(-1) = 0: when v - v^-1
     divides p.  No carry can hide a remainder.  A bound reaching 2^(K-2)
     doubles K (16 at first), drops the rows and the product memo, and
-    restarts the step: no input the dict kernel of laurent takes is refused.
+    restarts the step: no input LaurentPoly arithmetic takes is refused.
 
     The rows, by id, pack each G*(n) at base 0 (dual_canonical checks that
     it lies in Z[v]), by a shift as the correction finishes it and again
     whenever dual_canonical returns another object.  The product memo keeps
     each E*([s]) E*(p) that aux_vector straightens, packed at its own base
-    with mu, the copies of s in p, and the id of p + [s], by weight and then
-    by the id of p, which fixes s.  dcb_table drops a weight's products once
-    its table is built, when every label of that weight is memoized.
+    with mu, the copies of s in p, and the id of p + [s], by s and then by
+    the id of p.  It lives for one run: every packed step goes through
+    _run, and the outermost run (one dual_canonical miss, aux_vector or
+    expand_in_dcb call, or one dcb_table class) opens it and drops it on
+    return, so no product outlives the call that needed it.
     """
 
     def __init__(self):
@@ -164,7 +166,7 @@ class BasisCache:
         self._order: list[tuple] = []
         self._k = 16
         self._rows: list[tuple | None] = []
-        self._products: dict[Weight, dict[int, tuple]] = {}
+        self._products: dict[Segment, dict[int, tuple]] | None = None
 
     def labels_computed(self) -> int:
         return len(self._memo)
@@ -182,13 +184,21 @@ class BasisCache:
             self._rows.append(None)
         return i
 
-    def _packed(self, step, *args):
-        """step(*args), run again after each widening it meets."""
-        while True:
-            try:
-                return step(*args)
-            except _Widened:
-                pass
+    def _run(self, step, *args):
+        """step(*args), run again after each widening it meets.  The
+        outermost run opens the product memo and closes it on return."""
+        outer = self._products is None
+        if outer:
+            self._products = {}
+        try:
+            while True:
+                try:
+                    return step(*args)
+                except _Widened:
+                    pass
+        finally:
+            if outer:
+                self._products = None
 
     def _check(self, bound: int, k: int) -> None:
         """Widen and restart unless digits up to bound fit width k."""
@@ -217,19 +227,19 @@ class BasisCache:
 
     def aux_vector(self, m: Multisegment
                    ) -> dict[Multisegment, dict[int, int]]:
-        """The pre-correction vector: E*(m) plus dominance-greater terms, as
-        nonzero raw coefficients (see laurent) that the caller owns, decoded
+        """The pre-correction vector: E*(m) plus dominance-greater terms,
+        each nonzero coefficient a new exponent -> coefficient dict, decoded
         from _aux, the packed step dual_canonical takes.
 
         For at most one segment this is the basis vector itself.  Otherwise
         split off one copy of the largest segment s, and divide the graded
         commutator v^(b(rest,s)+1) G*(rest) E*(s) - v^(b(s,rest)-1) E*(s) G*(rest)
         exactly by v - v^-1.  It is summed term by term over the support
-        of G*(rest).  Each E*(s) E*(p) comes from the product memo of m's
-        weight; each E*(p) E*(s) is the single term v^-mu E*(p + s), with
-        mu the number of copies of s in p, and is never straightened.
+        of G*(rest).  Each E*(s) E*(p) comes from the product memo; each
+        E*(p) E*(s) is the single term v^-mu E*(p + s), with mu the number
+        of copies of s in p, and is never straightened.
         """
-        acc, base, _ = self._packed(self._aux, m)
+        acc, base, _ = self._run(self._aux, m)
         k, labels = self._k, self._labels
         return {labels[i]: _digits(x, base, k)[0] for i, x in acc.items()}
 
@@ -242,7 +252,7 @@ class BasisCache:
         rest = _from_sorted(m.segments[:-1])
         forward, backward = _commutator_exponents(rest, s)
         row = self._row(self._id(rest), k)
-        products = self._products.setdefault(m.weight(), {})
+        products = self._products.setdefault(s, {})
         # Each c lies in Z[v], so no term goes below its product's base
         # plus backward, or below forward - mu.
         entries, base, top = [], -1, 0
@@ -293,18 +303,19 @@ class BasisCache:
         hit = self._memo.get(m)
         if hit is not None:
             return hit
-        segs = m.segments
-        k = len(segs) - 1
-        while k > 1 and _from_sorted(segs[:k]) not in self._memo:
-            k -= 1
-        for j in range(k, len(segs) - 1):
-            prefix = _from_sorted(segs[:j])
-            if prefix not in self._memo:
-                self.dual_canonical(prefix)
-        x = self._memo[m] = self._packed(self._correct, m)
+        x = self._memo[m] = self._run(self._correct, m)
         return x
 
     def _correct(self, m: Multisegment) -> AlgebraElement:
+        # A restart after a widening finds every prefix memoized.
+        segs = m.segments
+        start = len(segs) - 1
+        while start > 1 and _from_sorted(segs[:start]) not in self._memo:
+            start -= 1
+        for j in range(start, len(segs) - 1):
+            prefix = _from_sorted(segs[:j])
+            if prefix not in self._memo:
+                self.dual_canonical(prefix)
         acc, base, bound = self._aux(m)
         k, i = self._k, self._id(m)
         # Every G*(n) the sweep subtracts lies above m, so the sweep never
@@ -396,6 +407,18 @@ class BasisCache:
                         push(heap, (order[p], p))
         return steps
 
+    def _expand(self, x: AlgebraElement) -> dict[Multisegment, LaurentPoly]:
+        """expand_in_dcb(x, self) at the current width."""
+        terms = x.unordered_items()
+        base = min((min(c._c) for _, c in terms), default=0)
+        k, acc, bound = self._k, {}, 0
+        for q, c in terms:
+            acc[self._id(q)], l1 = _pack(c, base, k)
+            bound = l1 if l1 > bound else bound
+        labels = self._labels
+        return {labels[i]: _poly(digits)
+                for i, digits in self._sweep(acc, base, bound, False)}
+
 
 @dataclass(frozen=True)
 class DcbTable:
@@ -446,10 +469,10 @@ class DcbTable:
 
 
 def dcb_table(w: Weight, cache: BasisCache) -> DcbTable:
+    """The class of w, in one run of cache, so its labels share products."""
     labels = enumerate_by_weight(w)
-    table = DcbTable(w, labels, {m: cache.dual_canonical(m) for m in labels})
-    cache._products.pop(w, None)
-    return table
+    return DcbTable(w, labels, cache._run(
+        lambda: {m: cache.dual_canonical(m) for m in labels}))
 
 
 def expand_in_dcb(x: AlgebraElement, cache: BasisCache
@@ -466,18 +489,7 @@ def expand_in_dcb(x: AlgebraElement, cache: BasisCache
     every label it dominates, whatever other weights are present.  So the
     sweep of x is the union of the sweeps of its homogeneous parts.
     """
-    terms = x.unordered_items()
-    base = min((min(c._c) for _, c in terms), default=0)
-    while True:
-        k, acc, bound = cache._k, {}, 0
-        for q, c in terms:
-            acc[cache._id(q)], l1 = _pack(c, base, k)
-            bound = l1 if l1 > bound else bound
-        try:
-            steps = cache._sweep(acc, base, bound, False)
-        except _Widened:
-            continue
-        return {cache._labels[i]: _poly(digits) for i, digits in steps}
+    return cache._run(cache._expand, x)
 
 
 def structure_constants(m: Multisegment, n: Multisegment, cache: BasisCache

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import re
 import sys
 
 from .algebra import (
@@ -434,26 +433,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DASH_VALUE_FLAGS = {
-    "--weight": re.compile(r"-?\d+:\d+(,-?\d+:\d+)*$"),
-    "--range": re.compile(r"-?\d+:-?\d+$"),
-    "--shift-range": re.compile(r"-?\d+:-?\d+$"),
-    "--index-range": re.compile(r"-?\d+:-?\d+$"),
-    "--rows": re.compile(r"-?\d+(,-?\d+)*$"),
-    "--cols": re.compile(r"-?\d+(,-?\d+)*$"),
-}
+_DASH_VALUE_FLAGS = frozenset({"--weight", "--range", "--shift-range",
+                               "--index-range", "--rows", "--cols"})
 
 
 def _glue_dash_values(argv: list[str]) -> list[str]:
-    """Join flags with values that start with '-' so argparse accepts them."""
+    """Join each flag that takes numbers with a next token that starts with
+    '-' and a digit, so argparse takes it as the value; the flag's own
+    parser then checks its grammar."""
     out: list[str] = []
     i = 0
     while i < len(argv):
         token = argv[i]
-        pattern = _DASH_VALUE_FLAGS.get(token)
-        if (pattern is not None and i + 1 < len(argv)
-                and argv[i + 1].startswith("-")
-                and pattern.fullmatch(argv[i + 1])):
+        if (token in _DASH_VALUE_FLAGS and i + 1 < len(argv)
+                and argv[i + 1][:1] == "-" and argv[i + 1][1:2].isdigit()):
             out.append(f"{token}={argv[i + 1]}")
             i += 2
         else:

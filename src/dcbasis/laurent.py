@@ -12,28 +12,9 @@ bar-symmetric truncation ``symmetric_part``, and exact division by
 >>> print(quantum_integer(3))
 v^2 + 1 + v^-2
 
-``LaurentPoly`` and ``AlgebraElement`` arithmetic accumulate each
-coefficient in a plain ``dict[int, int]`` (a *raw* dict, which may hold
-zeros) through a small kernel, the oracle of the packed ints of
-``canonical.BasisCache``, and make a ``LaurentPoly`` only when finished:
-
-* ``add_product(acc, a, b, shift, sign)`` adds ``sign * v^shift * a * b``
-  to ``acc`` in place; ``a`` and ``b`` are polynomials or raw dicts;
-* ``finish(acc)`` drops the zeros and returns the ``LaurentPoly``;
-* ``symmetric_part`` and ``divide_by_v_minus_vinv`` are the raw forms of
-  the methods of the same names, which wrap them.
-
->>> acc = {}
->>> add_product(acc, V, {0: 1, -2: 1}, shift=1, sign=-1)
->>> add_product(acc, ONE, {2: 1})
->>> acc
-{2: 0, 0: -1}
->>> print(finish(acc))
--1
-
 A ``LaurentPoly`` is hashed and memoized, so the dict it owns is never
-mutated: the kernel reads such dicts and writes only to dicts its caller
-owns, and ``raw`` hands out a copy.
+mutated.  Products of polynomials, here and in ``AlgebraElement``, add
+into a plain dict that may hold zeros and wrap it once it is finished.
 """
 
 from __future__ import annotations
@@ -46,12 +27,7 @@ __all__ = [
     "ZERO",
     "ONE",
     "V",
-    "add_product",
-    "divide_by_v_minus_vinv",
-    "finish",
     "quantum_integer",
-    "raw",
-    "symmetric_part",
 ]
 
 
@@ -159,8 +135,8 @@ class LaurentPoly:
         if other is NotImplemented:
             return NotImplemented
         acc: dict[int, int] = {}
-        add_product(acc, self, other)
-        return finish(acc)
+        _add_product(acc, self, other, 0)
+        return _finish(acc)
 
     __rmul__ = __mul__
 
@@ -194,11 +170,33 @@ class LaurentPoly:
         >>> print(LaurentPoly({-1: 2, 0: 5, 1: 7}).symmetric_part())
         2*v + 5 + 2*v^-1
         """
-        return _wrap(symmetric_part(self._c))
+        c = self._c
+        out = {0: c[0]} if 0 in c else {}
+        for e, x in c.items():
+            if e < 0:
+                out[e] = out[-e] = x
+        return _wrap(out)
 
     def divide_by_v_minus_vinv(self) -> "LaurentPoly":
-        """Exact division by (v - v^-1); raises ExactDivisionError otherwise."""
-        return _wrap(divide_by_v_minus_vinv(self._c))
+        """Exact division by (v - v^-1); raises ExactDivisionError otherwise.
+
+        Solves the two-term recurrence q[k+1] = q[k-1] - p[k] upward from
+        below the support; the quotient is finitely supported exactly when
+        the top two recurrence values vanish.
+        """
+        c = self._c
+        if not c:
+            return ZERO
+        q: dict[int, int] = {}
+        below = at = 0  # q[k - 1] and q[k]
+        for k in range(min(c), max(c) + 1):
+            below, at = at, below - c.get(k, 0)
+            if at:
+                q[k + 1] = at
+        # Now at is q[hi + 1] and below is q[hi].
+        if below or at:
+            raise ExactDivisionError(f"{self} is not divisible by v - v^-1")
+        return _wrap(q)
 
     # -- comparison, hashing, rendering --------------------------------------
 
@@ -261,77 +259,25 @@ ONE = LaurentPoly(1)
 V = LaurentPoly.v_power(1)
 
 
-# -- the raw-coefficient kernel ----------------------------------------------
+# -- products into a plain dict, shared with AlgebraElement -------------------
 
 
-def add_product(acc: dict[int, int], a: LaurentPoly | dict[int, int],
-                b: LaurentPoly | dict[int, int], shift: int = 0,
-                sign: int = 1) -> None:
-    """acc += sign * v^shift * a * b, in place; acc may keep zeros."""
-    if isinstance(a, LaurentPoly):
-        a = a._c
-    if isinstance(b, LaurentPoly):
-        b = b._c
+def _add_product(acc: dict[int, int], a: LaurentPoly, b: LaurentPoly,
+                 shift: int) -> None:
+    """acc += v^shift * a * b, in place; acc may keep zeros."""
+    a, b = a._c, b._c
     if len(a) > len(b):
         a, b = b, a
     for ea, ca in a.items():
         ea += shift
-        ca *= sign
         for eb, cb in b.items():
             e = ea + eb
             acc[e] = acc.get(e, 0) + ca * cb
 
 
-def finish(acc: dict[int, int]) -> LaurentPoly:
+def _finish(acc: dict[int, int]) -> LaurentPoly:
     """The polynomial of a finished accumulator, zeros dropped."""
     return _wrap({e: c for e, c in acc.items() if c})
-
-
-def raw(p: LaurentPoly) -> dict[int, int]:
-    """A copy of p's coefficients, free to accumulate into."""
-    return dict(p._c)
-
-
-def symmetric_part(coeffs: dict[int, int]) -> dict[int, int]:
-    """The raw form of LaurentPoly.symmetric_part: the constant term, and
-    each coefficient of a negative exponent at that exponent and its
-    negation.  Keeps zeros of coeffs."""
-    out: dict[int, int] = {}
-    c0 = coeffs.get(0, 0)
-    if c0:
-        out[0] = c0
-    for e, c in coeffs.items():
-        if e < 0:
-            out[e] = c
-            out[-e] = c
-    return out
-
-
-def divide_by_v_minus_vinv(coeffs: dict[int, int]) -> dict[int, int]:
-    """The raw form of LaurentPoly.divide_by_v_minus_vinv; the quotient
-    holds no zeros, whether or not coeffs does.
-
-    Solves the two-term recurrence q[k+1] = q[k-1] - p[k] upward from
-    below the support; the quotient is finitely supported exactly when
-    the top two recurrence values vanish.  Zeros stored at either end of
-    coeffs only carry the recurrence values along, so they change neither
-    the quotient nor the test.
-    """
-    if not coeffs:
-        return {}
-    lo = min(coeffs)
-    hi = max(coeffs)
-    q: dict[int, int] = {}
-    below = at = 0  # q[k - 1] and q[k]
-    for k in range(lo, hi + 1):
-        below, at = at, below - coeffs.get(k, 0)
-        if at:
-            q[k + 1] = at
-    # Now at is q[hi + 1] and below is q[hi].
-    if below or at:
-        raise ExactDivisionError(
-            f"{finish(coeffs)} is not divisible by v - v^-1")
-    return q
 
 
 def quantum_integer(a: int) -> LaurentPoly:

@@ -24,7 +24,6 @@ from dcbasis.laurent import (
     LaurentPoly,
     ONE,
     ZERO,
-    add_product,
     quantum_integer,
 )
 from dcbasis.multisegment import (
@@ -271,9 +270,16 @@ def _rightmost_descent(word):
     return None
 
 
+def _add_shifted(acc, c, shift, sign):
+    """acc += sign * v^shift * c on plain exponent -> coefficient dicts,
+    keeping zeros."""
+    for e, x in c.items():
+        acc[e + shift] = acc.get(e + shift, 0) + sign * x
+
+
 def _rescanning_straighten(word, scalar, out):
-    """Reference kernel on raw coefficients: scans the whole word for its
-    rightmost descent after every rewrite, and calls the segment
+    """Reference kernel on plain coefficient dicts: scans the whole word for
+    its rightmost descent after every rewrite, and calls the segment
     functions."""
     degree, sq = algebra._measures(word)
     stack = [(word, scalar)]
@@ -288,7 +294,7 @@ def _rescanning_straighten(word, scalar, out):
                     raise algebra.InvariantError(w)
                 out[w] = c
             else:
-                add_product(acc, c, ONE)
+                _add_shifted(acc, c, 0, 1)
             continue
         hi, lo = w[i], w[i + 1]
         k = segment_pairing(hi, lo)
@@ -298,8 +304,9 @@ def _rescanning_straighten(word, scalar, out):
             u = segment_union(hi, lo)
             inter = segment_intersection(hi, lo)
             mid = (u,) if inter is None else (inter, u)
-            rewritten = {}
-            add_product(rewritten, c, {-1: 1, 1: -1}, shift=-k)
+            rewritten = {}  # c v^-k (v^-1 - v)
+            _add_shifted(rewritten, c, -k - 1, 1)
+            _add_shifted(rewritten, c, -k + 1, -1)
             stack.append((w[:i] + mid + w[i + 2:], rewritten))
 
 

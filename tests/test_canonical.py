@@ -24,7 +24,7 @@ from dcbasis.canonical import (
     membership_up_to_power,
     structure_constants,
 )
-from dcbasis import canonical, checks
+from dcbasis import canonical, checks, cli
 from dcbasis.algebra import (
     AlgebraElement,
     InvariantError,
@@ -38,11 +38,6 @@ from dcbasis.laurent import (
     ONE,
     V,
     ZERO,
-    add_product,
-    divide_by_v_minus_vinv,
-    finish,
-    raw,
-    symmetric_part,
 )
 from dcbasis.multisegment import (
     Multisegment,
@@ -61,6 +56,11 @@ def pm(text):
 
 def lp(coeffs):
     return LaurentPoly(coeffs)
+
+
+def raw(p):
+    """p's coefficients as a plain exponent -> coefficient dict."""
+    return dict(p.items())
 
 
 WORKED_WEIGHT = Weight({0: 1, 1: 2, 2: 1})
@@ -254,7 +254,7 @@ def test_membership_pins_the_label_sum():
 def _old_correction(m, cache):
     """Reference correction loop: re-sort the support at every step and
     correct the extension_key-least label not yet visited."""
-    x = AlgebraElement({q: finish(c) for q, c in cache.aux_vector(m).items()})
+    x = AlgebraElement({q: lp(c) for q, c in cache.aux_vector(m).items()})
     done = {m}
     while True:
         todo = [n for n in x.support() if n not in done]
@@ -440,7 +440,7 @@ def test_aux_vector_matches_the_old_products():
     for w in window_weights(5, 0, 4):
         for m in enumerate_by_weight(w):
             old = dict(_old_aux_vector(m, cache).unordered_items())
-            new = {q: finish(c) for q, c in cache.aux_vector(m).items()}
+            new = {q: lp(c) for q, c in cache.aux_vector(m).items()}
             assert new == old, m
             labels += 1
     assert labels == 623
@@ -496,23 +496,53 @@ def test_aux_vector_straightens_one_product_per_support_label(monkeypatch):
     assert all(len(single) == 1 for single, _ in calls)
 
 
-def test_dcb_table_drops_the_products_of_its_weight():
-    cache = BasisCache()
-    cache.dual_canonical(pm("[0]+[1]+[1,2]"))
-    assert WORKED_WEIGHT in cache._products
-    dcb_table(WORKED_WEIGHT, cache)
-    assert WORKED_WEIGHT not in cache._products
-    assert Weight({0: 1, 1: 1}) in cache._products
-    # Every weight a class recurses into is itself a window weight, so a
-    # cache filled class by class over the window ends with no products.
-    weights = window_weights(6, 0, 5)
-    assert len(weights) == 923
-    for w in weights:
-        dcb_table(w, cache)
-    assert cache._products == {}
+def test_no_product_outlives_its_run(monkeypatch):
+    open_during_aux = []
+
+    class Recording(BasisCache):
+        def _aux(self, m):
+            open_during_aux.append(self._products is not None)
+            return super()._aux(m)
+
+    cache = Recording()
+    m, n = pm("[0]+[1]+[1,2]"), pm("[1]+[2,3]")
+    calls = [
+        lambda: cache.dual_canonical(m),
+        lambda: cache.aux_vector(pm("[0,1]+[1]+[2]")),
+        lambda: expand_in_dcb(dual_pbw(n), cache),
+        lambda: structure_constants(m, n, cache),
+        lambda: membership_up_to_power(
+            cache.dual_canonical(pm("[0]")) * cache.dual_canonical(n),
+            cache),
+        lambda: dcb_table(WORKED_WEIGHT, cache),
+        lambda: kl_matrix(parse_weight("0:1,1:2,2:2,3:1"), cache),
+    ]
+    for call in calls:
+        call()
+        assert cache._products is None
+    assert open_during_aux and all(open_during_aux)
+    # Widening inside a run replaces the memo; the run still closes it.
+    tiny = BasisCache()
+    tiny._k = 2
+    dcb_table(parse_weight("0:1,1:2,2:2,3:1"), tiny)
+    assert tiny._k > 2
+    assert tiny._products is None
+    # So does every cache a command builds.
+    caches = []
+
+    class Recorded(BasisCache):
+        def __init__(self):
+            super().__init__()
+            caches.append(self)
+
+    monkeypatch.setattr(cli, "BasisCache", Recorded)
+    assert cli.main(["irred", "--alpha", "3,2", "--beta", "2,1", "--b", "2",
+                     "--verify"]) == 0
+    assert len(caches) == 1 and caches[0].labels_computed() > 0
+    assert caches[0]._products is None
 
 
-# -- the packed kernel against the dict kernel ---------------------------------
+# -- the packed kernel against LaurentPoly arithmetic -------------------------
 
 # At width 32 a digit is read while bounded by 2^30: these coefficients keep
 # every L1 norm below that through one product.
@@ -526,7 +556,7 @@ def _unpack(x, base, k=WIDTH):
 
 
 def _low(p):
-    return min(raw(p), default=0)
+    return p.min_exponent() if p else 0
 
 
 @given(st.sampled_from([2, 3, 8, 32, 64]), st.integers(0, 3), st.data())
@@ -544,15 +574,14 @@ def test_pack_and_decode_round_trip(k, below, data):
 
 @given(packable, packable, packable, st.integers(-40, 40), st.integers(0, 3))
 def test_multiply_add_matches_add_product(acc, a, b, shift, below):
-    expected = raw(acc)
-    add_product(expected, a, b, shift, -1)
+    expected = acc - LaurentPoly.v_power(shift) * a * b
     base_a, base_b = _low(a), _low(b)
     base = min(_low(acc), shift + base_a + base_b) - below
     x = canonical._pack(acc, base, WIDTH)[0] - (
         canonical._pack(a, base_a, WIDTH)[0]
         * canonical._pack(b, base_b, WIDTH)[0]
         << WIDTH * (shift + base_a + base_b - base))
-    assert _unpack(x, base) == finish(expected)
+    assert _unpack(x, base) == expected
 
 
 @given(packable, st.one_of(st.just(ZERO), packable), st.integers(0, 3))
@@ -562,7 +591,7 @@ def test_division_matches_the_dict_kernel(q, r, below):
     base = _low(p) - below
     num = {7: canonical._pack(p, base, WIDTH)[0]}
     try:
-        expected = divide_by_v_minus_vinv(raw(p))
+        expected = p.divide_by_v_minus_vinv()
     except ExactDivisionError as exc:
         with pytest.raises(ExactDivisionError) as packed:
             canonical._divide(num, base, WIDTH)
@@ -570,9 +599,9 @@ def test_division_matches_the_dict_kernel(q, r, below):
         return
     quotients = canonical._divide(num, base, WIDTH)
     assert {i: _unpack(x, base + 1) for i, x in quotients.items()} == (
-        {7: finish(expected)} if expected else {})
+        {7: expected} if expected else {})
     if not r:
-        assert finish(expected) == q
+        assert expected == q
 
 
 @given(packable, st.integers(0, 3))
@@ -581,7 +610,7 @@ def test_symmetric_part_matches_the_dict_kernel(p, below):
     base = min(_low(p), 0) - below
     x = canonical._pack(p, base, WIDTH)[0]
     t, l1 = canonical._symmetric_part(x, base, WIDTH)
-    expected = finish(symmetric_part(raw(p)))
+    expected = p.symmetric_part()
     assert _unpack(t, base) == expected
     assert l1 == sum(abs(c) for c in raw(expected).values())
     # Needing a correction step is a mask of the digits at exponents <= 0.

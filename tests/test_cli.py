@@ -508,6 +508,19 @@ def test_scan_range_errors(capsys):
     assert err == "error: range 'x:y' must be integer:integer\n"
 
 
+def test_a_malformed_negative_value_reaches_its_parser(capsys):
+    # A value that starts with '-' and a digit is glued to its flag, so the
+    # flag's own parser, not argparse, says what is wrong with it.
+    code, _, err = run_cli(capsys, "scan", "--alpha", "1", "--beta", "1",
+                           "--range", "-8:x")
+    assert code == 2
+    assert err == "error: range '-8:x' must be integer:integer\n"
+    code, _, err = run_cli(capsys, "minor", "--rows", "-1,x",
+                           "--cols", "1,2")
+    assert code == 2
+    assert err == "error: expected comma-separated integers, got '-1,x'\n"
+
+
 def _row_list_scan(alpha, beta, lo, hi, verify):
     """The scan that the one-pass scan replaced, as the oracle: every row is
     kept in a list, then the whole payload is rendered.  Returns the JSON
