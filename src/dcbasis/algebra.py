@@ -7,7 +7,10 @@ of one generator per segment of m taken in increasing segment order, and
 out-of-order adjacent generator pairs rewrite by a quadratic straightening
 rule, with an extra union/intersection term when the two segments are
 linked.  Quantum minors are alternating sums of generator words and land in
-the same normal form.
+the same normal form.  Every product straightens its scalars in the packed
+form of ``laurent`` (one int per coefficient) and decodes each finished
+word once; the basis cache straightens its structure constants with the
+same kernel.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from .laurent import (
     LaurentPoly,
     ONE,
     ZERO,
-    _add_product,
-    _finish,
+    _digits,
+    _pack,
     _render_terms,
+    _wrap as _poly,
 )
 from .multisegment import (
     Multisegment,
@@ -65,20 +69,26 @@ def _word_str(word: Word) -> str:
     return "*".join(map(str, word)) or "1"
 
 
-def _straighten(word: Word, scalar: dict[int, int],
-                out: dict[Word, dict[int, int]]) -> None:
-    """Accumulate the normal form of scalar * word into out.
+def _straighten(word: Word, off: int, x: int, l1: int, k: int,
+                out: dict[Word, list[int]]) -> None:
+    """Accumulate the normal form of v^off x(v) * word into out.
 
-    Coefficients are plain exponent -> coefficient dicts: scalar must be one
-    the caller gives up, since out may take it over, and out may keep
-    zeros.
+    The scalar is packed (laurent._pack) at width k: x has digits at
+    exponents >= 0 only, and l1 bounds their L1 norm.  Each finished word
+    maps to [off, x, l1] in the same form, its contributions aligned by a
+    shift to the least off among them, their bounds summed.  A word whose
+    contributions cancel keeps x = 0.
 
     Rewrites the rightmost out-of-order pair first.  Each rewrite either
     swaps the pair (one fewer inversion, same multiset) or, for linked
     segments, replaces it by intersection/union (strictly larger squared
     length sum, so the dominance measure drops); both measures are bounded,
-    hence termination.  Every finished word is checked once, when it first
-    enters out: same degree as word, squared-length sum no smaller.
+    hence termination.  A swap changes only off.  A linked rewrite
+    multiplies by v^-kk (v^-1 - v) = v^(-kk-1) (1 - v^2): x becomes
+    x - (x << 2k) at off - kk - 1, at most doubling the L1 norm.  So every
+    l1 bounds the L1 norm of the coefficient it goes with.  Every finished
+    word is checked once, when it first enters out: same degree as word,
+    squared-length sum no smaller.
 
     Each stack entry carries the index where the search for its rightmost
     descent starts, leftward, so no word is scanned from its right end
@@ -90,9 +100,10 @@ def _straighten(word: Word, scalar: dict[int, int],
     whole word from the right would find.
     """
     degree, sq = _measures(word)
-    stack = [(word, scalar, len(word) - 2)]
+    k2 = 2 * k
+    stack = [(word, off, x, l1, len(word) - 2)]
     while stack:
-        w, c, i = stack.pop()
+        w, off, x, l1, i = stack.pop()
         while i >= 0:
             hs, he = hi = w[i]
             ls, le = lo = w[i + 1]
@@ -109,49 +120,75 @@ def _straighten(word: Word, scalar: dict[int, int],
                         f"{_word_str(w)} of degree {got_degree} and "
                         f"squared-length sum {got_sq}: it must keep degree "
                         f"{degree} and a sum of at least {sq}")
-                out[w] = c
+                out[w] = [off, x, l1]
             else:
-                for e, x in c.items():
-                    acc[e] = acc.get(e, 0) + x
+                d = off - acc[0]
+                if d >= 0:
+                    acc[1] += x << k * d
+                else:
+                    acc[0] = off
+                    acc[1] = (acc[1] << k * -d) + x
+                acc[2] += l1
             continue
         # segment_pairing(hi, lo) for hi above lo in (end, start) order:
         # 1 when they share an end or a start, -1 when lo ends just
         # before hi starts, and 0 otherwise.
         if he == le or hs == ls:
-            k = 1
+            kk = 1
         else:
-            k = -1 if hs == le + 1 else 0
+            kk = -1 if hs == le + 1 else 0
         head, tail = w[:i], w[i + 2:]
         nxt = i + 1 if tail else i - 1
-        stack.append((head + (lo, hi) + tail,
-                      {e - k: x for e, x in c.items()} if k else c, nxt))
+        stack.append((head + (lo, hi) + tail, off - kk, x, l1, nxt))
         if he > le and ls < hs <= le + 1:  # linked(hi, lo)
             u = segment_union(hi, lo)
             inter = segment_intersection(hi, lo)
-            # c times v^-k (v^-1 - v)
-            rewritten = {e - k - 1: x for e, x in c.items()}
-            for e, x in c.items():
-                e += 1 - k
-                rewritten[e] = rewritten.get(e, 0) - x
+            # v^off x times v^-kk (v^-1 - v) = v^(off-kk-1) x (1 - v^2)
+            y, low = x - (x << k2), off - kk - 1
             if inter is None:
-                stack.append((head + (u,) + tail, rewritten,
+                stack.append((head + (u,) + tail, low, y, 2 * l1,
                               i if tail else i - 1))
             else:
-                stack.append((head + (inter, u) + tail, rewritten, nxt))
+                stack.append((head + (inter, u) + tail, low, y, 2 * l1, nxt))
 
 
-def _from_words(words: dict[Word, dict[int, int]]) -> "AlgebraElement":
+def _normal_form(fill, k: int = 16) -> "AlgebraElement":
+    """The element whose straightened words fill(words, k) accumulates into
+    words at width k.  Before any digit is read, every word's bound must
+    lie below 2^(k-2); if one does not, k doubles and fill starts again."""
+    while True:
+        words: dict[Word, list[int]] = {}
+        fill(words, k)
+        if all(not l1 >> (k - 2) for _, _, l1 in words.values()):
+            return _from_words(words, k)
+        k *= 2
+
+
+def _from_words(words: dict[Word, list[int]], k: int) -> "AlgebraElement":
     """The element with the given straightened words: each sorted word is
-    v^(binom_sum) E*(m) for its multisegment m, so it contributes its
+    v^(-binom_sum) E*(m) for its multisegment m, so it contributes its
     coefficient times v^(-binom_sum) to E*(m).  Distinct sorted words have
-    distinct multisegments, so each coefficient is finished once; a word
-    is sorted and its segments valid, so it is the label's segment tuple."""
+    distinct multisegments, so each coefficient is decoded once; a word is
+    sorted and its segments valid, so it is the label's segment tuple."""
     out: dict[Multisegment, LaurentPoly] = {}
-    for w, c in words.items():
-        label = _from_sorted(w)
-        shift = label.binom_sum()
-        out[label] = _finish({e - shift: x for e, x in c.items()})
-    return AlgebraElement(out)
+    for w, (off, x, _) in words.items():
+        if x:
+            label = _from_sorted(w)
+            out[label] = _poly(_digits(x, off - label.binom_sum(), k)[0])
+    return _wrap(out)
+
+
+def _packed_terms(x: "AlgebraElement", k: int
+                  ) -> list[tuple[Word, int, int, int]]:
+    """Each term c E*(m) of x as the word of m with its scalar: (segments,
+    off, packed c, L1 norm of c), c packed at its least exponent e at
+    width k and off = e + binom_sum, as E*(m) is v^binom_sum times the
+    word."""
+    out = []
+    for m, c in x._terms.items():
+        low = min(c._c)
+        out.append((m.segments, m.binom_sum() + low, *_pack(c, low, k)))
+    return out
 
 
 def _wrap(terms: dict[Multisegment, LaurentPoly]) -> "AlgebraElement":
@@ -243,17 +280,15 @@ class AlgebraElement:
             return self.scaled(other)
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        words: dict[Word, dict[int, int]] = {}
-        right = [(n.segments, n.binom_sum(), cn)
-                 for n, cn in other._terms.items()]
-        for m, cm in self._terms.items():
-            lhs = m.segments
-            shift = m.binom_sum()
-            for rhs, rshift, cn in right:
-                scalar: dict[int, int] = {}
-                _add_product(scalar, cm, cn, shift + rshift)
-                _straighten(lhs + rhs, scalar, words)
-        return _from_words(words)
+
+        def fill(words: dict[Word, list[int]], k: int) -> None:
+            right = _packed_terms(other, k)
+            for lhs, off, x, l1 in _packed_terms(self, k):
+                for rhs, roff, y, rl1 in right:
+                    _straighten(lhs + rhs, off + roff, x * y, l1 * rl1, k,
+                                words)
+
+        return _normal_form(fill)
 
     # -- comparison and rendering ---------------------------------------------
 
@@ -307,10 +342,9 @@ def dual_pbw(m: Multisegment) -> AlgebraElement:
 
 def basis_product(m: Multisegment, n: Multisegment) -> AlgebraElement:
     """The product E*(m) E*(n), straightened as one word."""
-    words: dict[Word, dict[int, int]] = {}
-    _straighten(m.segments + n.segments, {m.binom_sum() + n.binom_sum(): 1},
-                words)
-    return _from_words(words)
+    word, off = m.segments + n.segments, m.binom_sum() + n.binom_sum()
+    return _normal_form(lambda words, k: _straighten(word, off, 1, 1, k,
+                                                     words))
 
 
 def unit() -> AlgebraElement:
@@ -337,7 +371,7 @@ def quantum_minor(rows: Iterable[int], cols: Iterable[int]) -> AlgebraElement:
     rows = tuple(rows)
     cols = tuple(cols)
     _check_indices(rows, cols)
-    words: dict[Word, dict[int, int]] = {}
+    terms = []
     for perm in itertools.permutations(range(len(rows))):
         word = []
         for r, p in enumerate(perm):
@@ -347,8 +381,13 @@ def quantum_minor(rows: Iterable[int], cols: Iterable[int]) -> AlgebraElement:
                 word.append(Segment(rows[r], cols[p] - 1))
         else:
             inv = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
-            _straighten(tuple(word), {inv: (-1) ** inv}, words)
-    return _from_words(words)
+            terms.append((tuple(word), inv))
+
+    def fill(words: dict[Word, list[int]], k: int) -> None:
+        for word, inv in terms:
+            _straighten(word, inv, (-1) ** inv, 1, k, words)
+
+    return _normal_form(fill)
 
 
 def minor_multisegment(rows: Iterable[int], cols: Iterable[int]) -> Multisegment:

@@ -17,6 +17,7 @@ from functools import cached_property
 from .algebra import (
     AlgebraElement,
     InvariantError,
+    _straighten,
     _wrap,
     basis_product,
     dual_pbw,
@@ -26,6 +27,8 @@ from .laurent import (
     LaurentPoly,
     ONE,
     ZERO,
+    _digits,
+    _pack,
     _wrap as _poly,
 )
 from .multisegment import (
@@ -65,34 +68,6 @@ class _Widened(Exception):
     """A bound outgrew the digit width, which has doubled: start again."""
 
 
-def _pack(c: LaurentPoly, base: int, k: int) -> tuple[int, int]:
-    """c as one int, digit e at bits k(e - base), and the L1 norm of c."""
-    packed = l1 = 0
-    for e, d in c._c.items():
-        packed += d << k * (e - base)
-        l1 += abs(d)
-    return packed, l1
-
-
-def _digits(x: int, base: int, k: int, stop: int | None = None
-            ) -> tuple[dict[int, int], int]:
-    """The nonzero digits of x by exponent, digit e read from bits
-    k(e - base) into [-2^(k-1), 2^(k-1)), below exponent stop if given;
-    and their L1 norm."""
-    half, mask = 1 << (k - 1), (1 << k) - 1
-    out, l1, e = {}, 0, base
-    while x and e != stop:
-        if d := x & mask:
-            if d >= half:
-                d -= mask + 1
-            out[e] = d
-            l1 += abs(d)
-            x -= d
-        x >>= k
-        e += 1
-    return out, l1
-
-
 def _symmetric_part(x: int, base: int, k: int) -> tuple[int, int]:
     """The symmetric part of a packed coefficient, packed at its base, and
     its L1 norm."""
@@ -128,11 +103,14 @@ class BasisCache:
     alone, so any linear extension yields the same basis, as a test checks.
 
     The cache computes on integers.  A label gets a dense id when first
-    seen (_ids; _labels and _order hold its label and its key, taken once
-    through _key), and accumulators, heaps, rows and products are keyed by
-    id.  A coefficient is one int: digit e, balanced in [-2^(K-1),
-    2^(K-1)), sits at bits K(e - base), base being the least exponent the
-    vector can produce.  A multiply-add is one product and one shift.
+    seen (_ids, keyed by its segment tuple, so that a straightened word,
+    which is one, finds its id without a label being built; _labels,
+    _order and _binoms hold its label, its key, taken once through _key,
+    and its binom_sum), and accumulators, heaps, rows and products are
+    keyed by id.  A coefficient is one int: digit e, balanced in
+    [-2^(K-1), 2^(K-1)), sits at bits K(e - base), base being the least
+    exponent the vector can produce (laurent._pack).  A multiply-add is
+    one product and one shift.
 
     Each packed step bounds every digit it holds and checks the bound below
     2^(K-2) before reading a digit, so digits decode uniquely and low bits
@@ -144,9 +122,17 @@ class BasisCache:
     X^2 - 1 a numerator p is A + X B, A and B the sums of its digits at
     even and at odd places, each below 2^(K-2); so the remainder is 0
     exactly when A = B = 0, that is p(1) = p(-1) = 0: when v - v^-1
-    divides p.  No carry can hide a remainder.  A bound reaching 2^(K-2)
-    doubles K (16 at first), drops the rows and the product memo, and
-    restarts the step: no input LaurentPoly arithmetic takes is refused.
+    divides p.  No carry can hide a remainder.
+
+    A structure constant straightens G*(m) G*(n) on packed scalars
+    (algebra._straighten), and the bound each finished word carries bounds
+    its L1 norm: L1(ab) <= L1(a) L1(b), so each pair of row terms starts
+    below the product of the two rows' largest L1 norms; a swap keeps the
+    L1 norm; a linked rewrite multiplies by v^(-kk-1) (1 - v^2), so at
+    most doubles it; and sums add their norms.  Its sweep starts from the
+    largest bound of a word.  A bound reaching 2^(K-2) doubles K (16 at
+    first), drops the rows and the product memo, and restarts the step:
+    no input LaurentPoly arithmetic takes is refused.
 
     The rows, by id, pack each G*(n) at base 0 (dual_canonical checks that
     it lies in Z[v]), by a shift as the correction finishes it and again
@@ -154,16 +140,18 @@ class BasisCache:
     each E*([s]) E*(p) that aux_vector straightens, packed at its own base
     with mu, the copies of s in p, and the id of p + [s], by s and then by
     the id of p.  It lives for one run: every packed step goes through
-    _run, and the outermost run (one dual_canonical miss, aux_vector or
-    expand_in_dcb call, or one dcb_table class) opens it and drops it on
-    return, so no product outlives the call that needed it.
+    _run, and the outermost run (one dual_canonical miss, aux_vector,
+    expand_in_dcb or structure_constants call, one dcb_table class, or
+    one verification suite) opens it and drops it on return, so no product
+    outlives the call that needed it.
     """
 
     def __init__(self):
         self._memo: dict[Multisegment, AlgebraElement] = {}
-        self._ids: dict[Multisegment, int] = {}
+        self._ids: dict[tuple[Segment, ...], int] = {}
         self._labels: list[Multisegment] = []
         self._order: list[tuple] = []
+        self._binoms: list[int] = []
         self._k = 16
         self._rows: list[tuple | None] = []
         self._products: dict[Segment, dict[int, tuple]] | None = None
@@ -176,11 +164,12 @@ class BasisCache:
         return n.extension_key()
 
     def _id(self, n: Multisegment) -> int:
-        i = self._ids.get(n)
+        i = self._ids.get(n.segments)
         if i is None:
-            i = self._ids[n] = len(self._labels)
+            i = self._ids[n.segments] = len(self._labels)
             self._labels.append(n)
             self._order.append(self._key(n))
+            self._binoms.append(n.binom_sum())
             self._rows.append(None)
         return i
 
@@ -288,7 +277,7 @@ class BasisCache:
         # raises the largest segment, so the word p*s is sorted.  p + s is
         # the all-swap term of E*(s) E*(p); an unsorted word would match no
         # label and fail the lookup.
-        swap = self._ids.get(_from_sorted(label.segments + (s,)))
+        swap = self._ids.get(label.segments + (s,))
         if swap not in terms:
             raise InvariantError(
                 f"aux_vector({m}): E*({s}) E*({label}) has no term at "
@@ -415,6 +404,42 @@ class BasisCache:
         for q, c in terms:
             acc[self._id(q)], l1 = _pack(c, base, k)
             bound = l1 if l1 > bound else bound
+        return self._strip(acc, base, bound)
+
+    def _structure(self, m: Multisegment, n: Multisegment
+                   ) -> dict[Multisegment, LaurentPoly]:
+        """structure_constants(m, n, self) at the current width: each pair
+        of terms of the rows of G*(m) and G*(n) straightened as one packed
+        word, with no label built for a word that already has an id."""
+        k, labels, binoms = self._k, self._labels, self._binoms
+        row_m = self._row(self._id(m), k)
+        row_n = self._row(self._id(n), k)
+        # Rows sit at base 0, so cp * cq is the packed product, its L1 norm
+        # at most the product of the rows' largest L1 norms.
+        top = row_m[1] * row_n[1]
+        right = [(labels[q].segments, binoms[q], cq)
+                 for q, cq in zip(row_n[3::2], row_n[4::2])]
+        words: dict[tuple[Segment, ...], list[int]] = {}
+        for p, cp in zip(row_m[3::2], row_m[4::2]):
+            lhs, off = labels[p].segments, binoms[p]
+            for rhs, roff, cq in right:
+                _straighten(lhs + rhs, off + roff, cp * cq, top, k, words)
+        # Word w is v^-binom(w) E*(w): its coefficient moves down by binom.
+        ids, found, bound = self._ids, [], 0
+        for w, (off, x, l1) in words.items():
+            i = ids.get(w)
+            if i is None:
+                i = self._id(_from_sorted(w))
+            found.append((i, off - binoms[i], x))
+            bound = l1 if l1 > bound else bound
+        base = min((off for _, off, _ in found), default=0)
+        acc = {i: x << k * (off - base) for i, off, x in found}
+        return self._strip(acc, base, bound)
+
+    def _strip(self, acc: dict[int, int], base: int, bound: int
+               ) -> dict[Multisegment, LaurentPoly]:
+        """The expansion of packed acc over the corrected basis, in
+        extension_key order: one sweep that strips each whole coefficient."""
         labels = self._labels
         return {labels[i]: _poly(digits)
                 for i, digits in self._sweep(acc, base, bound, False)}
@@ -494,9 +519,12 @@ def expand_in_dcb(x: AlgebraElement, cache: BasisCache
 
 def structure_constants(m: Multisegment, n: Multisegment, cache: BasisCache
                         ) -> dict[Multisegment, LaurentPoly]:
-    """Expansion of G*(m) G*(n) over the corrected basis."""
-    return expand_in_dcb(cache.dual_canonical(m) * cache.dual_canonical(n),
-                         cache)
+    """Expansion of G*(m) G*(n) over the corrected basis, in extension_key
+    order: expand_in_dcb(G*(m) * G*(n), cache), computed without leaving
+    the packed form.  The product is straightened from the cache's packed
+    rows of G*(m) and G*(n), one word per pair of terms, and its words go
+    straight into the sweep that expand_in_dcb runs."""
+    return cache._run(cache._structure, m, n)
 
 
 def membership_up_to_power(x: AlgebraElement, cache: BasisCache

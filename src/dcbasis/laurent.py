@@ -13,8 +13,16 @@ bar-symmetric truncation ``symmetric_part``, and exact division by
 v^2 + 1 + v^-2
 
 A ``LaurentPoly`` is hashed and memoized, so the dict it owns is never
-mutated.  Products of polynomials, here and in ``AlgebraElement``, add
-into a plain dict that may hold zeros and wrap it once it is finished.
+mutated.  A product of two polynomials adds into a plain dict that may
+hold zeros and wraps it once it is finished.
+
+The packed form is the one integer encoding that the straightening kernel
+of ``AlgebraElement`` and the basis cache compute on: ``_pack`` writes a
+polynomial as one int, digit e at bits k(e - base), and ``_digits`` reads
+it back.  A sum, a product and a shift of packed ints are the sum, the
+product and a power-of-v multiple of the polynomials, so a computation may
+stay packed from start to end and decode once, provided every digit it
+reads lies below 2^(k-1) in absolute value.
 """
 
 from __future__ import annotations
@@ -259,12 +267,13 @@ ONE = LaurentPoly(1)
 V = LaurentPoly.v_power(1)
 
 
-# -- products into a plain dict, shared with AlgebraElement -------------------
+# -- products into a plain dict ------------------------------------------------
 
 
 def _add_product(acc: dict[int, int], a: LaurentPoly, b: LaurentPoly,
                  shift: int) -> None:
-    """acc += v^shift * a * b, in place; acc may keep zeros."""
+    """acc += v^shift * a * b, in place; acc may keep zeros.  The dict
+    kernel of ``LaurentPoly.__mul__``."""
     a, b = a._c, b._c
     if len(a) > len(b):
         a, b = b, a
@@ -278,6 +287,37 @@ def _add_product(acc: dict[int, int], a: LaurentPoly, b: LaurentPoly,
 def _finish(acc: dict[int, int]) -> LaurentPoly:
     """The polynomial of a finished accumulator, zeros dropped."""
     return _wrap({e: c for e, c in acc.items() if c})
+
+
+# -- the packed form -----------------------------------------------------------
+
+
+def _pack(c: LaurentPoly, base: int, k: int) -> tuple[int, int]:
+    """c as one int, digit e at bits k(e - base), and the L1 norm of c."""
+    packed = l1 = 0
+    for e, d in c._c.items():
+        packed += d << k * (e - base)
+        l1 += abs(d)
+    return packed, l1
+
+
+def _digits(x: int, base: int, k: int, stop: int | None = None
+            ) -> tuple[dict[int, int], int]:
+    """The nonzero digits of x by exponent, digit e read from bits
+    k(e - base) into [-2^(k-1), 2^(k-1)), below exponent stop if given;
+    and their L1 norm."""
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out, l1, e = {}, 0, base
+    while x and e != stop:
+        if d := x & mask:
+            if d >= half:
+                d -= mask + 1
+            out[e] = d
+            l1 += abs(d)
+            x -= d
+        x >>= k
+        e += 1
+    return out, l1
 
 
 def quantum_integer(a: int) -> LaurentPoly:

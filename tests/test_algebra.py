@@ -1,5 +1,6 @@
 """Tests for the straightening algebra and quantum minors."""
 
+import collections
 import itertools
 import os
 import subprocess
@@ -20,10 +21,15 @@ from dcbasis.algebra import (
     render_combination,
     unit,
 )
+from dcbasis.canonical import BasisCache
+from dcbasis.checks import _degree_pairs
 from dcbasis.laurent import (
     LaurentPoly,
     ONE,
     ZERO,
+    _add_product,
+    _digits,
+    _finish,
     quantum_integer,
 )
 from dcbasis.multisegment import (
@@ -215,8 +221,9 @@ def _old_from_words(words):
     return AlgebraElement(out)
 
 
-def _old_minor(rows, cols):
-    words = {}
+def _minor_terms(rows, cols):
+    """(word, inversions) for each permutation whose generator word
+    survives, as quantum_minor builds them."""
     for perm in itertools.permutations(range(len(rows))):
         word = []
         for r, p in enumerate(perm):
@@ -226,8 +233,13 @@ def _old_minor(rows, cols):
                 word.append(Segment(rows[r], cols[p] - 1))
         else:
             inv = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
-            _old_straighten(tuple(word), LaurentPoly.v_power(inv, (-1) ** inv),
-                            words)
+            yield tuple(word), inv
+
+
+def _old_minor(rows, cols):
+    words = {}
+    for word, inv in _minor_terms(rows, cols):
+        _old_straighten(word, LaurentPoly.v_power(inv, (-1) ** inv), words)
     return _old_from_words(words)
 
 
@@ -257,6 +269,130 @@ def test_quantum_minor_matches_the_old_straightening():
                     _old_minor(rows, cols).items(), (rows, cols)
                 minors += 1
     assert minors == 115
+
+
+# -- the packed kernel against the dict kernel it replaced ---------------------
+
+
+def _dict_straighten(word, scalar, out):
+    """Reference kernel on plain exponent -> coefficient dicts, the one the
+    packed kernel replaced: out may keep zeros and take over scalar."""
+    degree, sq = algebra._measures(word)
+    stack = [(word, scalar, len(word) - 2)]
+    while stack:
+        w, c, i = stack.pop()
+        while i >= 0:
+            hs, he = hi = w[i]
+            ls, le = lo = w[i + 1]
+            if he > le or he == le and hs > ls:
+                break
+            i -= 1
+        else:
+            acc = out.get(w)
+            if acc is None:
+                got_degree, got_sq = algebra._measures(w)
+                if got_degree != degree or got_sq < sq:
+                    raise algebra.InvariantError(w)
+                out[w] = c
+            else:
+                for e, x in c.items():
+                    acc[e] = acc.get(e, 0) + x
+            continue
+        if he == le or hs == ls:
+            k = 1
+        else:
+            k = -1 if hs == le + 1 else 0
+        head, tail = w[:i], w[i + 2:]
+        nxt = i + 1 if tail else i - 1
+        stack.append((head + (lo, hi) + tail,
+                      {e - k: x for e, x in c.items()} if k else c, nxt))
+        if he > le and ls < hs <= le + 1:
+            u = segment_union(hi, lo)
+            inter = segment_intersection(hi, lo)
+            rewritten = {e - k - 1: x for e, x in c.items()}
+            for e, x in c.items():
+                e += 1 - k
+                rewritten[e] = rewritten.get(e, 0) - x
+            if inter is None:
+                stack.append((head + (u,) + tail, rewritten,
+                              i if tail else i - 1))
+            else:
+                stack.append((head + (inter, u) + tail, rewritten, nxt))
+
+
+def _dict_from_words(words):
+    """Reference conversion of dict-kernel words, zero coefficients
+    dropped, words kept in order."""
+    out = {}
+    for w, c in words.items():
+        label = Multisegment(w)
+        shift = label.binom_sum()
+        out[label] = _finish({e - shift: x for e, x in c.items()})
+    return AlgebraElement(out)
+
+
+def _dict_product(x, y):
+    """x * y through the dict kernel, as AlgebraElement.__mul__ computed it."""
+    words = {}
+    for m, cm in x.unordered_items():
+        for n, cn in y.unordered_items():
+            scalar = {}
+            _add_product(scalar, cm, cn, m.binom_sum() + n.binom_sum())
+            _dict_straighten(m.segments + n.segments, scalar, words)
+    return _dict_from_words(words)
+
+
+def _dict_minor(rows, cols):
+    words = {}
+    for word, inv in _minor_terms(rows, cols):
+        _dict_straighten(word, {inv: (-1) ** inv}, words)
+    return _dict_from_words(words)
+
+
+def _same(x, y):
+    """Equal in values and in the order of their terms."""
+    return list(x.unordered_items()) == list(y.unordered_items())
+
+
+def _products_against_the_dict_kernel():
+    """(products, minors) compared: every product of two basis vectors of
+    the window and of two corrected basis vectors of degree sum <= 5, and
+    every nonzero minor with indices in 0..4."""
+    cache = BasisCache()
+    products = 0
+    for m, n in _degree_pairs(5):
+        for x, y in ((dual_pbw(m), dual_pbw(n)),
+                     (cache.dual_canonical(m), cache.dual_canonical(n))):
+            assert _same(x * y, _dict_product(x, y)), (m, n)
+            assert _same(y * x, _dict_product(y, x)), (n, m)
+            products += 2
+        assert _same(basis_product(m, n), _dict_product(dual_pbw(m),
+                                                        dual_pbw(n))), (m, n)
+    minors = 0
+    for k in range(1, 5):
+        for rows in itertools.combinations(range(5), k):
+            for cols in itertools.combinations(range(5), k):
+                if all(i <= j for i, j in zip(rows, cols)):
+                    assert _same(quantum_minor(rows, cols),
+                                 _dict_minor(rows, cols)), (rows, cols)
+                    minors += 1
+    return products, minors
+
+
+def test_products_match_the_dict_kernel():
+    assert _products_against_the_dict_kernel() == (9908, 130)
+
+
+def test_products_widen_from_a_small_width(monkeypatch):
+    """Started at width 4, where a bound must stay below 4, products widen
+    and still match the dict kernel."""
+    seen = _record_words(monkeypatch)
+    normal_form = algebra._normal_form
+    monkeypatch.setattr(algebra, "_normal_form",
+                        lambda fill, k=16: normal_form(fill, 4))
+    assert _products_against_the_dict_kernel() == (9908, 130)
+    widths = collections.Counter(k for _, k in seen)
+    assert widths[4] and widths[8]
 
 
 # -- the straightening kernel against the rescanning one it replaced -----------
@@ -310,26 +446,77 @@ def _rescanning_straighten(word, scalar, out):
             stack.append((w[:i] + mid + w[i + 2:], rewritten))
 
 
+def _decoded(words, k):
+    """Each packed finished word's coefficient as an exponent ->
+    coefficient dict, with its bound."""
+    return {w: (_digits(x, off, k)[0], l1)
+            for w, (off, x, l1) in words.items()}
+
+
 def test_straightening_kernel_matches_the_rescanning_one():
-    """Same finished words in the same order, and the same raw coefficients
-    (zeros included), on every concatenated word of a label pair on [0, 5]
-    of total degree <= 6.  The two-term scalar makes rewritten
-    coefficients cancel, so raw zeros occur."""
+    """Same finished words in the same order, and the same coefficients, on
+    every concatenated word of a label pair on [0, 5] of total degree <= 6.
+    The two-term scalar makes rewritten coefficients cancel, so raw zeros
+    occur: the packed kernel keeps the word and drops the zero digits."""
     labels = _window(5, 0, 5)
+    k = 16
     pairs = words = 0
     for m, n in itertools.product(labels, repeat=2):
         if m.degree() + n.degree() <= 6:
             word = m.segments + n.segments
             b = m.binom_sum() + n.binom_sum()
             new, old = {}, {}
-            algebra._straighten(word, {b: 1, b + 2: 1}, new)
+            algebra._straighten(word, b, 1 + (1 << 2 * k), 2, k, new)
             _rescanning_straighten(word, {b: 1, b + 2: 1}, old)
-            assert list(new.items()) == list(old.items()), (m, n)
+            assert list(new) == list(old), (m, n)
+            assert {w: c for w, (c, _) in _decoded(new, k).items()} == {
+                w: {e: x for e, x in c.items() if x}
+                for w, c in old.items()}, (m, n)
             pairs += 1
             words += len(new)
     assert (pairs, words) == (41308, 64205)
 
 
+def _record_words(monkeypatch):
+    """Patch _from_words to keep each (words, k) it decodes."""
+    seen = []
+    from_words = algebra._from_words
+
+    def recording(words, k):
+        seen.append((dict(words), k))
+        return from_words(words, k)
+
+    monkeypatch.setattr(algebra, "_from_words", recording)
+    return seen
+
+
+def test_word_bounds_cover_the_true_norms(monkeypatch):
+    """The bound that gates decoding is at least the L1 norm of every
+    finished word's coefficient, on the window label pairs and on the
+    quantum minors with indices up to 4."""
+    seen = _record_words(monkeypatch)
+    labels = _window(5, 0, 5)
+    pairs = 0
+    for m, n in itertools.product(labels, repeat=2):
+        if m.degree() + n.degree() <= 6:
+            basis_product(m, n)
+            pairs += 1
+    minors = 0
+    for k in range(1, 5):
+        for rows in itertools.combinations(range(5), k):
+            for cols in itertools.combinations(range(5), k):
+                if all(i <= j for i, j in zip(rows, cols)):
+                    quantum_minor(rows, cols)
+                    minors += 1
+    assert (pairs, minors) == (41308, 130)
+    words = tight = 0
+    for found, k in seen:
+        for c, l1 in _decoded(found, k).values():
+            norm = sum(abs(x) for x in c.values())
+            assert l1 >= norm
+            words += 1
+            tight += l1 == norm
+    assert words > pairs and tight
 # segment_union patched to drop the top of the union, so the linked rewrite
 # of [1]*[0] yields the one-point word [0]: degree 1 instead of 2.
 _SHORT_UNION = """

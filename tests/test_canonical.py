@@ -194,19 +194,33 @@ def test_expansion_of_mixed_weights_is_the_union_of_its_parts():
     assert list(expansion) == sorted(union, key=Multisegment.extension_key)
 
 
-def test_structure_constants_expands_through_expand_in_dcb(monkeypatch):
-    calls = []
+def test_structure_constants_match_the_expansion_of_the_product():
+    """The packed path equals expand_in_dcb(G*(m) * G*(n)), which it
+    replaced, in values and in key order, on every pair of degree sum <= 5:
+    on a default cache, and on one started at width 4, whose packed
+    straightening must widen."""
+    widened = []
 
-    def counted(x, cache):
-        calls.append(x)
-        return expand_in_dcb(x, cache)
+    class Narrow(BasisCache):
+        def _structure(self, m, n):
+            try:
+                return super()._structure(m, n)
+            except canonical._Widened:
+                widened.append((m, n))
+                raise
 
-    monkeypatch.setattr(canonical, "expand_in_dcb", counted)
-    cache = BasisCache()
-    m, n = pm("[1]+[2,3]"), pm("[2]+[3,4]")
-    expansion = structure_constants(m, n, cache)
-    assert calls == [cache.dual_canonical(m) * cache.dual_canonical(n)]
-    assert expansion == expand_in_dcb(calls[0], cache)
+    narrow = Narrow()
+    narrow._k = 4
+    pairs = 0
+    for cache in (BasisCache(), narrow):
+        for m, n in _degree_pairs(5):
+            expansion = structure_constants(m, n, cache)
+            product = cache.dual_canonical(m) * cache.dual_canonical(n)
+            assert list(expansion.items()) == list(
+                expand_in_dcb(product, cache).items()), (m, n)
+            pairs += 1
+    assert pairs == 2 * 2477
+    assert widened and narrow._k == 8
 
 
 def test_expand_round_trip():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 
 from dcbasis.algebra import AlgebraElement, dual_pbw
-from dcbasis import checks
+from dcbasis import canonical, checks
 from dcbasis.canonical import (
     BasisCache,
     DcbTable,
@@ -129,6 +129,24 @@ def test_eqrei_suite():
     assert report.name == "eqrei"
     assert report.cases == 3
     assert report.ok, report.failures
+
+
+def test_a_suite_shares_products_across_its_labels(monkeypatch):
+    """check_eqrei computes its basis vectors one label at a time inside
+    one run of its cache, so every label shares the products E*([s]) E*(p)
+    its auxiliary vector straightens: 608 products, against 805 with a
+    run per label."""
+    calls = []
+    basis_product = canonical.basis_product
+
+    def counting(m, n):
+        calls.append((m, n))
+        return basis_product(m, n)
+
+    monkeypatch.setattr(canonical, "basis_product", counting)
+    report = check_eqrei(5)
+    assert (report.cases, report.ok) == (2477, True)
+    assert len(calls) == len(set(calls)) == 608
 
 
 def _old_auxiliary(m, n, cache):

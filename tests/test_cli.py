@@ -16,7 +16,7 @@ import pytest
 
 from dcbasis.algebra import AlgebraElement
 from dcbasis.canonical import BasisCache, dcb_table, structure_constants
-from dcbasis.checks import SUITES
+from dcbasis.checks import SUITES, _degree_pairs
 from dcbasis import canonical, cli, criteria
 from dcbasis.cli import _suite_defaults, main
 from dcbasis.laurent import LaurentPoly
@@ -329,6 +329,26 @@ def test_decompose_enumerates_no_class(capsys):
                          "--m", "[1]+[2,3]", "--n", "[2]+[3,4]")
     assert code == 0
     assert enumerate_by_weight.cache_info().currsize == 0
+
+
+# sha256 of the ``decompose --json`` outputs of every pair of
+# _degree_pairs(5), in order, as the expansion of the product G*(m) * G*(n)
+# printed them before structure constants were computed on packed words.
+DECOMPOSE_JSON_SHA256 = (
+    "2fc2846ed2f5fc764981e287da073ea1f72973f295ecdb2e7d5bf103fff51610")
+
+
+def test_decompose_json_digest_pinned(capsys):
+    digest = hashlib.sha256()
+    pairs = 0
+    for m, n in _degree_pairs(5):
+        code, out, err = run_cli(capsys, "decompose", "--m", str(m),
+                                 "--n", str(n), "--json")
+        assert (code, err) == (0, ""), (m, n)
+        digest.update(out.encode())
+        pairs += 1
+    assert pairs == 2477
+    assert digest.hexdigest() == DECOMPOSE_JSON_SHA256
 
 
 def test_decompose_malformed_label(capsys):
