@@ -19,14 +19,11 @@ from .algebra import (
     InvariantError,
     _straighten,
     _wrap,
-    basis_product,
     dual_pbw,
 )
 from .laurent import (
     ExactDivisionError,
     LaurentPoly,
-    ONE,
-    ZERO,
     _digits,
     _pack,
     _wrap as _poly,
@@ -94,6 +91,18 @@ def _divide(num: dict[int, int], base: int, k: int) -> dict[int, int]:
     return out
 
 
+def _repack(row: tuple, k: int) -> tuple:
+    """A finished row, its coefficients read at width k and packed again
+    at width 2k."""
+    top, total, *terms = row
+    for j in range(1, len(terms), 2):
+        x = 0
+        for e, d in _digits(terms[j], 0, k)[0].items():
+            x += d << 2 * k * e
+        terms[j] = x
+    return (top, total, *terms)
+
+
 class BasisCache:
     """Memoized computation of the corrected basis.
 
@@ -115,39 +124,50 @@ class BasisCache:
     Each packed step bounds every digit it holds and checks the bound below
     2^(K-2) before reading a digit, so digits decode uniquely and low bits
     are zero exactly when their digits are.  aux_vector's bound, the L1 sum
-    of G*(rest) times 1 + the largest L1 norm of a product coefficient,
-    bounds each numerator's L1 norm; each sweep step adds L1(t) times the
-    largest L1 norm in G*(n).  Division by v - v^-1 divides by X^2 - 1,
+    of G*(rest) times 1 + the largest word bound of a product, bounds each
+    numerator's L1 norm; each sweep step adds L1(t) times the largest L1
+    norm in G*(n).  Division by v - v^-1 divides by X^2 - 1,
     X = 2^K, as v^e (v - v^-1) packs to X^(e-1-base) (X^2 - 1).  Modulo
     X^2 - 1 a numerator p is A + X B, A and B the sums of its digits at
     even and at odd places, each below 2^(K-2); so the remainder is 0
     exactly when A = B = 0, that is p(1) = p(-1) = 0: when v - v^-1
     divides p.  No carry can hide a remainder.
 
-    A structure constant straightens G*(m) G*(n) on packed scalars
-    (algebra._straighten), and the bound each finished word carries bounds
-    its L1 norm: L1(ab) <= L1(a) L1(b), so each pair of row terms starts
-    below the product of the two rows' largest L1 norms; a swap keeps the
-    L1 norm; a linked rewrite multiplies by v^(-kk-1) (1 - v^2), so at
-    most doubles it; and sums add their norms.  Its sweep starts from the
-    largest bound of a word.  A bound reaching 2^(K-2) doubles K (16 at
-    first), drops the rows and the product memo, and restarts the step:
-    no input LaurentPoly arithmetic takes is refused.
+    Products are straightened on packed scalars (algebra._straighten), and
+    the bound each finished word carries bounds its L1 norm: L1(ab) <=
+    L1(a) L1(b), so a structure constant's pair of row terms starts below
+    the product of the two rows' largest L1 norms, and E*([s]) E*(p) starts
+    at 1; a swap keeps the L1 norm; a linked rewrite multiplies by
+    v^(-kk-1) (1 - v^2), so at most doubles it; and sums add their norms.
+    A structure constant's sweep starts from the largest bound of a word.
+    A bound reaching 2^(K-2) doubles K (16 at first), re-packs every
+    finished row at the new width (digits read at K, packed at 2K), drops
+    the product memo, and restarts the step: no input LaurentPoly
+    arithmetic takes is refused, and no finished row is computed again.
 
-    The rows, by id, pack each G*(n) at base 0 (dual_canonical checks that
-    it lies in Z[v]), by a shift as the correction finishes it and again
-    whenever dual_canonical returns another object.  The product memo keeps
-    each E*([s]) E*(p) that aux_vector straightens, packed at its own base
-    with mu, the copies of s in p, and the id of p + [s], by s and then by
-    the id of p.  It lives for one run: every packed step goes through
-    _run, and the outermost run (one dual_canonical miss, aux_vector,
-    expand_in_dcb or structure_constants call, one dcb_table class, or
-    one verification suite) opens it and drops it on return, so no product
-    outlives the call that needed it.
+    The rows, by id, are the cache's memo.  Each packs G*(n) at base 0, by
+    a shift of its accumulators as the correction finishes it and checks
+    its shape; labels_computed counts them.  Nothing inside the cache is
+    decoded: a vector is decoded only where a public entry returns one.
+    dual_canonical decodes a row once and keeps the vector in _memo, by id,
+    so _memo holds only labels a caller asked for (a dcb_table class, the
+    factors of a structure constant, the oracle's labels), never a prefix
+    or a sweep label the correction finished on the way.  The decoded copy
+    is kept because callers ask for the same vectors over and over: the
+    irreducibility oracle makes about 1,200 calls a pass.
+
+    The product memo keeps each E*([s]) E*(p) that aux_vector straightens,
+    the word [s] p resolved straight to ids, packed at its least word
+    offset with mu, the copies of s in p, and the id of p + [s], by s and
+    then by the id of p.  It lives for one run: every packed step goes
+    through _run, and the outermost run (one dual_canonical miss,
+    aux_vector, expand_in_dcb or structure_constants call, one dcb_table
+    class, or one verification suite) opens it and drops it on return, so
+    no product outlives the call that needed it.
     """
 
     def __init__(self):
-        self._memo: dict[Multisegment, AlgebraElement] = {}
+        self._memo: dict[int, AlgebraElement] = {}
         self._ids: dict[tuple[Segment, ...], int] = {}
         self._labels: list[Multisegment] = []
         self._order: list[tuple] = []
@@ -157,7 +177,8 @@ class BasisCache:
         self._products: dict[Segment, dict[int, tuple]] | None = None
 
     def labels_computed(self) -> int:
-        return len(self._memo)
+        """The number of finished rows."""
+        return len(self._rows) - self._rows.count(None)
 
     def _key(self, n: Multisegment) -> tuple:
         """n.extension_key(), which _id takes once per label."""
@@ -190,35 +211,38 @@ class BasisCache:
                 self._products = None
 
     def _check(self, bound: int, k: int) -> None:
-        """Widen and restart unless digits up to bound fit width k."""
+        """Widen and restart unless digits up to bound fit width k: K
+        doubles, every finished row is packed again at the new width, and
+        the product memo starts empty."""
         if bound >> (k - 2):
             self._k = 2 * k
-            self._rows = [None] * len(self._labels)
+            self._rows = [None if row is None else _repack(row, k)
+                          for row in self._rows]
             self._products = {}
             raise _Widened
 
     def _row(self, i: int, k: int) -> tuple:
-        """The row of G*(n), n of id i, flat to stay small: G*(n), largest
-        and summed L1 norms, then each id and its coefficient at base 0."""
-        g = self.dual_canonical(self._labels[i])
-        if self._k != k:
-            raise _Widened
+        """The row of G*(n), n of id i, flat to stay small: the largest
+        and summed L1 norms of its coefficients, then each id and its
+        coefficient at base 0.  A missing row is finished in a run of its
+        own, and a widening there restarts the caller's step."""
         row = self._rows[i]
-        if row is None or row[0] is not g:
-            terms, top, total = [], 0, 0
-            for n, c in g.unordered_items():
-                packed, l1 = _pack(c, 0, k)
-                terms += self._id(n), packed
-                top = l1 if l1 > top else top
-                total += l1
-            row = self._rows[i] = (g, top, total, *terms)
+        if row is None:
+            self._run(self._correct, self._labels[i])
+            if self._k != k:
+                raise _Widened
+            row = self._rows[i]
         return row
+
+    def _finished(self, segs: tuple[Segment, ...]) -> bool:
+        i = self._ids.get(segs)
+        return i is not None and self._rows[i] is not None
 
     def aux_vector(self, m: Multisegment
                    ) -> dict[Multisegment, dict[int, int]]:
         """The pre-correction vector: E*(m) plus dominance-greater terms,
         each nonzero coefficient a new exponent -> coefficient dict, decoded
-        from _aux, the packed step dual_canonical takes.
+        from _aux, the packed step the correction takes.
 
         For at most one segment this is the basis vector itself.  Otherwise
         split off one copy of the largest segment s, and divide the graded
@@ -245,7 +269,7 @@ class BasisCache:
         # Each c lies in Z[v], so no term goes below its product's base
         # plus backward, or below forward - mu.
         entries, base, top = [], -1, 0
-        for p in row[3::2]:
+        for p in row[2::2]:
             entry = products.get(p)
             if entry is None:
                 entry = products[p] = self._product(m, s, p, k)
@@ -253,58 +277,73 @@ class BasisCache:
             base = min(base, backward + entry[0], forward - entry[3])
             top = max(top, entry[4])
         num: dict[int, int] = {}
-        for c, (low, terms, swap, mu, _) in zip(row[4::2], entries):
+        for c, (low, terms, swap, mu, _) in zip(row[3::2], entries):
             shift = k * (backward + low - base)
             for q, d in terms.items():
                 num[q] = num.get(q, 0) - (c * d << shift)
             num[swap] += c << k * (forward - mu - base)
-        bound = row[2] * top
+        bound = row[1] * top
         self._check(bound, k)
         return _divide(num, base, k), base + 1, bound
 
     def _product(self, m: Multisegment, s: Segment, p: int, k: int
                  ) -> tuple:
         """The memo entry of E*([s]) E*(p), p by id: (base, {id: coefficient},
-        id of p + [s], mu, 1 + the largest L1 norm, for v^-mu E*(p + s))."""
-        label = self._labels[p]
-        x = basis_product(_from_sorted((s,)), label)
-        base = min(c.min_exponent() for _, c in x.unordered_items())
-        terms, top = {}, 0
-        for q, c in x.unordered_items():
-            terms[self._id(q)], l1 = _pack(c, base, k)
-            top = l1 if l1 > top else top
+        id of p + [s], mu, 1 + the largest L1 bound, for v^-mu E*(p + s)).
+        The word [s] p is straightened on packed scalars, as in _structure,
+        and each finished word goes straight to its id."""
+        label, binoms = self._labels[p], self._binoms
+        words: dict[tuple[Segment, ...], list[int]] = {}
+        _straighten((s,) + label.segments, binoms[p], 1, 1, k, words)
+        top = max(l1 for _, _, l1 in words.values())
+        self._check(top, k)
         # The label's largest segment is at most s, and no elementary move
         # raises the largest segment, so the word p*s is sorted.  p + s is
         # the all-swap term of E*(s) E*(p); an unsorted word would match no
         # label and fail the lookup.
-        swap = self._ids.get(label.segments + (s,))
-        if swap not in terms:
+        swap = label.segments + (s,)
+        if not words.get(swap, (0, 0))[1]:
             raise InvariantError(
                 f"aux_vector({m}): E*({s}) E*({label}) has no term at "
                 f"{label} + {s}, so E*({label}) E*({s}) is not a relabelling")
-        return base, terms, swap, label.segments.count(s), top + 1
+        # Word w is v^-binom(w) E*(w): its coefficient moves down by binom.
+        ids, found = self._ids, []
+        for w, (off, x, _) in words.items():
+            if x:
+                q = ids.get(w)
+                if q is None:
+                    q = self._id(_from_sorted(w))
+                found.append((q, off - binoms[q], x))
+        base = min(off for _, off, _ in found)
+        terms = {q: x << k * (off - base) for q, off, x in found}
+        return base, terms, ids[swap], label.segments.count(s), top + 1
 
     def dual_canonical(self, m: Multisegment) -> AlgebraElement:
-        """The basis vector G*(m), expanded over the E* basis.  The missing
-        prefixes of m's segments, which aux_vector chains through, are built
-        bottom-up in the order a recursion would finish them, so the stack
-        does not grow with the number of segments.  The sweep recurses."""
-        hit = self._memo.get(m)
-        if hit is not None:
-            return hit
-        x = self._memo[m] = self._run(self._correct, m)
-        return x
+        """The basis vector G*(m), expanded over the E* basis: m's row,
+        finished if missing, decoded once and kept for the next call."""
+        i = self._id(m)
+        hit = self._memo.get(i)
+        if hit is None:
+            row = self._run(lambda: self._row(i, self._k))
+            k, labels = self._k, self._labels
+            hit = self._memo[i] = _wrap({
+                labels[j]: _poly(_digits(y, 0, k)[0])
+                for j, y in zip(row[2::2], row[3::2])})
+        return hit
 
-    def _correct(self, m: Multisegment) -> AlgebraElement:
-        # A restart after a widening finds every prefix memoized.
+    def _correct(self, m: Multisegment) -> None:
+        """Write the row of G*(m).  The missing prefixes of m's segments,
+        which _aux chains through, are finished first, bottom-up in the
+        order a recursion would finish them, so the stack does not grow
+        with the number of segments.  The sweep recurses."""
+        # A restart after a widening finds every finished prefix's row.
         segs = m.segments
         start = len(segs) - 1
-        while start > 1 and _from_sorted(segs[:start]) not in self._memo:
+        while start > 1 and not self._finished(segs[:start]):
             start -= 1
         for j in range(start, len(segs) - 1):
-            prefix = _from_sorted(segs[:j])
-            if prefix not in self._memo:
-                self.dual_canonical(prefix)
+            if not self._finished(segs[:j]):
+                self._run(self._correct, _from_sorted(segs[:j]))
         acc, base, bound = self._aux(m)
         k, i = self._k, self._id(m)
         # Every G*(n) the sweep subtracts lies above m, so the sweep never
@@ -313,37 +352,34 @@ class BasisCache:
         self._sweep(acc, base, bound, True)
         if diagonal is not None:
             acc[i] = diagonal
-        # One pass finishes each coefficient, packs the row at base 0 by a
-        # shift, and checks the shape of G*(m): every other label above m,
-        # with no digit at an exponent <= 0, and coefficient 1 at m.
-        order, labels, key_m = self._order, self._labels, self._order[i]
+        # One pass packs the row at base 0 by a shift and checks the shape
+        # of G*(m): every other label above m, with no digit at an
+        # exponent <= 0, and coefficient 1 at m.
+        order, key_m = self._order, self._order[i]
         shift, low = k * -base, (1 << k * (1 - base)) - 1
-        terms: dict[Multisegment, LaurentPoly] = {}
         row, top, total = [], 0, 0
         for j, x in acc.items():
             if not x:
                 continue
             y = x >> shift
             if order[j] > key_m and not x & low:
-                c, l1 = _digits(y, 0, k)
+                l1 = _digits(y, 0, k)[1]
             elif j == i:
-                c, l1 = _digits(x, base, k)
+                l1 = 1  # or the check below fails
             else:
                 raise InvariantError(
                     f"G*({m}) has coefficient {_poly(_digits(x, base, k)[0])}"
-                    f" at {labels[j]}: off-diagonal terms must lie above "
-                    f"{m}, with coefficients in v*Z[v]")
+                    f" at {self._labels[j]}: off-diagonal terms must lie "
+                    f"above {m}, with coefficients in v*Z[v]")
             row += j, y
-            terms[labels[j]] = _poly(c)
             top = l1 if l1 > top else top
             total += l1
-        if terms.get(m, ZERO) != ONE:
+        diagonal = acc.get(i, 0)
+        if diagonal != 1 << shift:
             raise InvariantError(
-                f"G*({m}) has coefficient {terms.get(m, ZERO)} at {m}, "
-                "not 1")
-        g = _wrap(terms)
-        self._rows[i] = (g, top, total, *row)
-        return g
+                f"G*({m}) has coefficient "
+                f"{_poly(_digits(diagonal, base, k)[0])} at {m}, not 1")
+        self._rows[i] = (top, total, *row)
 
     def _sweep(self, acc: dict[int, int], base: int, bound: int,
                correct: bool) -> list[tuple[int, dict[int, int]]]:
@@ -379,9 +415,9 @@ class BasisCache:
             if not t:
                 continue
             row = self._row(i, k)
-            bound += l1 * row[1]
+            bound += l1 * row[0]
             self._check(bound, k)
-            for p, c in zip(row[3::2], row[4::2]):
+            for p, c in zip(row[2::2], row[3::2]):
                 x = acc.get(p)
                 if x is None:
                     x = acc[p] = -t * c
@@ -414,13 +450,19 @@ class BasisCache:
         k, labels, binoms = self._k, self._labels, self._binoms
         row_m = self._row(self._id(m), k)
         row_n = self._row(self._id(n), k)
+        # The factors are basis vectors the caller names, so they pass
+        # through dual_canonical, where a subclass or a tracer sees every
+        # vector a caller uses; their rows are finished, so it only
+        # decodes each once.
+        self.dual_canonical(m)
+        self.dual_canonical(n)
         # Rows sit at base 0, so cp * cq is the packed product, its L1 norm
         # at most the product of the rows' largest L1 norms.
-        top = row_m[1] * row_n[1]
+        top = row_m[0] * row_n[0]
         right = [(labels[q].segments, binoms[q], cq)
-                 for q, cq in zip(row_n[3::2], row_n[4::2])]
+                 for q, cq in zip(row_n[2::2], row_n[3::2])]
         words: dict[tuple[Segment, ...], list[int]] = {}
-        for p, cp in zip(row_m[3::2], row_m[4::2]):
+        for p, cp in zip(row_m[2::2], row_m[3::2]):
             lhs, off = labels[p].segments, binoms[p]
             for rhs, roff, cq in right:
                 _straighten(lhs + rhs, off + roff, cp * cq, top, k, words)

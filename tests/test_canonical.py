@@ -10,6 +10,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,7 @@ from dcbasis.multisegment import (
     enumerate_by_weight,
     parse_multisegment,
     parse_weight,
+    segment_key,
 )
 
 
@@ -496,18 +498,56 @@ def test_forward_product_is_a_relabelling():
 
 def test_aux_vector_straightens_one_product_per_support_label(monkeypatch):
     calls = []
+    product = BasisCache._product
 
-    def counting(m, n):
-        calls.append((m, n))
-        return basis_product(m, n)
+    def counting(self, m, s, p, k):
+        calls.append((s, self._labels[p].segments))
+        return product(self, m, s, p, k)
 
-    monkeypatch.setattr(canonical, "basis_product", counting)
+    monkeypatch.setattr(BasisCache, "_product", counting)
     cache = BasisCache()
     table = dcb_table(parse_weight("0:1,1:2,2:2,3:2,4:2,5:1"), cache)
     assert len(table.labels) == 235
     assert len(calls) == 550
     assert len(set(calls)) == 550
-    assert all(len(single) == 1 for single, _ in calls)
+    # Each is E*([s]) E*(p) with no segment of p above s.
+    assert all(segment_key(t) <= segment_key(s)
+               for s, segs in calls for t in segs)
+
+
+def test_product_memo_matches_the_product_it_replaced():
+    """Every product memo entry, decoded, is basis_product(E*([s]), E*(p)),
+    the element product it replaced, for every (s, p) that the window
+    labels straighten: at the default width, and in a cache started at
+    width 4, which must widen."""
+    entries = []
+
+    class Recording(BasisCache):
+        def _product(self, m, s, p, k):
+            entry = super()._product(m, s, p, k)
+            entries.append((self, s, p, k, entry))
+            return entry
+
+    default, narrow = Recording(), Recording()
+    narrow._k = 4
+    for cache in (default, narrow):
+        for w in window_weights(5, 0, 4):
+            dcb_table(w, cache)
+    assert narrow._k > 4
+    pairs = {default: set(), narrow: set()}
+    for cache, s, p, k, (base, terms, swap, mu, top) in entries:
+        label, single = cache._labels[p], Multisegment([s])
+        decoded = {cache._labels[q]: _unpack(x, base, k)
+                   for q, x in terms.items()}
+        assert AlgebraElement(decoded) == basis_product(single, label), (
+            s, label)
+        assert all(decoded.values())
+        assert cache._labels[swap] == label + single
+        assert mu == label.segments.count(s)
+        assert top > max(sum(abs(c) for _, c in x.items())
+                         for x in decoded.values())
+        pairs[cache].add((s, label.segments))
+    assert len(pairs[default]) == len(pairs[narrow]) == 608
 
 
 def test_no_product_outlives_its_run(monkeypatch):
@@ -638,9 +678,9 @@ def test_every_window_row_packs_its_coefficients():
     for w in window_weights(5, 0, 4):
         for m in enumerate_by_weight(w):
             g = cache.dual_canonical(m)
-            # The correction packed this row by a shift of its accumulators.
-            source, top, total, *terms = cache._row(cache._id(m), k)
-            assert source is g
+            # The correction packed this row by a shift of its accumulators,
+            # and dual_canonical decoded it in row order.
+            top, total, *terms = cache._row(cache._id(m), k)
             ids, values = terms[::2], terms[1::2]
             packed = [(cache._id(n), canonical._pack(c, 0, k))
                       for n, c in g.unordered_items()]
@@ -661,6 +701,40 @@ def test_a_cache_at_a_tiny_width_widens_to_the_same_basis():
     table = dcb_table(w, tiny)
     assert len(table.labels) == 235
     assert tiny._k == 16
+    assert table.expansions == dcb_table(w, BasisCache()).expansions
+
+
+# The benchmark's basis ladder, and the 522-label class.
+LADDER = ("0:1,1:2,2:2,3:1", "0:1,1:2,2:2,3:2,4:1", "0:1,1:2,2:3,3:2,4:1",
+          "0:1,1:2,2:3,3:3,4:1", "0:1,1:2,2:2,3:2,4:2,5:1",
+          "0:1,1:2,2:3,3:3,4:2,5:1")
+
+
+@pytest.mark.parametrize("weight", LADDER)
+def test_the_ladder_fits_the_first_width(weight):
+    # The product memo's word bounds are looser than exact L1 norms; they
+    # must not widen any class of the ladder.
+    cache = BasisCache()
+    dcb_table(parse_weight(weight), cache)
+    assert cache._k == 16
+
+
+def test_a_widening_repacks_every_finished_row():
+    w = parse_weight("0:1,1:2,2:2,3:2,4:2,5:1")
+    finished_on_entry = []
+
+    class Recording(BasisCache):
+        def _correct(self, m):
+            finished_on_entry.append(self._finished(m.segments))
+            return super()._correct(m)
+
+    narrow = Recording()
+    narrow._k = 4
+    table = dcb_table(w, narrow)
+    assert narrow._k == 16
+    # Only the steps in progress at the two widenings start again.
+    assert (len(finished_on_entry), narrow.labels_computed()) == (561, 559)
+    assert not any(finished_on_entry)
     assert table.expansions == dcb_table(w, BasisCache()).expansions
 
 
@@ -763,15 +837,55 @@ def test_labels_computed():
     assert cache.labels_computed() == 1
 
 
+def test_the_core_compares_no_labels(monkeypatch):
+    # Rows, products and memo lookups go by id or by segment tuple, so a
+    # label object other than the one the cache met first costs nothing.
+    calls = []
+    eq = Multisegment.__eq__
+
+    def counting(self, other):
+        calls.append(other)
+        return eq(self, other)
+
+    warm = BasisCache()
+    for w in window_weights(5, 0, 4):
+        dcb_table(w, warm)
+    pairs = list(itertools.islice(_degree_pairs(5), 500))
+    monkeypatch.setattr(Multisegment, "__eq__", counting)
+    products = [structure_constants(m, n, warm) for m, n in pairs]
+    table = dcb_table(parse_weight("0:1,1:2,2:2,3:2,4:2,5:1"), BasisCache())
+    assert len(calls) == 0
+    monkeypatch.undo()
+    cold = BasisCache()
+    assert products == [structure_constants(m, n, cold) for m, n in pairs]
+    assert len(table.labels) == 235
+
+
+def test_the_cache_keeps_decoded_vectors_only_for_its_callers():
+    w = parse_weight("0:1,1:2,2:2,3:2,4:2,5:1")
+    tracemalloc.start()
+    try:
+        cache = BasisCache()
+        table = dcb_table(w, cache)
+        del table
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 3.0 * 2**20, held
+    # Prefixes and sweep labels have rows, not decoded vectors.
+    assert len(cache._memo) == 235
+    assert cache.labels_computed() == 559
+
+
 # Each case breaks one invariant of G*([0]+[1]), whose only other label is
 # [0,1], or of the products behind it; the script prints what
 # dual_canonical raised, one line per case.
 _BROKEN_CACHES = """
 import sys
 from dcbasis import canonical
-from dcbasis.algebra import AlgebraElement, basis_product, dual_pbw
+from dcbasis.algebra import _straighten as straighten
 from dcbasis.canonical import BasisCache, InvariantError
-from dcbasis.laurent import ExactDivisionError, LaurentPoly
+from dcbasis.laurent import ExactDivisionError
 from dcbasis.multisegment import parse_multisegment
 
 TOP, LOW = parse_multisegment("[0]+[1]"), parse_multisegment("[0,1]")
@@ -799,33 +913,33 @@ class NotInVZv(BasisCache):
             return {self._id(TOP): 1, self._id(LOW): 1}, 0, 1
         return super()._aux(m)
 
-    def dual_canonical(self, m):
-        if m == LOW:
-            return dual_pbw(LOW).scaled(LaurentPoly({0: 2}))
-        return super().dual_canonical(m)
+    def _row(self, i, k):
+        # The row of 2 E*([0,1]): norms, then its id and coefficient 2.
+        if self._labels[i] == LOW:
+            return (2, 2, i, 2)
+        return super()._row(i, k)
 
 
-def doubled(single, p):
-    return basis_product(single, p).scaled(2)
+def doubled(word, off, x, l1, k, out):
+    straighten(word, off, 2 * x, 2 * l1, k, out)
 
 
 class Indivisible(BasisCache):
     # The next case replaces the patch.
     def _aux(self, m):
-        canonical.basis_product = doubled
+        canonical._straighten = doubled
         return super()._aux(m)
 
 
-def without_all_swap_term(single, p):
-    return AlgebraElement({
-        q: c for q, c in basis_product(single, p).unordered_items()
-        if q != p + single})
+def without_all_swap_word(word, off, x, l1, k, out):
+    straighten(word, off, x, l1, k, out)
+    out.pop(word[1:] + word[:1], None)
 
 
 class NoAllSwapTerm(BasisCache):
     # The last case, so the patch is never undone.
     def _aux(self, m):
-        canonical.basis_product = without_all_swap_term
+        canonical._straighten = without_all_swap_word
         return super()._aux(m)
 
 
