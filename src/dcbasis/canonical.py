@@ -17,6 +17,7 @@ from functools import cached_property
 from .algebra import (
     AlgebraElement,
     InvariantError,
+    _packed_terms,
     _straighten,
     _wrap,
     dual_pbw,
@@ -25,7 +26,6 @@ from .laurent import (
     ExactDivisionError,
     LaurentPoly,
     _digits,
-    _pack,
     _wrap as _poly,
 )
 from .multisegment import (
@@ -134,7 +134,9 @@ class BasisCache:
     divides p.  No carry can hide a remainder.
 
     Products are straightened on packed scalars (algebra._straighten), and
-    the bound each finished word carries bounds its L1 norm: L1(ab) <=
+    _resolve is the one way from their finished words, or from the terms
+    of an element to expand, to coefficients by id.  The bound each
+    finished word carries bounds its L1 norm: L1(ab) <=
     L1(a) L1(b), so a structure constant's pair of row terms starts below
     the product of the two rows' largest L1 norms, and E*([s]) E*(p) starts
     at 1; a swap keeps the L1 norm; a linked rewrite multiplies by
@@ -142,8 +144,10 @@ class BasisCache:
     A structure constant's sweep starts from the largest bound of a word.
     A bound reaching 2^(K-2) doubles K (16 at first), re-packs every
     finished row at the new width (digits read at K, packed at 2K), drops
-    the product memo, and restarts the step: no input LaurentPoly
-    arithmetic takes is refused, and no finished row is computed again.
+    the product memo, and restarts the step of the nearest public entry:
+    no step inside the cache opens a run, so the widening goes up through
+    every step in progress.  No input LaurentPoly arithmetic takes is
+    refused, and no finished row is computed again.
 
     The rows, by id, are the cache's memo.  Each packs G*(n) at base 0, by
     a shift of its accumulators as the correction finishes it and checks
@@ -159,7 +163,7 @@ class BasisCache:
     The product memo keeps each E*([s]) E*(p) that aux_vector straightens,
     the word [s] p resolved straight to ids, packed at its least word
     offset with mu, the copies of s in p, and the id of p + [s], by s and
-    then by the id of p.  It lives for one run: every packed step goes
+    then by the id of p.  It lives for one run: every public entry goes
     through _run, and the outermost run (one dual_canonical miss,
     aux_vector, expand_in_dcb or structure_constants call, one dcb_table
     class, or one verification suite) opens it and drops it on return, so
@@ -221,16 +225,14 @@ class BasisCache:
             self._products = {}
             raise _Widened
 
-    def _row(self, i: int, k: int) -> tuple:
+    def _row(self, i: int) -> tuple:
         """The row of G*(n), n of id i, flat to stay small: the largest
         and summed L1 norms of its coefficients, then each id and its
-        coefficient at base 0.  A missing row is finished in a run of its
-        own, and a widening there restarts the caller's step."""
+        coefficient at base 0.  A missing row is finished on the spot; a
+        widening there goes up to the caller's run."""
         row = self._rows[i]
         if row is None:
-            self._run(self._correct, self._labels[i])
-            if self._k != k:
-                raise _Widened
+            self._correct(self._labels[i])
             row = self._rows[i]
         return row
 
@@ -264,7 +266,7 @@ class BasisCache:
         s = m.largest_segment()
         rest = _from_sorted(m.segments[:-1])
         forward, backward = _commutator_exponents(rest, s)
-        row = self._row(self._id(rest), k)
+        row = self._row(self._id(rest))
         products = self._products.setdefault(s, {})
         # Each c lies in Z[v], so no term goes below its product's base
         # plus backward, or below forward - mu.
@@ -292,31 +294,41 @@ class BasisCache:
         id of p + [s], mu, 1 + the largest L1 bound, for v^-mu E*(p + s)).
         The word [s] p is straightened on packed scalars, as in _structure,
         and each finished word goes straight to its id."""
-        label, binoms = self._labels[p], self._binoms
+        label = self._labels[p]
         words: dict[tuple[Segment, ...], list[int]] = {}
-        _straighten((s,) + label.segments, binoms[p], 1, 1, k, words)
-        top = max(l1 for _, _, l1 in words.values())
-        self._check(top, k)
+        _straighten((s,) + label.segments, self._binoms[p], 1, 1, k, words)
+        base, terms, top = self._resolve(words, k)
         # The label's largest segment is at most s, and no elementary move
         # raises the largest segment, so the word p*s is sorted.  p + s is
         # the all-swap term of E*(s) E*(p); an unsorted word would match no
         # label and fail the lookup.
-        swap = label.segments + (s,)
-        if not words.get(swap, (0, 0))[1]:
+        swap = self._ids.get(label.segments + (s,))
+        if swap not in terms:
             raise InvariantError(
                 f"aux_vector({m}): E*({s}) E*({label}) has no term at "
                 f"{label} + {s}, so E*({label}) E*({s}) is not a relabelling")
-        # Word w is v^-binom(w) E*(w): its coefficient moves down by binom.
-        ids, found = self._ids, []
-        for w, (off, x, _) in words.items():
+        return base, terms, swap, label.segments.count(s), top + 1
+
+    def _resolve(self, words: dict[tuple[Segment, ...], list[int]], k: int
+                 ) -> tuple[int, dict[int, int], int]:
+        """The finished words of a straightening (algebra._straighten) by
+        id: (base, {id: coefficient packed at base}, the largest word
+        bound), words whose coefficient is 0 left out.  The bound is
+        checked before anything is returned, so a zero test that an
+        overflow fooled restarts the step."""
+        ids, binoms, found, bound = self._ids, self._binoms, [], 0
+        for w, (off, x, l1) in words.items():
+            bound = l1 if l1 > bound else bound
             if x:
-                q = ids.get(w)
-                if q is None:
-                    q = self._id(_from_sorted(w))
-                found.append((q, off - binoms[q], x))
-        base = min(off for _, off, _ in found)
-        terms = {q: x << k * (off - base) for q, off, x in found}
-        return base, terms, ids[swap], label.segments.count(s), top + 1
+                i = ids.get(w)
+                if i is None:
+                    i = self._id(_from_sorted(w))
+                # Word w is v^-binom(w) E*(w): its coefficient moves down
+                # by binom.
+                found.append((i, off - binoms[i], x))
+        self._check(bound, k)
+        base = min((off for _, off, _ in found), default=0)
+        return base, {i: x << k * (off - base) for i, off, x in found}, bound
 
     def dual_canonical(self, m: Multisegment) -> AlgebraElement:
         """The basis vector G*(m), expanded over the E* basis: m's row,
@@ -324,7 +336,7 @@ class BasisCache:
         i = self._id(m)
         hit = self._memo.get(i)
         if hit is None:
-            row = self._run(lambda: self._row(i, self._k))
+            row = self._run(self._row, i)
             k, labels = self._k, self._labels
             hit = self._memo[i] = _wrap({
                 labels[j]: _poly(_digits(y, 0, k)[0])
@@ -343,7 +355,7 @@ class BasisCache:
             start -= 1
         for j in range(start, len(segs) - 1):
             if not self._finished(segs[:j]):
-                self._run(self._correct, _from_sorted(segs[:j]))
+                self._correct(_from_sorted(segs[:j]))
         acc, base, bound = self._aux(m)
         k, i = self._k, self._id(m)
         # Every G*(n) the sweep subtracts lies above m, so the sweep never
@@ -382,7 +394,7 @@ class BasisCache:
         self._rows[i] = (top, total, *row)
 
     def _sweep(self, acc: dict[int, int], base: int, bound: int,
-               correct: bool) -> list[tuple[int, dict[int, int]]]:
+               correct: bool) -> dict[Multisegment, LaurentPoly]:
         """Walk the ids of acc upward along their keys, subtracting
         t G*(n) at each label n, in place; acc holds coefficients packed at
         base, no digit above bound.  The correction takes t = the symmetric
@@ -391,14 +403,14 @@ class BasisCache:
         (mask -1).  A label waits in idle until its mask is nonzero, then
         goes on the heap once; a step at n touches only labels above n, so
         each label is queued before its turn.  Keys are unique, so the heap
-        never compares ids.  Returns the expansion's (id, digits of t) for
-        each nonzero t, in walk order."""
+        never compares ids.  Returns the expansion, each nonzero t decoded
+        at its label, in walk order; the correction returns {}."""
         k = self._k
         self._check(bound, k)
         low = (1 << k * (1 - base)) - 1 if correct else -1
-        order = self._order
+        order, labels = self._order, self._labels
         push, pop = heapq.heappush, heapq.heappop
-        heap, idle, steps = [], set(), []
+        heap, idle, steps = [], set(), {}
         for i, x in acc.items():
             if x & low:
                 heap.append((order[i], i))
@@ -411,10 +423,10 @@ class BasisCache:
                 t, l1 = _symmetric_part(acc[i], base, k)
             elif t := acc[i]:
                 digits, l1 = _digits(t, base, k)
-                steps.append((i, digits))
+                steps[labels[i]] = _poly(digits)
             if not t:
                 continue
-            row = self._row(i, k)
+            row = self._row(i)
             bound += l1 * row[0]
             self._check(bound, k)
             for p, c in zip(row[2::2], row[3::2]):
@@ -433,14 +445,12 @@ class BasisCache:
         return steps
 
     def _expand(self, x: AlgebraElement) -> dict[Multisegment, LaurentPoly]:
-        """expand_in_dcb(x, self) at the current width."""
-        terms = x.unordered_items()
-        base = min((min(c._c) for _, c in terms), default=0)
-        k, acc, bound = self._k, {}, 0
-        for q, c in terms:
-            acc[self._id(q)], l1 = _pack(c, base, k)
-            bound = l1 if l1 > bound else bound
-        return self._strip(acc, base, bound)
+        """expand_in_dcb(x, self) at the current width: the terms of x are
+        finished words already."""
+        k = self._k
+        words = {w: [off, y, l1] for w, off, y, l1 in _packed_terms(x, k)}
+        base, acc, bound = self._resolve(words, k)
+        return self._sweep(acc, base, bound, False)
 
     def _structure(self, m: Multisegment, n: Multisegment
                    ) -> dict[Multisegment, LaurentPoly]:
@@ -448,8 +458,8 @@ class BasisCache:
         of terms of the rows of G*(m) and G*(n) straightened as one packed
         word, with no label built for a word that already has an id."""
         k, labels, binoms = self._k, self._labels, self._binoms
-        row_m = self._row(self._id(m), k)
-        row_n = self._row(self._id(n), k)
+        row_m = self._row(self._id(m))
+        row_n = self._row(self._id(n))
         # The factors are basis vectors the caller names, so they pass
         # through dual_canonical, where a subclass or a tracer sees every
         # vector a caller uses; their rows are finished, so it only
@@ -466,25 +476,8 @@ class BasisCache:
             lhs, off = labels[p].segments, binoms[p]
             for rhs, roff, cq in right:
                 _straighten(lhs + rhs, off + roff, cp * cq, top, k, words)
-        # Word w is v^-binom(w) E*(w): its coefficient moves down by binom.
-        ids, found, bound = self._ids, [], 0
-        for w, (off, x, l1) in words.items():
-            i = ids.get(w)
-            if i is None:
-                i = self._id(_from_sorted(w))
-            found.append((i, off - binoms[i], x))
-            bound = l1 if l1 > bound else bound
-        base = min((off for _, off, _ in found), default=0)
-        acc = {i: x << k * (off - base) for i, off, x in found}
-        return self._strip(acc, base, bound)
-
-    def _strip(self, acc: dict[int, int], base: int, bound: int
-               ) -> dict[Multisegment, LaurentPoly]:
-        """The expansion of packed acc over the corrected basis, in
-        extension_key order: one sweep that strips each whole coefficient."""
-        labels = self._labels
-        return {labels[i]: _poly(digits)
-                for i, digits in self._sweep(acc, base, bound, False)}
+        base, acc, bound = self._resolve(words, k)
+        return self._sweep(acc, base, bound, False)
 
 
 @dataclass(frozen=True)

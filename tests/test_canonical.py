@@ -25,7 +25,7 @@ from dcbasis.canonical import (
     membership_up_to_power,
     structure_constants,
 )
-from dcbasis import canonical, checks, cli
+from dcbasis import canonical, checks, cli, laurent
 from dcbasis.algebra import (
     AlgebraElement,
     InvariantError,
@@ -199,8 +199,8 @@ def test_expansion_of_mixed_weights_is_the_union_of_its_parts():
 def test_structure_constants_match_the_expansion_of_the_product():
     """The packed path equals expand_in_dcb(G*(m) * G*(n)), which it
     replaced, in values and in key order, on every pair of degree sum <= 5:
-    on a default cache, and on one started at width 4, whose packed
-    straightening must widen."""
+    on a default cache, and on one started at width 4, where the
+    correction of a factor's row must widen."""
     widened = []
 
     class Narrow(BasisCache):
@@ -223,6 +223,35 @@ def test_structure_constants_match_the_expansion_of_the_product():
             pairs += 1
     assert pairs == 2 * 2477
     assert widened and narrow._k == 8
+
+
+def test_a_structure_constant_widens_on_its_own_bound():
+    """With both factors finished at width 4, the straightened words of
+    G*(m) G*(n) outgrow it: the widening comes from _structure's own
+    bound, finishes no row, and the restart reads the rows re-packed."""
+    m, n = pm("2[0]+[2]"), pm("2[1]")
+    raised = []
+
+    class Narrow(BasisCache):
+        def _resolve(self, words, k):
+            computed = self.labels_computed()
+            try:
+                return super()._resolve(words, k)
+            except canonical._Widened:
+                raised.append((k, self._k, computed,
+                               self.labels_computed()))
+                raise
+
+    narrow = Narrow()
+    narrow._k = 4
+    narrow.dual_canonical(m)
+    narrow.dual_canonical(n)
+    assert narrow._k == 4
+    computed = narrow.labels_computed()
+    expansion = structure_constants(m, n, narrow)
+    assert raised == [(4, 8, computed, computed)]
+    assert list(expansion.items()) == list(
+        structure_constants(m, n, BasisCache()).items())
 
 
 def test_expand_round_trip():
@@ -620,7 +649,7 @@ def test_pack_and_decode_round_trip(k, below, data):
     p = LaurentPoly(data.draw(st.dictionaries(
         st.integers(-40, 40), st.integers(-half, half - 1), max_size=8)))
     base = _low(p) - below
-    packed, l1 = canonical._pack(p, base, k)
+    packed, l1 = laurent._pack(p, base, k)
     assert canonical._digits(packed, base, k) == (
         raw(p), sum(abs(c) for c in raw(p).values()))
     assert l1 == sum(abs(c) for c in raw(p).values())
@@ -631,9 +660,9 @@ def test_multiply_add_matches_add_product(acc, a, b, shift, below):
     expected = acc - LaurentPoly.v_power(shift) * a * b
     base_a, base_b = _low(a), _low(b)
     base = min(_low(acc), shift + base_a + base_b) - below
-    x = canonical._pack(acc, base, WIDTH)[0] - (
-        canonical._pack(a, base_a, WIDTH)[0]
-        * canonical._pack(b, base_b, WIDTH)[0]
+    x = laurent._pack(acc, base, WIDTH)[0] - (
+        laurent._pack(a, base_a, WIDTH)[0]
+        * laurent._pack(b, base_b, WIDTH)[0]
         << WIDTH * (shift + base_a + base_b - base))
     assert _unpack(x, base) == expected
 
@@ -643,7 +672,7 @@ def test_division_matches_the_dict_kernel(q, r, below):
     # q (v - v^-1) is divisible; adding r mostly makes it not.
     p = q * (V - LaurentPoly.v_power(-1)) + r
     base = _low(p) - below
-    num = {7: canonical._pack(p, base, WIDTH)[0]}
+    num = {7: laurent._pack(p, base, WIDTH)[0]}
     try:
         expected = p.divide_by_v_minus_vinv()
     except ExactDivisionError as exc:
@@ -662,7 +691,7 @@ def test_division_matches_the_dict_kernel(q, r, below):
 def test_symmetric_part_matches_the_dict_kernel(p, below):
     # Sweeps pack at a base <= 0, where the mirrored digits fit.
     base = min(_low(p), 0) - below
-    x = canonical._pack(p, base, WIDTH)[0]
+    x = laurent._pack(p, base, WIDTH)[0]
     t, l1 = canonical._symmetric_part(x, base, WIDTH)
     expected = p.symmetric_part()
     assert _unpack(t, base) == expected
@@ -680,9 +709,9 @@ def test_every_window_row_packs_its_coefficients():
             g = cache.dual_canonical(m)
             # The correction packed this row by a shift of its accumulators,
             # and dual_canonical decoded it in row order.
-            top, total, *terms = cache._row(cache._id(m), k)
+            top, total, *terms = cache._row(cache._id(m))
             ids, values = terms[::2], terms[1::2]
-            packed = [(cache._id(n), canonical._pack(c, 0, k))
+            packed = [(cache._id(n), laurent._pack(c, 0, k))
                       for n, c in g.unordered_items()]
             assert list(zip(ids, values)) == [(i, x) for i, (x, _) in packed]
             assert {cache._labels[i]: _unpack(x, 0, k)
@@ -733,9 +762,33 @@ def test_a_widening_repacks_every_finished_row():
     table = dcb_table(w, narrow)
     assert narrow._k == 16
     # Only the steps in progress at the two widenings start again.
-    assert (len(finished_on_entry), narrow.labels_computed()) == (561, 559)
+    assert (len(finished_on_entry), narrow.labels_computed()) == (563, 559)
     assert not any(finished_on_entry)
     assert table.expansions == dcb_table(w, BasisCache()).expansions
+
+
+_CORRECT = BasisCache._correct.__code__
+
+
+def test_no_run_opens_inside_the_core():
+    """A row missing inside the core is finished by a direct call, so the
+    frames between a nested _correct and its parent hold no _run, and a
+    widening restarts the step of the nearest public entry."""
+    gaps = collections.Counter()
+
+    class Recording(BasisCache):
+        def _correct(self, m):
+            gap, frame = [], sys._getframe(1)
+            while frame is not None and frame.f_code is not _CORRECT:
+                gap.append(frame.f_code.co_name)
+                frame = frame.f_back
+            if frame is not None:
+                gaps[tuple(gap)] += 1
+            return super()._correct(m)
+
+    dcb_table(parse_weight("0:1,1:2,2:2,3:2,4:2,5:1"), Recording())
+    # The prefix walk, _aux finishing G*(rest), and a sweep step.
+    assert set(gaps) == {(), ("_row", "_aux"), ("_row", "_sweep")}
 
 
 def test_expansion_widens_for_large_coefficients():
@@ -913,11 +966,11 @@ class NotInVZv(BasisCache):
             return {self._id(TOP): 1, self._id(LOW): 1}, 0, 1
         return super()._aux(m)
 
-    def _row(self, i, k):
+    def _row(self, i):
         # The row of 2 E*([0,1]): norms, then its id and coefficient 2.
         if self._labels[i] == LOW:
             return (2, 2, i, 2)
-        return super()._row(i, k)
+        return super()._row(i)
 
 
 def doubled(word, off, x, l1, k, out):

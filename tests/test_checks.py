@@ -194,13 +194,13 @@ class SkewedCache(BasisCache):
     """A broken basis: G*([0]+[1]) gains 2v E*([0,1]).  It stays
     unitriangular but is no longer bar-invariant."""
 
-    def _row(self, i, k):
-        row = super()._row(i, k)
+    def _row(self, i):
+        row = super()._row(i)
         if self._labels[i] == SKEWED:
             # Rows pack at base 0, so 2v is 2 << k; the norms grow by 2.
             top, total, *terms = row
             at = terms[::2].index(self._id(parse_multisegment("[0,1]")))
-            terms[2 * at + 1] += 2 << k
+            terms[2 * at + 1] += 2 << self._k
             row = (top + 2, total + 2, *terms)
         return row
 

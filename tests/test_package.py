@@ -1,5 +1,6 @@
 """Rules that hold across the whole package."""
 
+import ast
 import io
 import tokenize
 from pathlib import Path
@@ -32,3 +33,30 @@ def _used_names() -> set[str]:
 def test_every_public_name_has_a_caller_or_a_test():
     used = _used_names()
     assert [name for name in dcbasis.__all__ if name not in used] == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names that a module imports and never uses: not in code, and
+    not in ``__all__``, so a re-export counts as a use."""
+    tree = ast.parse(source)
+    imported, used = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [alias.asname or alias.name.split(".")[0]
+                         for alias in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {path.name: _unused_imports(path.read_text())
+              for path in (ROOT / "src" / "dcbasis").glob("*.py")
+              if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}
