@@ -22,10 +22,10 @@ from .laurent import (
     LaurentPoly,
     ONE,
     ZERO,
-    _digits,
+    _decode,
+    _fits,
     _pack,
     _render_terms,
-    _wrap as _poly,
 )
 from .multisegment import (
     Multisegment,
@@ -155,11 +155,12 @@ def _straighten(word: Word, off: int, x: int, l1: int, k: int,
 def _normal_form(fill, k: int = 16) -> "AlgebraElement":
     """The element whose straightened words fill(words, k) accumulates into
     words at width k.  Before any digit is read, every word's bound must
-    lie below 2^(k-2); if one does not, k doubles and fill starts again."""
+    fit width k (laurent._fits); if one does not, k doubles and fill starts
+    again."""
     while True:
         words: dict[Word, list[int]] = {}
         fill(words, k)
-        if all(not l1 >> (k - 2) for _, _, l1 in words.values()):
+        if _fits(max((l1 for _, _, l1 in words.values()), default=0), k):
             return _from_words(words, k)
         k *= 2
 
@@ -174,7 +175,7 @@ def _from_words(words: dict[Word, list[int]], k: int) -> "AlgebraElement":
     for w, (off, x, _) in words.items():
         if x:
             label = _from_sorted(w)
-            out[label] = _poly(_digits(x, off - label.binom_sum(), k)[0])
+            out[label] = _decode(x, off - label.binom_sum(), k)
     return _wrap(out)
 
 

@@ -23,9 +23,13 @@ from .algebra import (
     dual_pbw,
 )
 from .laurent import (
-    ExactDivisionError,
     LaurentPoly,
+    _decode,
     _digits,
+    _divide,
+    _fits,
+    _repack,
+    _symmetric_part,
     _wrap as _poly,
 )
 from .multisegment import (
@@ -65,44 +69,6 @@ class _Widened(Exception):
     """A bound outgrew the digit width, which has doubled: start again."""
 
 
-def _symmetric_part(x: int, base: int, k: int) -> tuple[int, int]:
-    """The symmetric part of a packed coefficient, packed at its base, and
-    its L1 norm."""
-    low, l1 = _digits(x, base, k, 1)
-    t = 0
-    for e, c in low.items():
-        t += c << k * (e - base)
-        if e:
-            t += c << k * (-e - base)
-    return t, 2 * l1 - abs(low.get(0, 0))
-
-
-def _divide(num: dict[int, int], base: int, k: int) -> dict[int, int]:
-    """The nonzero quotients of packed numerators by v - v^-1, packed at
-    base + 1, or ExactDivisionError (see BasisCache for why)."""
-    div, out = (1 << 2 * k) - 1, {}
-    for q, x in num.items():
-        quotient, remainder = divmod(x, div)
-        if remainder:
-            raise ExactDivisionError(f"{_poly(_digits(x, base, k)[0])} "
-                                     "is not divisible by v - v^-1")
-        if quotient:
-            out[q] = quotient
-    return out
-
-
-def _repack(row: tuple, k: int) -> tuple:
-    """A finished row, its coefficients read at width k and packed again
-    at width 2k."""
-    top, total, *terms = row
-    for j in range(1, len(terms), 2):
-        x = 0
-        for e, d in _digits(terms[j], 0, k)[0].items():
-            x += d << 2 * k * e
-        terms[j] = x
-    return (top, total, *terms)
-
-
 class BasisCache:
     """Memoized computation of the corrected basis.
 
@@ -121,33 +87,28 @@ class BasisCache:
     exponent the vector can produce (laurent._pack).  A multiply-add is
     one product and one shift.
 
-    Each packed step bounds every digit it holds and checks the bound below
-    2^(K-2) before reading a digit, so digits decode uniquely and low bits
-    are zero exactly when their digits are.  aux_vector's bound, the L1 sum
-    of G*(rest) times 1 + the largest word bound of a product, bounds each
-    numerator's L1 norm; each sweep step adds L1(t) times the largest L1
-    norm in G*(n).  Division by v - v^-1 divides by X^2 - 1,
-    X = 2^K, as v^e (v - v^-1) packs to X^(e-1-base) (X^2 - 1).  Modulo
-    X^2 - 1 a numerator p is A + X B, A and B the sums of its digits at
-    even and at odd places, each below 2^(K-2); so the remainder is 0
-    exactly when A = B = 0, that is p(1) = p(-1) = 0: when v - v^-1
-    divides p.  No carry can hide a remainder.
+    Each packed step bounds the L1 norm of every coefficient it holds and
+    checks that the bound fits K (laurent._fits) before reading a digit.
+    aux_vector's bound, the L1 sum of G*(rest) times 1 + the largest word
+    bound of a product, bounds each numerator's L1 norm, so its division
+    by v - v^-1 (laurent._divide) is exact; each sweep step adds L1(t)
+    times the largest L1 norm in G*(n).
 
     Products are straightened on packed scalars (algebra._straighten), and
     _resolve is the one way from their finished words, or from the terms
     of an element to expand, to coefficients by id.  The bound each
-    finished word carries bounds its L1 norm: L1(ab) <=
-    L1(a) L1(b), so a structure constant's pair of row terms starts below
-    the product of the two rows' largest L1 norms, and E*([s]) E*(p) starts
-    at 1; a swap keeps the L1 norm; a linked rewrite multiplies by
-    v^(-kk-1) (1 - v^2), so at most doubles it; and sums add their norms.
-    A structure constant's sweep starts from the largest bound of a word.
-    A bound reaching 2^(K-2) doubles K (16 at first), re-packs every
-    finished row at the new width (digits read at K, packed at 2K), drops
-    the product memo, and restarts the step of the nearest public entry:
-    no step inside the cache opens a run, so the widening goes up through
-    every step in progress.  No input LaurentPoly arithmetic takes is
-    refused, and no finished row is computed again.
+    finished word carries bounds its L1 norm: L1(ab) <= L1(a) L1(b), so a
+    structure constant's pair of row terms starts below the product of the
+    two rows' largest L1 norms, and E*([s]) E*(p) starts at 1; a swap keeps
+    the L1 norm; a linked rewrite multiplies by v^(-kk-1) (1 - v^2), so at
+    most doubles it; and sums add their norms.  A structure constant's
+    sweep starts from the largest bound of a word.  A bound that does not
+    fit doubles K (16 at first), re-packs every finished row at the new
+    width (laurent._repack), drops the product memo, and restarts the step
+    of the nearest public entry: no step inside the cache opens a run, so
+    the widening goes up through every step in progress.  No input
+    LaurentPoly arithmetic takes is refused, and no finished row is
+    computed again.
 
     The rows, by id, are the cache's memo.  Each packs G*(n) at base 0, by
     a shift of its accumulators as the correction finishes it and checks
@@ -157,8 +118,9 @@ class BasisCache:
     so _memo holds only labels a caller asked for (a dcb_table class, the
     factors of a structure constant, the oracle's labels), never a prefix
     or a sweep label the correction finished on the way.  The decoded copy
-    is kept because callers ask for the same vectors over and over: the
-    irreducibility oracle makes about 1,200 calls a pass.
+    pays only for the two factor decodes in _structure, which are there
+    for perfbench's tracer: without it the irreducibility oracle runs
+    about as fast, and warm structure constants about 1.3 times slower.
 
     The product memo keeps each E*([s]) E*(p) that aux_vector straightens,
     the word [s] p resolved straight to ids, packed at its least word
@@ -218,10 +180,12 @@ class BasisCache:
         """Widen and restart unless digits up to bound fit width k: K
         doubles, every finished row is packed again at the new width, and
         the product memo starts empty."""
-        if bound >> (k - 2):
+        if not _fits(bound, k):
             self._k = 2 * k
-            self._rows = [None if row is None else _repack(row, k)
-                          for row in self._rows]
+            # Past its two norms a row alternates id and coefficient.
+            self._rows = [row and row[:2] + tuple(
+                _repack(x, k) if j % 2 else x for j, x in enumerate(row[2:]))
+                for row in self._rows]
             self._products = {}
             raise _Widened
 
@@ -240,11 +204,10 @@ class BasisCache:
         i = self._ids.get(segs)
         return i is not None and self._rows[i] is not None
 
-    def aux_vector(self, m: Multisegment
-                   ) -> dict[Multisegment, dict[int, int]]:
+    def aux_vector(self, m: Multisegment) -> dict[Multisegment, LaurentPoly]:
         """The pre-correction vector: E*(m) plus dominance-greater terms,
-        each nonzero coefficient a new exponent -> coefficient dict, decoded
-        from _aux, the packed step the correction takes.
+        each nonzero coefficient decoded from _aux, the packed step the
+        correction takes.
 
         For at most one segment this is the basis vector itself.  Otherwise
         split off one copy of the largest segment s, and divide the graded
@@ -256,7 +219,7 @@ class BasisCache:
         """
         acc, base, _ = self._run(self._aux, m)
         k, labels = self._k, self._labels
-        return {labels[i]: _digits(x, base, k)[0] for i, x in acc.items()}
+        return {labels[i]: _decode(x, base, k) for i, x in acc.items()}
 
     def _aux(self, m: Multisegment) -> tuple[dict[int, int], int, int]:
         """aux_vector(m) packed: (nonzero coefficients by id, base, bound)."""
@@ -339,7 +302,7 @@ class BasisCache:
             row = self._run(self._row, i)
             k, labels = self._k, self._labels
             hit = self._memo[i] = _wrap({
-                labels[j]: _poly(_digits(y, 0, k)[0])
+                labels[j]: _decode(y, 0, k)
                 for j, y in zip(row[2::2], row[3::2])})
         return hit
 
@@ -380,7 +343,7 @@ class BasisCache:
                 l1 = 1  # or the check below fails
             else:
                 raise InvariantError(
-                    f"G*({m}) has coefficient {_poly(_digits(x, base, k)[0])}"
+                    f"G*({m}) has coefficient {_decode(x, base, k)}"
                     f" at {self._labels[j]}: off-diagonal terms must lie "
                     f"above {m}, with coefficients in v*Z[v]")
             row += j, y
@@ -389,8 +352,8 @@ class BasisCache:
         diagonal = acc.get(i, 0)
         if diagonal != 1 << shift:
             raise InvariantError(
-                f"G*({m}) has coefficient "
-                f"{_poly(_digits(diagonal, base, k)[0])} at {m}, not 1")
+                f"G*({m}) has coefficient {_decode(diagonal, base, k)} "
+                f"at {m}, not 1")
         self._rows[i] = (top, total, *row)
 
     def _sweep(self, acc: dict[int, int], base: int, bound: int,

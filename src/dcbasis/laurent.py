@@ -4,7 +4,7 @@ Sparse representation: a dict mapping exponent to coefficient, with zero
 coefficients never stored.  All arithmetic is exact (Python ints).  Besides
 ring operations the class carries the involution ``bar`` (v -> 1/v), the
 bar-symmetric truncation ``symmetric_part``, and exact division by
-``v - v^-1``, which is what the basis-correction algorithms downstream need.
+``v - v^-1``.
 
 >>> p = LaurentPoly({1: 2, -1: 2})
 >>> print(p * p)
@@ -16,13 +16,16 @@ A ``LaurentPoly`` is hashed and memoized, so the dict it owns is never
 mutated.  A product of two polynomials adds into a plain dict that may
 hold zeros and wraps it once it is finished.
 
-The packed form is the one integer encoding that the straightening kernel
-of ``AlgebraElement`` and the basis cache compute on: ``_pack`` writes a
-polynomial as one int, digit e at bits k(e - base), and ``_digits`` reads
-it back.  A sum, a product and a shift of packed ints are the sum, the
-product and a power-of-v multiple of the polynomials, so a computation may
-stay packed from start to end and decode once, provided every digit it
-reads lies below 2^(k-1) in absolute value.
+The module owns the packed form that ``AlgebraElement`` and the basis cache
+compute on, and every operation on it: ``_pack`` writes a polynomial as one
+int, digit e at bits k(e - base), ``_digits`` and ``_decode`` read it back,
+``_fits`` is the width rule, ``_width`` the first width that fits a bound,
+and ``_repack`` doubles a width.  A sum, a product and a shift of packed
+ints are those of the polynomials, so work may stay packed until one
+decode, provided every bound it carries fits.
+``_symmetric_part`` and ``_divide`` are the two Laurent operations the
+basis is built from, and ``symmetric_part`` and ``divide_by_v_minus_vinv``
+pack and call them.
 """
 
 from __future__ import annotations
@@ -148,18 +151,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are only defined for monomials")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     # -- involution and truncation -----------------------------------------
 
     def bar(self) -> "LaurentPoly":
@@ -178,33 +169,18 @@ class LaurentPoly:
         >>> print(LaurentPoly({-1: 2, 0: 5, 1: 7}).symmetric_part())
         2*v + 5 + 2*v^-1
         """
-        c = self._c
-        out = {0: c[0]} if 0 in c else {}
-        for e, x in c.items():
-            if e < 0:
-                out[e] = out[-e] = x
-        return _wrap(out)
+        base = min(min(self._c, default=0), 0)
+        k = _width(sum(map(abs, self._c.values())))
+        t = _symmetric_part(_pack(self, base, k)[0], base, k)[0]
+        return _decode(t, base, k)
 
     def divide_by_v_minus_vinv(self) -> "LaurentPoly":
         """Exact division by (v - v^-1); raises ExactDivisionError otherwise.
-
-        Solves the two-term recurrence q[k+1] = q[k-1] - p[k] upward from
-        below the support; the quotient is finitely supported exactly when
-        the top two recurrence values vanish.
-        """
-        c = self._c
-        if not c:
-            return ZERO
-        q: dict[int, int] = {}
-        below = at = 0  # q[k - 1] and q[k]
-        for k in range(min(c), max(c) + 1):
-            below, at = at, below - c.get(k, 0)
-            if at:
-                q[k + 1] = at
-        # Now at is q[hi + 1] and below is q[hi].
-        if below or at:
-            raise ExactDivisionError(f"{self} is not divisible by v - v^-1")
-        return _wrap(q)
+        Packed at its least exponent and divided by _divide."""
+        base = min(self._c, default=0)
+        k = _width(sum(map(abs, self._c.values())))
+        quotient = _divide({0: _pack(self, base, k)[0]}, base, k)
+        return _decode(quotient.get(0, 0), base + 1, k)
 
     # -- comparison, hashing, rendering --------------------------------------
 
@@ -318,6 +294,65 @@ def _digits(x: int, base: int, k: int, stop: int | None = None
         x >>= k
         e += 1
     return out, l1
+
+
+def _fits(bound: int, k: int) -> bool:
+    """Whether digits of L1 norm at most bound fit width k: bound < 2^(k-2).
+    Then every sum of digits lies below 2^(k-2), so digits decode uniquely,
+    low bits are zero exactly when their digits are, and _divide is sound."""
+    return not bound >> (k - 2)
+
+
+def _width(bound: int) -> int:
+    """The first width, from 16 doubling, that bound fits."""
+    k = 16
+    while not _fits(bound, k):
+        k *= 2
+    return k
+
+
+def _decode(x: int, base: int, k: int) -> LaurentPoly:
+    """The polynomial packed as x at base and width k."""
+    return _wrap(_digits(x, base, k)[0])
+
+
+def _repack(x: int, k: int) -> int:
+    """x, its digits read at width k, packed at width 2k at the same base."""
+    return sum(d << 2 * k * e for e, d in _digits(x, 0, k)[0].items())
+
+
+def _symmetric_part(x: int, base: int, k: int) -> tuple[int, int]:
+    """The symmetric part of a packed coefficient, packed at its base, and
+    its L1 norm.  The base must be at most 0: the digits mirrored are those
+    at exponents base..0."""
+    low, l1 = _digits(x, base, k, 1)
+    t = 0
+    for e, c in low.items():
+        t += c << k * (e - base)
+        if e:
+            t += c << k * (-e - base)
+    return t, 2 * l1 - abs(low.get(0, 0))
+
+
+def _divide(num: dict[int, int], base: int, k: int) -> dict[int, int]:
+    """The nonzero quotients of packed numerators by v - v^-1, by key,
+    packed at base + 1, or ExactDivisionError.
+
+    With X = 2^k, v^e (v - v^-1) packs to X^(e-1-base) (X^2 - 1), so this
+    is one divmod by X^2 - 1, sound when each numerator's L1 norm fits
+    width k (_fits).  Modulo X^2 - 1 a numerator p is A + X B, A and B the
+    sums of its digits at even and at odd places, each below 2^(k-2); so
+    the remainder is 0 exactly when A = B = 0, that is p(1) = p(-1) = 0:
+    when v - v^-1 divides p.  No carry can hide a remainder."""
+    div, out = (1 << 2 * k) - 1, {}
+    for q, x in num.items():
+        quotient, remainder = divmod(x, div)
+        if remainder:
+            raise ExactDivisionError(f"{_decode(x, base, k)} "
+                                     "is not divisible by v - v^-1")
+        if quotient:
+            out[q] = quotient
+    return out
 
 
 def quantum_integer(a: int) -> LaurentPoly:

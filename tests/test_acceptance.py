@@ -91,9 +91,8 @@ def test_criterion_02_auxiliary_vectors_of_the_worked_class():
              M4: lp({1: -1}), M5: lp({0: -1})},
     }
     for m, coeffs in expected.items():
-        assert cache.aux_vector(m) == {
-            q: dict(c.items()) for q, c in coeffs.items()}, m
-    assert cache.aux_vector(M1)[M2] == {0: 1, -2: 1}
+        assert cache.aux_vector(m) == coeffs, m
+    assert cache.aux_vector(M1)[M2] == lp({0: 1, -2: 1})
     print("PASS criterion 2: all five auxiliary vectors exact, "
           "including the 1 + v^-2 coefficient")
 

@@ -12,13 +12,22 @@ from dcbasis.laurent import (
     ExactDivisionError,
     LaurentPoly,
     _add_product,
+    _decode,
     _finish,
+    _pack,
+    _repack,
+    _width,
     quantum_integer,
 )
 
 # Raw coefficient dicts, zeros allowed.
 raw_dicts = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9),
                             max_size=6)
+
+# Coefficients up to about 2^70: raw_dicts packs at the first width, 16,
+# and these need it doubled two or three times.
+wide_dicts = st.dictionaries(st.integers(-6, 6),
+                             st.integers(-2**70, 2**70), max_size=6)
 
 laurent_polys = raw_dicts.map(LaurentPoly)
 
@@ -153,15 +162,6 @@ def test_integer_coercion():
     assert 1 - V == LaurentPoly({0: 1, 1: -1})
     assert 2 * V == LaurentPoly({1: 2})
     assert V * 0 == ZERO
-
-
-def test_power():
-    assert (V + 1) ** 0 == ONE
-    assert (V + 1) ** 2 == LaurentPoly({2: 1, 1: 2, 0: 1})
-    p = quantum_integer(2)
-    assert p ** 3 == p * p * p
-    with pytest.raises(ValueError):
-        p ** -1
 
 
 @given(laurent_polys, laurent_polys, laurent_polys)
@@ -335,14 +335,17 @@ def _divide_reference(coeffs):
     return q
 
 
-@given(raw_dicts)
+any_dicts = st.one_of(raw_dicts, wide_dicts)
+
+
+@given(any_dicts)
 def test_raw_symmetric_part_matches_the_method(acc):
     assert LaurentPoly(acc).symmetric_part() == LaurentPoly(
         _symmetric_reference(acc))
 
 
-@given(st.one_of(raw_dicts, laurent_polys.map(
-    lambda q: dict((q * V_MINUS_VINV).items()))))
+@given(st.one_of(any_dicts, any_dicts.map(
+    lambda acc: dict((LaurentPoly(acc) * V_MINUS_VINV).items()))))
 def test_raw_division_matches_the_method(acc):
     expected = _divide_reference(acc)
     if expected is None:
@@ -351,6 +354,24 @@ def test_raw_division_matches_the_method(acc):
     else:
         assert LaurentPoly(acc).divide_by_v_minus_vinv() == LaurentPoly(
             expected)
+
+
+def test_the_width_rule():
+    # Digits whose L1 norm is below 2^(k-2) fit width k.
+    assert [_width(b) for b in (0, 2**14 - 1, 2**14, 2**30, 2**72)] == [
+        16, 16, 32, 64, 128]
+
+
+@given(st.sampled_from([2, 3, 8, 16, 64]), st.integers(-3, 3), st.data())
+def test_repack_round_trip_doubles_the_width(k, base, data):
+    # Every balanced digit of the width, the extremes included.
+    half = 1 << (k - 1)
+    p = LaurentPoly(data.draw(st.dictionaries(
+        st.integers(base, base + 12), st.integers(-half, half - 1),
+        max_size=8)))
+    x = _repack(_pack(p, base, k)[0], k)
+    assert x == _pack(p, base, 2 * k)[0]
+    assert _decode(x, base, 2 * k) == p
 
 
 def test_raw_division_error_message_pinned():

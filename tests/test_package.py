@@ -2,6 +2,8 @@
 
 import ast
 import io
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -60,3 +62,33 @@ def test_no_module_imports_a_name_it_never_uses():
               for path in (ROOT / "src" / "dcbasis").glob("*.py")
               if path.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+_PROBE = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 10
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_test_lets_the_run_go_on(tmp_path):
+    # Under the repository's warning filters a failing hypothesis test must
+    # report its falsifying example and let later tests run: exit 1, not
+    # an internal error (exit 3) from a warning raised while reporting.
+    (tmp_path / "test_probe.py").write_text(_PROBE)
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = done.stdout + done.stderr
+    assert done.returncode == 1, out
+    assert "Falsifying example: test_fails(" in out
+    assert "1 failed, 1 passed" in out
