@@ -69,6 +69,25 @@ class _Widened(Exception):
     """A bound outgrew the digit width, which has doubled: start again."""
 
 
+def _decoded(x: int, base: int, k: int) -> tuple[LaurentPoly, int, int]:
+    """The polynomial packed as x at base and width k, its L1 norm, and x."""
+    digits, l1 = _digits(x, base, k)
+    return _poly(digits), l1, x
+
+
+class _Table(dict):
+    """entry(x, base, k) by packed coefficient x, each computed once."""
+
+    __slots__ = ("entry", "base", "k")
+
+    def __init__(self, entry, base: int, k: int):
+        self.entry, self.base, self.k = entry, base, k
+
+    def __missing__(self, x: int):
+        value = self[x] = self.entry(x, self.base, self.k)
+        return value
+
+
 class BasisCache:
     """Memoized computation of the corrected basis.
 
@@ -112,15 +131,23 @@ class BasisCache:
 
     The rows, by id, are the cache's memo.  Each packs G*(n) at base 0, by
     a shift of its accumulators as the correction finishes it and checks
-    its shape; labels_computed counts them.  Nothing inside the cache is
-    decoded: a vector is decoded only where a public entry returns one.
+    its shape; labels_computed counts them.  Each coefficient is read off
+    once: _tables holds, by kernel and base, then by packed value, its
+    decoding (_decoded: LaurentPoly, L1 norm, the int; rows at base 0) and
+    a correction's symmetric part (laurent._symmetric_part).  Row norms,
+    sweep steps and decoded vectors read them, so returned vectors share
+    one immutable LaurentPoly per distinct coefficient, and rows one int.
+    The tables grow with distinct coefficients, not rows (209 decoded and
+    200 symmetric parts for the 1,281 rows of the 522-label class), and a
+    widening drops them.
     dual_canonical decodes a row once and keeps the vector in _memo, by id,
     so _memo holds only labels a caller asked for (a dcb_table class, the
     factors of a structure constant, the oracle's labels), never a prefix
     or a sweep label the correction finished on the way.  The decoded copy
     pays only for the two factor decodes in _structure, which are there
-    for perfbench's tracer: without it the irreducibility oracle runs
-    about as fast, and warm structure constants about 1.3 times slower.
+    for perfbench's tracer and cost a table lookup per coefficient:
+    without it the irreducibility oracle runs about as fast, and warm
+    structure constants about 1.2 times slower.
 
     The product memo keeps each E*([s]) E*(p) that aux_vector straightens,
     the word [s] p resolved straight to ids, packed at its least word
@@ -141,6 +168,7 @@ class BasisCache:
         self._k = 16
         self._rows: list[tuple | None] = []
         self._products: dict[Segment, dict[int, tuple]] | None = None
+        self._tables: dict[tuple, _Table] = {}
 
     def labels_computed(self) -> int:
         """The number of finished rows."""
@@ -159,6 +187,14 @@ class BasisCache:
             self._binoms.append(n.binom_sum())
             self._rows.append(None)
         return i
+
+    def _table(self, entry, base: int) -> _Table:
+        """The table of entry at base and width K.  A widening replaces the
+        tables, and its raise leaves every step that holds one."""
+        table = self._tables.get((entry, base))
+        if table is None:
+            table = self._tables[entry, base] = _Table(entry, base, self._k)
+        return table
 
     def _run(self, step, *args):
         """step(*args), run again after each widening it meets.  The
@@ -179,14 +215,14 @@ class BasisCache:
     def _check(self, bound: int, k: int) -> None:
         """Widen and restart unless digits up to bound fit width k: K
         doubles, every finished row is packed again at the new width, and
-        the product memo starts empty."""
+        the product memo and the tables start empty."""
         if not _fits(bound, k):
             self._k = 2 * k
             # Past its two norms a row alternates id and coefficient.
             self._rows = [row and row[:2] + tuple(
                 _repack(x, k) if j % 2 else x for j, x in enumerate(row[2:]))
                 for row in self._rows]
-            self._products = {}
+            self._products, self._tables = {}, {}
             raise _Widened
 
     def _row(self, i: int) -> tuple:
@@ -218,8 +254,8 @@ class BasisCache:
         of copies of s in p, and is never straightened.
         """
         acc, base, _ = self._run(self._aux, m)
-        k, labels = self._k, self._labels
-        return {labels[i]: _decode(x, base, k) for i, x in acc.items()}
+        coefs, labels = self._table(_decoded, base), self._labels
+        return {labels[i]: coefs[x][0] for i, x in acc.items()}
 
     def _aux(self, m: Multisegment) -> tuple[dict[int, int], int, int]:
         """aux_vector(m) packed: (nonzero coefficients by id, base, bound)."""
@@ -300,10 +336,9 @@ class BasisCache:
         hit = self._memo.get(i)
         if hit is None:
             row = self._run(self._row, i)
-            k, labels = self._k, self._labels
+            coefs, labels = self._table(_decoded, 0), self._labels
             hit = self._memo[i] = _wrap({
-                labels[j]: _decode(y, 0, k)
-                for j, y in zip(row[2::2], row[3::2])})
+                labels[j]: coefs[y][0] for j, y in zip(row[2::2], row[3::2])})
         return hit
 
     def _correct(self, m: Multisegment) -> None:
@@ -331,6 +366,7 @@ class BasisCache:
         # of G*(m): every other label above m, with no digit at an
         # exponent <= 0, and coefficient 1 at m.
         order, key_m = self._order, self._order[i]
+        coefs = self._table(_decoded, 0)
         shift, low = k * -base, (1 << k * (1 - base)) - 1
         row, top, total = [], 0, 0
         for j, x in acc.items():
@@ -338,7 +374,8 @@ class BasisCache:
                 continue
             y = x >> shift
             if order[j] > key_m and not x & low:
-                l1 = _digits(y, 0, k)[1]
+                # The table's own int, which every row shares.
+                _, l1, y = coefs[y]
             elif j == i:
                 l1 = 1  # or the check below fails
             else:
@@ -371,6 +408,7 @@ class BasisCache:
         k = self._k
         self._check(bound, k)
         low = (1 << k * (1 - base)) - 1 if correct else -1
+        table = self._table(_symmetric_part if correct else _decoded, base)
         order, labels = self._order, self._labels
         push, pop = heapq.heappush, heapq.heappop
         heap, idle, steps = [], set(), {}
@@ -383,10 +421,9 @@ class BasisCache:
         while heap:
             i = pop(heap)[1]
             if correct:
-                t, l1 = _symmetric_part(acc[i], base, k)
+                t, l1 = table[acc[i]]
             elif t := acc[i]:
-                digits, l1 = _digits(t, base, k)
-                steps[labels[i]] = _poly(digits)
+                steps[labels[i]], l1, _ = table[t]
             if not t:
                 continue
             row = self._row(i)

@@ -169,7 +169,9 @@ class LaurentPoly:
         >>> print(LaurentPoly({-1: 2, 0: 5, 1: 7}).symmetric_part())
         2*v + 5 + 2*v^-1
         """
-        base = min(min(self._c, default=0), 0)
+        if not self._c:
+            return ZERO
+        base = min(min(self._c), 0)
         k = _width(sum(map(abs, self._c.values())))
         t = _symmetric_part(_pack(self, base, k)[0], base, k)[0]
         return _decode(t, base, k)
@@ -177,7 +179,9 @@ class LaurentPoly:
     def divide_by_v_minus_vinv(self) -> "LaurentPoly":
         """Exact division by (v - v^-1); raises ExactDivisionError otherwise.
         Packed at its least exponent and divided by _divide."""
-        base = min(self._c, default=0)
+        if not self._c:
+            return ZERO
+        base = min(self._c)
         k = _width(sum(map(abs, self._c.values())))
         quotient = _divide({0: _pack(self, base, k)[0]}, base, k)
         return _decode(quotient.get(0, 0), base + 1, k)

@@ -915,20 +915,89 @@ def test_the_core_compares_no_labels(monkeypatch):
     assert len(table.labels) == 235
 
 
-def test_the_cache_keeps_decoded_vectors_only_for_its_callers():
-    w = parse_weight("0:1,1:2,2:2,3:2,4:2,5:1")
+def _held_after_dcb_table(weight):
+    """The bytes a fresh cache holds after dcb_table of the class, the
+    table dropped, and the cache."""
     tracemalloc.start()
     try:
         cache = BasisCache()
-        table = dcb_table(w, cache)
+        table = dcb_table(parse_weight(weight), cache)
         del table
-        held = tracemalloc.get_traced_memory()[0]
+        return tracemalloc.get_traced_memory()[0], cache
     finally:
         tracemalloc.stop()
-    assert held <= 3.0 * 2**20, held
+
+
+def test_the_cache_keeps_decoded_vectors_only_for_its_callers():
+    held, cache = _held_after_dcb_table("0:1,1:2,2:2,3:2,4:2,5:1")
+    assert held <= 1.5 * 2**20, held
     # Prefixes and sweep labels have rows, not decoded vectors.
     assert len(cache._memo) == 235
     assert cache.labels_computed() == 559
+
+
+def test_the_largest_class_fits_its_memory_target():
+    held, cache = _held_after_dcb_table("0:1,1:2,2:3,3:3,4:2,5:1")
+    assert held < 4.0 * 2**20, held
+    assert (len(cache._memo), cache.labels_computed()) == (522, 1281)
+
+
+CLASS_235 = parse_weight("0:1,1:2,2:2,3:2,4:2,5:1")
+
+
+def _check_tables(cache):
+    """Every table is at the cache's width and holds what its kernel
+    computes from its key; returns the tables by (kernel name, base)."""
+    tables, k = {}, cache._k
+    for (entry, base), table in cache._tables.items():
+        assert (table.entry, table.base, table.k) == (entry, base, k)
+        for x, value in table.items():
+            if entry is canonical._decoded:
+                poly, l1, same = value
+                assert poly == laurent._decode(x, base, k)
+                assert l1 == laurent._digits(x, base, k)[1]
+                assert same is x
+            else:
+                assert entry is laurent._symmetric_part
+                assert value == laurent._symmetric_part(x, base, k)
+        tables[entry.__name__, base] = table
+    return tables
+
+
+def test_every_table_entry_is_what_its_kernel_computes():
+    cache = BasisCache()
+    dcb_table(CLASS_235, cache)
+    tables = _check_tables(cache)
+    assert {name for name, _ in tables} == {"_decoded", "_symmetric_part"}
+    # Every row coefficient is the decoded table's own int, and the table
+    # at base 0 holds nothing else.
+    decoded = tables["_decoded", 0]
+    coefs = [y for row in cache._rows if row for y in row[3::2]]
+    assert all(decoded[y][2] is y for y in coefs)
+    assert set(decoded) == set(coefs)
+    assert len(decoded) < len(coefs) // 10
+
+
+def test_a_widening_drops_the_tables():
+    narrow, wide = BasisCache(), BasisCache()
+    narrow._k = 4
+    table = dcb_table(CLASS_235, narrow)
+    assert narrow._k == wide._k == 16
+    assert table.expansions == dcb_table(CLASS_235, wide).expansions
+    tables, expected = _check_tables(narrow), _check_tables(wide)
+    # What was computed after the last widening, the default cache has too.
+    for key, entries in tables.items():
+        assert entries.items() <= expected[key].items()
+
+
+def test_equal_coefficients_are_one_object():
+    table = dcb_table(CLASS_235, BasisCache())
+    seen, coefs = {}, 0
+    for m in table.labels:
+        for _, c in table.expansions[m].unordered_items():
+            assert seen.setdefault(c, c) is c
+            coefs += 1
+    assert (coefs, len(seen)) == (6529, 43)
 
 
 # Each case breaks one invariant of G*([0]+[1]), whose only other label is

@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from dcbasis import laurent
 from dcbasis.laurent import (
     ONE,
     V,
@@ -236,6 +237,15 @@ def test_exact_division_rejects_remainders():
     with pytest.raises(ExactDivisionError):
         LaurentPoly({2: 1}).divide_by_v_minus_vinv()
     assert ZERO.divide_by_v_minus_vinv() == ZERO
+
+
+def test_zero_in_zero_out(monkeypatch):
+    # Zero is returned as it is: nothing is packed, and a zero numerator
+    # raises nothing.
+    monkeypatch.setattr(laurent, "_pack", None)
+    for zero in (ZERO, LaurentPoly({3: 0}), V - V):
+        assert zero.symmetric_part() is ZERO
+        assert zero.divide_by_v_minus_vinv() is ZERO
 
 
 @given(st.integers(-8, 8))

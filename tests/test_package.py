@@ -92,3 +92,80 @@ def test_a_failing_property_test_lets_the_run_go_on(tmp_path):
     assert done.returncode == 1, out
     assert "Falsifying example: test_fails(" in out
     assert "1 failed, 1 passed" in out
+
+
+# A coefficient dict, LaurentPoly._c or AlgebraElement._terms, is shared:
+# the basis cache hands one LaurentPoly per distinct coefficient to every
+# vector it returns.  So each dict is stored only where it is made.
+_OWNERS = {
+    "_c": {("laurent.py", "LaurentPoly.__init__"), ("laurent.py", "_wrap")},
+    "_terms": {("algebra.py", "AlgebraElement.__init__"),
+               ("algebra.py", "_wrap")},
+}
+_MUTATORS = {"pop", "popitem", "update", "setdefault", "clear"}
+
+
+def _is_owned_dict(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr in _OWNERS
+
+
+def _coefficient_dict_writes(source: str, module: str) -> list[str]:
+    """Each line of the module that stores ``._c`` or ``._terms`` outside
+    their owners, or stores into, deletes from, or calls a mutating method
+    of either dict.  Writes through an alias are not seen."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        writes = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+        if ((writes and _is_owned_dict(node)
+             and (module, scope) not in _OWNERS[node.attr])
+                or (writes and isinstance(node, ast.Subscript)
+                    and _is_owned_dict(node.value))
+                or (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _MUTATORS
+                    and _is_owned_dict(node.func.value))):
+            found.append(f"{module}:{node.lineno} in {scope or '<module>'}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_no_code_writes_a_coefficient_dict():
+    files = [*(ROOT / "src" / "dcbasis").glob("*.py"),
+             *(ROOT / "tests").glob("*.py")]
+    assert [line for path in sorted(files)
+            for line in _coefficient_dict_writes(path.read_text(),
+                                                 path.name)] == []
+
+
+_WRITES = """
+class LaurentPoly:
+    def __init__(self, coeffs):
+        self._c = dict(coeffs)
+
+
+def f(p, x):
+    p._c = {}
+    p._c[0] = 1
+    p._c[1] += 1
+    del p._terms[x]
+    p._terms.update({})
+    p._c.pop(0)
+    p._c.setdefault(0, 1)
+    x._terms.clear()
+    return p._c.get(0), dict(x._terms)
+"""
+
+
+def test_the_write_rule_sees_each_kind_of_write():
+    assert _coefficient_dict_writes(_WRITES, "laurent.py") == [
+        f"laurent.py:{line} in f" for line in range(8, 16)]
+    # The constructor stores _c only in its own module.
+    assert _coefficient_dict_writes(_WRITES, "algebra.py")[0] == (
+        "algebra.py:4 in LaurentPoly.__init__")
