@@ -23,9 +23,9 @@ from .laurent import (
     ONE,
     ZERO,
     _decode,
-    _fits,
     _pack,
     _render_terms,
+    _width,
 )
 from .multisegment import (
     Multisegment,
@@ -152,17 +152,18 @@ def _straighten(word: Word, off: int, x: int, l1: int, k: int,
                 stack.append((head + (inter, u) + tail, low, y, 2 * l1, nxt))
 
 
-def _normal_form(fill, k: int = 16) -> "AlgebraElement":
+def _normal_form(fill, k: int = _width(0)) -> "AlgebraElement":
     """The element whose straightened words fill(words, k) accumulates into
-    words at width k.  Before any digit is read, every word's bound must
-    fit width k (laurent._fits); if one does not, k doubles and fill starts
-    again."""
-    while True:
-        words: dict[Word, list[int]] = {}
-        fill(words, k)
-        if _fits(max((l1 for _, _, l1 in words.values()), default=0), k):
-            return _from_words(words, k)
-        k *= 2
+    words at width k.  If the largest word bound does not fit k, fill runs
+    once more, at the first width that fits it (laurent._width): word
+    bounds do not depend on the width."""
+    words: dict[Word, list[int]] = {}
+    fill(words, k)
+    wide = _width(max((l1 for _, _, l1 in words.values()), default=0), k)
+    if wide != k:
+        words = {}
+        fill(words, wide)
+    return _from_words(words, wide)
 
 
 def _from_words(words: dict[Word, list[int]], k: int) -> "AlgebraElement":

@@ -30,6 +30,7 @@ from .laurent import (
     _fits,
     _repack,
     _symmetric_part,
+    _width,
     _wrap as _poly,
 )
 from .multisegment import (
@@ -66,7 +67,7 @@ def _commutator_exponents(rest: Multisegment, s: Segment
 
 
 class _Widened(Exception):
-    """A bound outgrew the digit width, which has doubled: start again."""
+    """A bound outgrew the digit width, which has widened: start again."""
 
 
 def _decoded(x: int, base: int, k: int) -> tuple[LaurentPoly, int, int]:
@@ -122,7 +123,8 @@ class BasisCache:
     the L1 norm; a linked rewrite multiplies by v^(-kk-1) (1 - v^2), so at
     most doubles it; and sums add their norms.  A structure constant's
     sweep starts from the largest bound of a word.  A bound that does not
-    fit doubles K (16 at first), re-packs every finished row at the new
+    fit widens K once, to the first width that fits it (laurent._width,
+    which also gives the start width), re-packs every finished row at that
     width (laurent._repack), drops the product memo, and restarts the step
     of the nearest public entry: no step inside the cache opens a run, so
     the widening goes up through every step in progress.  No input
@@ -154,9 +156,9 @@ class BasisCache:
     offset with mu, the copies of s in p, and the id of p + [s], by s and
     then by the id of p.  It lives for one run: every public entry goes
     through _run, and the outermost run (one dual_canonical miss,
-    aux_vector, expand_in_dcb or structure_constants call, one dcb_table
-    class, or one verification suite) opens it and drops it on return, so
-    no product outlives the call that needed it.
+    aux_vector, expand_in_dcb or structure_constants call, or one
+    dcb_table class) opens it and drops it on return, so no product
+    outlives the call that needed it.  Only this module opens a run.
     """
 
     def __init__(self):
@@ -165,7 +167,7 @@ class BasisCache:
         self._labels: list[Multisegment] = []
         self._order: list[tuple] = []
         self._binoms: list[int] = []
-        self._k = 16
+        self._k = _width(0)
         self._rows: list[tuple | None] = []
         self._products: dict[Segment, dict[int, tuple]] | None = None
         self._tables: dict[tuple, _Table] = {}
@@ -213,15 +215,16 @@ class BasisCache:
                 self._products = None
 
     def _check(self, bound: int, k: int) -> None:
-        """Widen and restart unless digits up to bound fit width k: K
-        doubles, every finished row is packed again at the new width, and
-        the product memo and the tables start empty."""
+        """Widen and restart unless digits up to bound fit width k: K goes
+        once to the first width from 2k that fits (laurent._width), every
+        finished row is packed again at that width, and the product memo
+        and the tables start empty."""
         if not _fits(bound, k):
-            self._k = 2 * k
+            self._k = to = _width(bound, 2 * k)
             # Past its two norms a row alternates id and coefficient.
             self._rows = [row and row[:2] + tuple(
-                _repack(x, k) if j % 2 else x for j, x in enumerate(row[2:]))
-                for row in self._rows]
+                _repack(x, k, to) if j % 2 else x
+                for j, x in enumerate(row[2:])) for row in self._rows]
             self._products, self._tables = {}, {}
             raise _Widened
 

@@ -160,11 +160,6 @@ def check_eqrei(max_degree: int = 4,
     all G* coefficients divide by v - v^-1 just when all E* ones do.
     """
     cache = cache or BasisCache()
-    # One run, so that the labels the suite computes share their products.
-    return cache._run(_eqrei, max_degree, cache)
-
-
-def _eqrei(max_degree: int, cache: BasisCache) -> SuiteReport:
     report = SuiteReport("eqrei", 0)
     for m, n in _degree_pairs(max_degree):
         report.cases += 1
@@ -213,11 +208,6 @@ def check_positivity(max_degree: int = 4,
     coefficient on the label sum itself must be exactly v^-b(m, n).
     """
     cache = cache or BasisCache()
-    # One run, so that the labels the suite computes share their products.
-    return cache._run(_positivity, max_degree, cache)
-
-
-def _positivity(max_degree: int, cache: BasisCache) -> SuiteReport:
     report = SuiteReport("positivity", 0)
     for m, n in _degree_pairs(max_degree):
         report.cases += 1
@@ -415,12 +405,6 @@ def check_frank(samples: int = 40, max_factors: int = 3, max_entry: int = 6,
     v^-b of the basis vector labeled by the sum of the factor labels.
     """
     cache = cache or BasisCache()
-    # One run, so that the labels the suite computes share their products.
-    return cache._run(_frank, samples, max_factors, max_entry, seed, cache)
-
-
-def _frank(samples: int, max_factors: int, max_entry: int, seed: int,
-           cache: BasisCache) -> SuiteReport:
     report = SuiteReport("frank", 0)
     rng = random.Random(seed)
 

@@ -93,8 +93,14 @@ def _coef_json(c: LaurentPoly) -> list[list[int]]:
     return [list(pair) for pair in c.items()]
 
 
+def _at_least_zero(flag: str, value: int) -> None:
+    if value < 0:
+        raise _UsageError(f"{flag} must be at least 0")
+
+
 def _check_class_size(weight: Weight, cap: int) -> None:
     """Refuse a class of more than cap labels, before any work."""
+    _at_least_zero("--max-class-size", cap)
     if class_exceeds(weight, cap):
         raise _UsageError(f"weight class {weight} has more than {cap} "
                           "labels; raise --max-class-size")
@@ -286,6 +292,7 @@ def _suite_kwargs(args: argparse.Namespace) -> dict:
                               f"to suite {args.suite}")
         kwargs[name] = (_parse_range(value) if name.endswith("_range")
                         else value)
+    _at_least_zero("--samples", kwargs.get("samples", 0))
     if args.suite == "frank" and kwargs["samples"] > 0 and (
             kwargs["max_factors"] < 2 or kwargs["max_entry"] < 1):
         raise _UsageError("random families need --max-factors of at least "

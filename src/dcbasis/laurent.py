@@ -19,10 +19,12 @@ hold zeros and wraps it once it is finished.
 The module owns the packed form that ``AlgebraElement`` and the basis cache
 compute on, and every operation on it: ``_pack`` writes a polynomial as one
 int, digit e at bits k(e - base), ``_digits`` and ``_decode`` read it back,
-``_fits`` is the width rule, ``_width`` the first width that fits a bound,
-and ``_repack`` doubles a width.  A sum, a product and a shift of packed
-ints are those of the polynomials, so work may stay packed until one
-decode, provided every bound it carries fits.
+``_fits`` is the width rule, and ``_repack`` moves digits to a wider width.
+``_width`` owns the start (16) and the growth of every width: a product or
+a cache that outgrows its width goes at once to the first width that fits.
+A sum, a product and a shift of packed ints are those of the polynomials,
+so work may stay packed until one decode, provided every bound it carries
+fits.
 ``_symmetric_part`` and ``_divide`` are the two Laurent operations the
 basis is built from, and ``symmetric_part`` and ``divide_by_v_minus_vinv``
 pack and call them.
@@ -307,9 +309,8 @@ def _fits(bound: int, k: int) -> bool:
     return not bound >> (k - 2)
 
 
-def _width(bound: int) -> int:
-    """The first width, from 16 doubling, that bound fits."""
-    k = 16
+def _width(bound: int, k: int = 16) -> int:
+    """The first width, from k doubling, that bound fits."""
     while not _fits(bound, k):
         k *= 2
     return k
@@ -320,9 +321,9 @@ def _decode(x: int, base: int, k: int) -> LaurentPoly:
     return _wrap(_digits(x, base, k)[0])
 
 
-def _repack(x: int, k: int) -> int:
-    """x, its digits read at width k, packed at width 2k at the same base."""
-    return sum(d << 2 * k * e for e, d in _digits(x, 0, k)[0].items())
+def _repack(x: int, k: int, to: int) -> int:
+    """x, its digits read at width k, packed at width to at the same base."""
+    return sum(d << to * e for e, d in _digits(x, 0, k)[0].items())
 
 
 def _symmetric_part(x: int, base: int, k: int) -> tuple[int, int]:

@@ -395,6 +395,27 @@ def test_products_widen_from_a_small_width(monkeypatch):
     assert widths[4] and widths[8]
 
 
+def test_a_product_fills_its_words_at_most_twice(monkeypatch):
+    """A product whose word bound needs four doublings straightens at the
+    start width, then once at the first width that fits."""
+    widths = []
+    normal_form = algebra._normal_form
+
+    def counting(fill, *args):
+        def counted(words, k):
+            widths.append(k)
+            fill(words, k)
+        return normal_form(counted, *args)
+
+    monkeypatch.setattr(algebra, "_normal_form", counting)
+    g = BasisCache().dual_canonical(pm("[0]+[1]+[1,2]+[2,3]"))
+    big = 10**40 + 1
+    square = g * g
+    assert widths == [16]
+    assert g.scaled(big) * g == square.scaled(big)
+    assert widths == [16, 16, 256]
+
+
 # -- the straightening kernel against the rescanning one it replaced -----------
 
 

@@ -978,6 +978,29 @@ def test_every_table_entry_is_what_its_kernel_computes():
     assert len(decoded) < len(coefs) // 10
 
 
+def test_a_bound_four_doublings_up_widens_once():
+    """On a warm cache, a coefficient near 2^133 needs width 256: one
+    widening goes there from 16, re-packing each finished row once, and
+    the rows still hold the same basis."""
+    m = pm("[0]+[1]+[1,2]+[2,3]")
+    raised = []
+
+    class Recording(BasisCache):
+        def _check(self, bound, k):
+            try:
+                super()._check(bound, k)
+            except canonical._Widened:
+                raised.append((k, self._k))
+                raise
+
+    cache, big = Recording(), 10**40 + 1
+    g = cache.dual_canonical(m)
+    assert expand_in_dcb(g.scaled(big), cache) == {m: LaurentPoly(big)}
+    assert raised == [(16, 256)] and cache._k == 256
+    assert list(structure_constants(m, m, cache).items()) == list(
+        structure_constants(m, m, BasisCache()).items())
+
+
 def test_a_widening_drops_the_tables():
     narrow, wide = BasisCache(), BasisCache()
     narrow._k = 4

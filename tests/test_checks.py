@@ -1,5 +1,6 @@
 """Tests for the verification suites at small, fast bounds."""
 
+import gc
 import hashlib
 import itertools
 import tracemalloc
@@ -131,22 +132,46 @@ def test_eqrei_suite():
     assert report.ok, report.failures
 
 
-def test_a_suite_shares_products_across_its_labels(monkeypatch):
-    """check_eqrei computes its basis vectors one label at a time inside
-    one run of its cache, so every label shares the products E*([s]) E*(p)
-    its auxiliary vector straightens: 608 products, against 805 with a
-    run per label."""
-    calls = []
-    product = BasisCache._product
+def test_each_case_of_a_suite_runs_on_its_own():
+    """check_eqrei opens no run of its own: each structure constant it asks
+    for is an outermost run of its cache, which builds no product
+    E*([s]) E*(p) twice and drops its memo on return.  805 products in
+    all, against 608 when one run spanned the whole suite."""
+    runs, closed = [], []
 
-    def counting(self, m, s, p, k):
-        calls.append((s, self._labels[p].segments))
-        return product(self, m, s, p, k)
+    class Recording(BasisCache):
+        def _run(self, step, *args):
+            outer = self._products is None
+            if outer:
+                runs.append([])
+            try:
+                return super()._run(step, *args)
+            finally:
+                if outer:
+                    closed.append(self._products is None)
 
-    monkeypatch.setattr(BasisCache, "_product", counting)
-    report = check_eqrei(5)
+        def _product(self, m, s, p, k):
+            runs[-1].append((s, self._labels[p].segments))
+            return super()._product(m, s, p, k)
+
+    report = check_eqrei(5, Recording())
     assert (report.cases, report.ok) == (2477, True)
-    assert len(calls) == len(set(calls)) == 608
+    assert sum(map(len, runs)) == 805
+    assert all(len(run) == len(set(run)) for run in runs)
+    assert len(closed) == len(runs) and all(closed)
+
+
+def test_a_suite_keeps_no_product_across_its_cases():
+    """The traced peak of check_eqrei(5) is 0.79 MiB, 0.99 MiB when the
+    products of every case lived until the suite returned."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        check_eqrei(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.875 * 2**20
 
 
 def _old_auxiliary(m, n, cache):

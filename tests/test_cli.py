@@ -225,6 +225,16 @@ def test_dcb_class_size_guard(capsys):
                    "raise --max-class-size\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("dcb", "--weight", "0:1,1:1"),
+    ("decompose", "--m", "[0]", "--n", "[1]"),
+])
+def test_a_negative_class_size_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--max-class-size", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --max-class-size must be at least 0\n"
+
+
 # 1,767,200 labels, far too many to enumerate in a test.
 HUGE_WEIGHT = ("-3:1,-2:1,-1:2,0:2,1:2,2:2,3:1,4:1,5:1,6:1,7:2,8:2,9:2,10:2,"
                "11:1,12:1")
@@ -737,6 +747,16 @@ def test_verify_bounds_that_select_no_case(capsys, suite, flag, value):
     code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, value)
     assert (code, out) == (2, "")
     assert err == f"error: the bounds select no case of suite {suite}\n"
+
+
+def test_verify_refuses_a_negative_sample_count(capsys, monkeypatch):
+    # Refused before the suite runs: it would pass on its fixed families.
+    monkeypatch.setitem(SUITES, "frank", lambda samples=40, max_factors=3,
+                        max_entry=6, seed=0: pytest.fail("the suite ran"))
+    code, out, err = run_cli(capsys, "verify", "--suite", "frank",
+                             "--samples", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --samples must be at least 0\n"
 
 
 def test_verify_defaults_from_suite_signatures():

@@ -372,16 +372,18 @@ def test_the_width_rule():
         16, 16, 32, 64, 128]
 
 
-@given(st.sampled_from([2, 3, 8, 16, 64]), st.integers(-3, 3), st.data())
-def test_repack_round_trip_doubles_the_width(k, base, data):
-    # Every balanced digit of the width, the extremes included.
-    half = 1 << (k - 1)
+@given(st.sampled_from([2, 3, 8, 16, 64]), st.sampled_from([2, 4, 8]),
+       st.integers(-3, 3), st.data())
+def test_repack_round_trip_doubles_the_width(k, times, base, data):
+    # Every balanced digit of the width, the extremes included, moved in
+    # one step to a width one, two or three doublings up.
+    half, to = 1 << (k - 1), times * k
     p = LaurentPoly(data.draw(st.dictionaries(
         st.integers(base, base + 12), st.integers(-half, half - 1),
         max_size=8)))
-    x = _repack(_pack(p, base, k)[0], k)
-    assert x == _pack(p, base, 2 * k)[0]
-    assert _decode(x, base, 2 * k) == p
+    x = _repack(_pack(p, base, k)[0], k, to)
+    assert x == _pack(p, base, to)[0]
+    assert _decode(x, base, to) == p
 
 
 def test_raw_division_error_message_pinned():

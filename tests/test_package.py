@@ -10,31 +10,93 @@ from pathlib import Path
 import dcbasis
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "dcbasis"
 
 
-def _used_names() -> set[str]:
-    """Every identifier that the modules of the package (not its
-    ``__init__``) and the tests use in code.  Strings, so ``__all__``
-    entries, and comments do not count, nor does the name that a ``def``
-    or ``class`` statement defines."""
-    files = [path for path in (ROOT / "src" / "dcbasis").glob("*.py")
-             if path.name != "__init__.py"]
-    files += (ROOT / "tests").glob("*.py")
-    used = set()
-    for path in files:
-        previous = None
-        for token in tokenize.generate_tokens(
-                io.StringIO(path.read_text()).readline):
-            if token.type == tokenize.NAME and previous not in ("def",
-                                                                 "class"):
-                used.add(token.string)
-            previous = token.string
+def _names_in_code(source: str) -> set[str]:
+    """Every identifier that the source uses in code.  Strings, so
+    ``__all__`` entries, and comments do not count, nor does the name that
+    a ``def`` or ``class`` statement defines."""
+    used, previous = set(), None
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.NAME and previous not in ("def", "class"):
+            used.add(token.string)
+        previous = token.string
     return used
 
 
+def _exports(sources: dict[str, str]) -> dict[str, list[str]]:
+    """The public names of each module, by file name: those its
+    ``__all__`` lists, and those ``__init__.py`` imports from it."""
+    out = {name: [] for name in sources if name != "__init__.py"}
+    for name, source in sources.items():
+        for node in ast.parse(source).body:
+            if (isinstance(node, ast.Assign) and name != "__init__.py"
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)):
+                out[name] += ast.literal_eval(node.value)
+            elif (isinstance(node, ast.ImportFrom) and node.level
+                  and name == "__init__.py"):
+                out[f"{node.module}.py"] += [a.name for a in node.names]
+    return out
+
+
+def _uncalled(sources: dict[str, str], tested: set[str]) -> list[str]:
+    """Each public name of a module that no other module of the package
+    (``__init__.py`` aside) uses in code and that no test names."""
+    used = {name: _names_in_code(source) for name, source in sources.items()
+            if name != "__init__.py"}
+    return sorted(f"{module}:{name}"
+                  for module, names in _exports(sources).items()
+                  for name in set(names)
+                  if name not in tested and not any(
+                      name in found for other, found in used.items()
+                      if other != module))
+
+
 def test_every_public_name_has_a_caller_or_a_test():
-    used = _used_names()
-    assert [name for name in dcbasis.__all__ if name not in used] == []
+    """Every name of dcbasis.__all__ and of each module's __all__ is used
+    in code by another module of the package, the re-exports of
+    __init__.py aside, or is named in a test."""
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    tested = set().union(*(_names_in_code(path.read_text())
+                           for path in (ROOT / "tests").glob("*.py")))
+    assert set(dcbasis.__all__) <= {name for names in
+                                    _exports(sources).values()
+                                    for name in names}
+    assert _uncalled(sources, tested) == []
+    # A use inside the module that exports the name does not count.
+    assert _uncalled({"a.py": '__all__ = ["f"]\ndef f(): pass\nf()\n',
+                      "b.py": "g = 1\n"}, set()) == ["a.py:f"]
+
+
+def _private_methods(source: str, cls: str) -> set[str]:
+    """The underscore methods, dunders aside, that class cls defines."""
+    body = next(node.body for node in ast.parse(source).body
+                if isinstance(node, ast.ClassDef) and node.name == cls)
+    return {node.name for node in body if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_") and not node.name.endswith("__")}
+
+
+def _attribute_uses(source: str, module: str, names: set[str]) -> list[str]:
+    """Each line of the module that reads an attribute named in names."""
+    return [f"{module}:{node.lineno} .{node.attr}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in names]
+
+
+def test_only_canonical_reaches_into_a_basis_cache():
+    """Runs, widenings and packed steps are canonical's to open: no other
+    module of the package calls an underscore method of BasisCache."""
+    names = _private_methods((PACKAGE / "canonical.py").read_text(),
+                             "BasisCache")
+    assert {"_run", "_check", "_row"} <= names
+    assert [use for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "canonical.py"
+            for use in _attribute_uses(path.read_text(), path.name,
+                                       names)] == []
+    assert _attribute_uses("cache._run(step)\n", "checks.py", names) == [
+        "checks.py:1 ._run"]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -59,7 +121,7 @@ def _unused_imports(source: str) -> list[str]:
 
 def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: _unused_imports(path.read_text())
-              for path in (ROOT / "src" / "dcbasis").glob("*.py")
+              for path in PACKAGE.glob("*.py")
               if path.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
 
@@ -137,7 +199,7 @@ def _coefficient_dict_writes(source: str, module: str) -> list[str]:
 
 
 def test_no_code_writes_a_coefficient_dict():
-    files = [*(ROOT / "src" / "dcbasis").glob("*.py"),
+    files = [*PACKAGE.glob("*.py"),
              *(ROOT / "tests").glob("*.py")]
     assert [line for path in sorted(files)
             for line in _coefficient_dict_writes(path.read_text(),
