@@ -15,7 +15,6 @@ same kernel.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable
 
 from .laurent import (
@@ -373,17 +372,18 @@ def quantum_minor(rows: Iterable[int], cols: Iterable[int]) -> AlgebraElement:
     rows = tuple(rows)
     cols = tuple(cols)
     _check_indices(rows, cols)
-    terms = []
-    for perm in itertools.permutations(range(len(rows))):
-        word = []
-        for r, p in enumerate(perm):
-            if rows[r] > cols[p]:
-                break
-            if rows[r] < cols[p]:
-                word.append(Segment(rows[r], cols[p] - 1))
-        else:
-            inv = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
-            terms.append((tuple(word), inv))
+    # Permutations depth first, in lexicographic order: a row that cannot
+    # take the least free column ends its branch, as no later row can.
+    terms, stack = [], [((), 0)]
+    while stack:
+        perm, inv = stack.pop()
+        free = [p for p in range(len(cols)) if p not in perm]
+        if not free:
+            terms.append((tuple(Segment(i, cols[p] - 1) for i, p
+                                in zip(rows, perm) if i < cols[p]), inv))
+        elif rows[len(perm)] <= cols[free[0]]:
+            stack += [(perm + (p,), inv + sum(q > p for q in perm))
+                      for p in reversed(free)]
 
     def fill(words: dict[Word, list[int]], k: int) -> None:
         for word, inv in terms:

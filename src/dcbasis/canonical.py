@@ -125,11 +125,15 @@ class BasisCache:
     sweep starts from the largest bound of a word.  A bound that does not
     fit widens K once, to the first width that fits it (laurent._width,
     which also gives the start width), re-packs every finished row at that
-    width (laurent._repack), drops the product memo, and restarts the step
-    of the nearest public entry: no step inside the cache opens a run, so
-    the widening goes up through every step in progress.  No input
-    LaurentPoly arithmetic takes is refused, and no finished row is
-    computed again.
+    width (laurent._repack), drops the product memo, and restarts its run.
+    No input LaurentPoly arithmetic takes is refused, and no finished row
+    is computed again.
+
+    Each packed step (_aux, _correct, _sweep, _expand, _structure) is a
+    generator that reads a row as ``self._row(i) or (yield i)``: _run
+    pushes _correct(i) on its one explicit stack and sends the row back,
+    so only _run finishes a row, and no chain of rows in waiting grows the
+    Python stack.  A widening drops the stack and restarts the run's step.
 
     The rows, by id, are the cache's memo.  Each packs G*(n) at base 0, by
     a shift of its accumulators as the correction finishes it and checks
@@ -199,17 +203,24 @@ class BasisCache:
         return table
 
     def _run(self, step, *args):
-        """step(*args), run again after each widening it meets.  The
-        outermost run opens the product memo and closes it on return."""
+        """The result of step(*args), each row it waits for finished by a
+        _correct pushed above it, and started again after each widening.
+        The outermost run opens the product memo and closes it on return."""
         outer = self._products is None
         if outer:
             self._products = {}
         try:
-            while True:
+            stack, value = [step(*args)], None
+            while stack:
                 try:
-                    return step(*args)
+                    stack.append(self._correct(stack[-1].send(value)))
+                    value = None
+                except StopIteration as done:
+                    stack.pop()
+                    value = done.value
                 except _Widened:
-                    pass
+                    stack, value = [step(*args)], None
+            return value
         finally:
             if outer:
                 self._products = None
@@ -228,20 +239,14 @@ class BasisCache:
             self._products, self._tables = {}, {}
             raise _Widened
 
-    def _row(self, i: int) -> tuple:
-        """The row of G*(n), n of id i, flat to stay small: the largest
-        and summed L1 norms of its coefficients, then each id and its
-        coefficient at base 0.  A missing row is finished on the spot; a
-        widening there goes up to the caller's run."""
-        row = self._rows[i]
-        if row is None:
-            self._correct(self._labels[i])
-            row = self._rows[i]
-        return row
+    def _row(self, i: int) -> tuple | None:
+        """The row of G*(n), n of id i, or None while it is missing: the
+        largest and summed L1 norms, then each id and base-0 coefficient."""
+        return self._rows[i]
 
-    def _finished(self, segs: tuple[Segment, ...]) -> bool:
-        i = self._ids.get(segs)
-        return i is not None and self._rows[i] is not None
+    def _wait(self, i: int):
+        """The row of id i, a step of _run, which finishes it if missing."""
+        return self._row(i) or (yield i)
 
     def aux_vector(self, m: Multisegment) -> dict[Multisegment, LaurentPoly]:
         """The pre-correction vector: E*(m) plus dominance-greater terms,
@@ -260,7 +265,7 @@ class BasisCache:
         coefs, labels = self._table(_decoded, base), self._labels
         return {labels[i]: coefs[x][0] for i, x in acc.items()}
 
-    def _aux(self, m: Multisegment) -> tuple[dict[int, int], int, int]:
+    def _aux(self, m: Multisegment):
         """aux_vector(m) packed: (nonzero coefficients by id, base, bound)."""
         k = self._k
         if len(m) <= 1:
@@ -268,7 +273,8 @@ class BasisCache:
         s = m.largest_segment()
         rest = _from_sorted(m.segments[:-1])
         forward, backward = _commutator_exponents(rest, s)
-        row = self._row(self._id(rest))
+        i = self._id(rest)
+        row = self._row(i) or (yield i)
         products = self._products.setdefault(s, {})
         # Each c lies in Z[v], so no term goes below its product's base
         # plus backward, or below forward - mu.
@@ -338,31 +344,21 @@ class BasisCache:
         i = self._id(m)
         hit = self._memo.get(i)
         if hit is None:
-            row = self._run(self._row, i)
+            row = self._run(self._wait, i)
             coefs, labels = self._table(_decoded, 0), self._labels
             hit = self._memo[i] = _wrap({
                 labels[j]: coefs[y][0] for j, y in zip(row[2::2], row[3::2])})
         return hit
 
-    def _correct(self, m: Multisegment) -> None:
-        """Write the row of G*(m).  The missing prefixes of m's segments,
-        which _aux chains through, are finished first, bottom-up in the
-        order a recursion would finish them, so the stack does not grow
-        with the number of segments.  The sweep recurses."""
-        # A restart after a widening finds every finished prefix's row.
-        segs = m.segments
-        start = len(segs) - 1
-        while start > 1 and not self._finished(segs[:start]):
-            start -= 1
-        for j in range(start, len(segs) - 1):
-            if not self._finished(segs[:j]):
-                self._correct(_from_sorted(segs[:j]))
-        acc, base, bound = self._aux(m)
-        k, i = self._k, self._id(m)
+    def _correct(self, i: int):
+        """Write the row of G*(n), n of id i, and return it through _row;
+        every row it waits for is finished on _run's stack."""
+        m, k = self._labels[i], self._k
+        acc, base, bound = yield from self._aux(m)
         # Every G*(n) the sweep subtracts lies above m, so the sweep never
         # reaches m: its coefficient is set aside and put back unchanged.
         diagonal = acc.pop(i, None)
-        self._sweep(acc, base, bound, True)
+        yield from self._sweep(acc, base, bound, True)
         if diagonal is not None:
             acc[i] = diagonal
         # One pass packs the row at base 0 by a shift and checks the shape
@@ -395,9 +391,10 @@ class BasisCache:
                 f"G*({m}) has coefficient {_decode(diagonal, base, k)} "
                 f"at {m}, not 1")
         self._rows[i] = (top, total, *row)
+        return self._row(i)
 
     def _sweep(self, acc: dict[int, int], base: int, bound: int,
-               correct: bool) -> dict[Multisegment, LaurentPoly]:
+               correct: bool):
         """Walk the ids of acc upward along their keys, subtracting
         t G*(n) at each label n, in place; acc holds coefficients packed at
         base, no digit above bound.  The correction takes t = the symmetric
@@ -429,7 +426,7 @@ class BasisCache:
                 steps[labels[i]], l1, _ = table[t]
             if not t:
                 continue
-            row = self._row(i)
+            row = self._row(i) or (yield i)
             bound += l1 * row[0]
             self._check(bound, k)
             for p, c in zip(row[2::2], row[3::2]):
@@ -447,22 +444,22 @@ class BasisCache:
                         push(heap, (order[p], p))
         return steps
 
-    def _expand(self, x: AlgebraElement) -> dict[Multisegment, LaurentPoly]:
-        """expand_in_dcb(x, self) at the current width: the terms of x are
+    def _expand(self, x: AlgebraElement):
+        """expand_in_dcb(x, self), a step of _run: the terms of x are
         finished words already."""
         k = self._k
         words = {w: [off, y, l1] for w, off, y, l1 in _packed_terms(x, k)}
         base, acc, bound = self._resolve(words, k)
-        return self._sweep(acc, base, bound, False)
+        return (yield from self._sweep(acc, base, bound, False))
 
-    def _structure(self, m: Multisegment, n: Multisegment
-                   ) -> dict[Multisegment, LaurentPoly]:
-        """structure_constants(m, n, self) at the current width: each pair
+    def _structure(self, m: Multisegment, n: Multisegment):
+        """structure_constants(m, n, self), a step of _run: each pair
         of terms of the rows of G*(m) and G*(n) straightened as one packed
         word, with no label built for a word that already has an id."""
         k, labels, binoms = self._k, self._labels, self._binoms
-        row_m = self._row(self._id(m))
-        row_n = self._row(self._id(n))
+        i, j = self._id(m), self._id(n)
+        row_m = self._row(i) or (yield i)
+        row_n = self._row(j) or (yield j)
         # The factors are basis vectors the caller names, so they pass
         # through dual_canonical, where a subclass or a tracer sees every
         # vector a caller uses; their rows are finished, so it only
@@ -480,7 +477,7 @@ class BasisCache:
             for rhs, roff, cq in right:
                 _straighten(lhs + rhs, off + roff, cp * cq, top, k, words)
         base, acc, bound = self._resolve(words, k)
-        return self._sweep(acc, base, bound, False)
+        return (yield from self._sweep(acc, base, bound, False))
 
 
 @dataclass(frozen=True)
@@ -534,8 +531,11 @@ class DcbTable:
 def dcb_table(w: Weight, cache: BasisCache) -> DcbTable:
     """The class of w, in one run of cache, so its labels share products."""
     labels = enumerate_by_weight(w)
-    return DcbTable(w, labels, cache._run(
-        lambda: {m: cache.dual_canonical(m) for m in labels}))
+
+    def expansions():
+        yield from ()  # a step of _run that waits for no row itself
+        return {m: cache.dual_canonical(m) for m in labels}
+    return DcbTable(w, labels, cache._run(expansions))
 
 
 def expand_in_dcb(x: AlgebraElement, cache: BasisCache

@@ -204,11 +204,11 @@ def test_structure_constants_match_the_expansion_of_the_product():
     widened = []
 
     class Narrow(BasisCache):
-        def _structure(self, m, n):
+        def _check(self, bound, k):
             try:
-                return super()._structure(m, n)
+                super()._check(bound, k)
             except canonical._Widened:
-                widened.append((m, n))
+                widened.append((k, self._k))
                 raise
 
     narrow = Narrow()
@@ -222,7 +222,7 @@ def test_structure_constants_match_the_expansion_of_the_product():
                 expand_in_dcb(product, cache).items()), (m, n)
             pairs += 1
     assert pairs == 2 * 2477
-    assert widened and narrow._k == 8
+    assert widened == [(4, 8)] and narrow._k == 8
 
 
 def test_a_structure_constant_widens_on_its_own_bound():
@@ -339,9 +339,11 @@ def test_correction_queues_only_labels_that_need_a_step(monkeypatch):
 
     class Recording(BasisCache):
         def _sweep(self, acc, base, *args):
+            # A sweep waits for a row while the row's own sweep runs, so
+            # the sweeps in progress nest.
             sweeps.append((acc, base, self._k))
             try:
-                return super()._sweep(acc, base, *args)
+                return (yield from super()._sweep(acc, base, *args))
             finally:
                 sweeps.pop()
 
@@ -754,42 +756,45 @@ def test_a_widening_repacks_every_finished_row():
     finished_on_entry = []
 
     class Recording(BasisCache):
-        def _correct(self, m):
-            finished_on_entry.append(self._finished(m.segments))
-            return super()._correct(m)
+        def _correct(self, i):
+            finished_on_entry.append(self._row(i) is not None)
+            return (yield from super()._correct(i))
 
     narrow = Recording()
     narrow._k = 4
     table = dcb_table(w, narrow)
     assert narrow._k == 16
-    # Only the steps in progress at the two widenings start again.
-    assert (len(finished_on_entry), narrow.labels_computed()) == (563, 559)
+    # Only the rows in progress at the two widenings start again: the row
+    # that widened and the prefixes and sweep labels waiting under it on
+    # the stack.
+    assert (len(finished_on_entry), narrow.labels_computed()) == (572, 559)
     assert not any(finished_on_entry)
     assert table.expansions == dcb_table(w, BasisCache()).expansions
 
 
-_CORRECT = BasisCache._correct.__code__
+_FLAT_STACK = """
+import sys
+from dcbasis.canonical import BasisCache, dcb_table
+from dcbasis.multisegment import parse_weight
+
+sys.setrecursionlimit(25)
+for weight in sys.argv[1:]:
+    print(len(dcb_table(parse_weight(weight), BasisCache()).labels))
+"""
 
 
-def test_no_run_opens_inside_the_core():
-    """A row missing inside the core is finished by a direct call, so the
-    frames between a nested _correct and its parent hold no _run, and a
-    widening restarts the step of the nearest public entry."""
-    gaps = collections.Counter()
-
-    class Recording(BasisCache):
-        def _correct(self, m):
-            gap, frame = [], sys._getframe(1)
-            while frame is not None and frame.f_code is not _CORRECT:
-                gap.append(frame.f_code.co_name)
-                frame = frame.f_back
-            if frame is not None:
-                gaps[tuple(gap)] += 1
-            return super()._correct(m)
-
-    dcb_table(parse_weight("0:1,1:2,2:2,3:2,4:2,5:1"), Recording())
-    # The prefix walk, _aux finishing G*(rest), and a sweep step.
-    assert set(gaps) == {(), ("_row", "_aux"), ("_row", "_sweep")}
+def test_the_core_finishes_a_class_on_a_flat_stack():
+    """Every missing row, G*(rest) or a sweep label's, is finished on the
+    explicit stack of the run, so the Python stack does not grow with the
+    chains of rows in waiting: a fresh interpreter finishes the 522- and
+    940-label classes under a recursion limit of 25.  They needed 48 and
+    46 when the sweep recursed through the rows it met."""
+    src = str(Path(dcbasis.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _FLAT_STACK, "0:1,1:2,2:3,3:3,4:2,5:1",
+         "0:1,1:1,2:2,3:2,4:2,5:2,6:1,7:1"], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.stderr, proc.stdout.split()) == ("", ["522", "940"])
 
 
 def test_expansion_widens_for_large_coefficients():
@@ -1037,17 +1042,17 @@ from dcbasis.multisegment import parse_multisegment
 TOP, LOW = parse_multisegment("[0]+[1]"), parse_multisegment("[0,1]")
 
 
-# Each case changes the packed step: coefficients by id, digit e at bits
-# K (e - base).
+# Each case changes the packed step, a generator that _run drives:
+# coefficients by id, digit e at bits K (e - base).
 class Diagonal(BasisCache):
     def _aux(self, m):
-        acc, base, bound = super()._aux(m)
+        acc, base, bound = yield from super()._aux(m)
         return {i: x << self._k for i, x in acc.items()}, base, bound
 
 
 class Below(BasisCache):
     def _aux(self, m):
-        acc, base, bound = super()._aux(m)
+        acc, base, bound = yield from super()._aux(m)
         if m == LOW:
             acc[self._id(TOP)] = 1 << self._k * (1 - base)
         return acc, base, bound
@@ -1057,7 +1062,7 @@ class NotInVZv(BasisCache):
     def _aux(self, m):
         if m == TOP:
             return {self._id(TOP): 1, self._id(LOW): 1}, 0, 1
-        return super()._aux(m)
+        return (yield from super()._aux(m))
 
     def _row(self, i):
         # The row of 2 E*([0,1]): norms, then its id and coefficient 2.
@@ -1074,7 +1079,7 @@ class Indivisible(BasisCache):
     # The next case replaces the patch.
     def _aux(self, m):
         canonical._straighten = doubled
-        return super()._aux(m)
+        return (yield from super()._aux(m))
 
 
 def without_all_swap_word(word, off, x, l1, k, out):
@@ -1086,7 +1091,7 @@ class NoAllSwapTerm(BasisCache):
     # The last case, so the patch is never undone.
     def _aux(self, m):
         canonical._straighten = without_all_swap_word
-        return super()._aux(m)
+        return (yield from super()._aux(m))
 
 
 print("optimize", sys.flags.optimize)

@@ -221,7 +221,7 @@ class SkewedCache(BasisCache):
 
     def _row(self, i):
         row = super()._row(i)
-        if self._labels[i] == SKEWED:
+        if row and self._labels[i] == SKEWED:
             # Rows pack at base 0, so 2v is 2 << k; the norms grow by 2.
             top, total, *terms = row
             at = terms[::2].index(self._id(parse_multisegment("[0,1]")))

@@ -191,8 +191,9 @@ def test_minor_sorts_its_expansion_once(monkeypatch, capsys, json_flag):
 
 
 def test_dcb_long_rest_chain_under_the_default_recursion_limit():
-    """600 segments: the prefixes are built bottom-up, so the stack does not
-    grow with them.  A fresh interpreter keeps the default limit."""
+    """600 segments: each prefix G*(rest) waits for its row on the explicit
+    stack of the cache's run, so the Python stack does not grow with them.
+    A fresh interpreter keeps the default limit."""
     src = str(Path(cli.__file__).parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "dcbasis.cli", "dcb", "--weight", "0:600",

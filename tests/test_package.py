@@ -90,13 +90,44 @@ def test_only_canonical_reaches_into_a_basis_cache():
     module of the package calls an underscore method of BasisCache."""
     names = _private_methods((PACKAGE / "canonical.py").read_text(),
                              "BasisCache")
-    assert {"_run", "_check", "_row"} <= names
+    assert {"_run", "_check", "_row", "_correct"} <= names
     assert [use for path in sorted(PACKAGE.glob("*.py"))
             if path.name != "canonical.py"
             for use in _attribute_uses(path.read_text(), path.name,
                                        names)] == []
     assert _attribute_uses("cache._run(step)\n", "checks.py", names) == [
         "checks.py:1 ._run"]
+
+
+def _scopes_naming(source: str, attr: str) -> list[str]:
+    """The dotted name of the class or function around each place in the
+    source that reads an attribute called attr, in source order."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                walk(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                found.append(".".join(scope))
+            walk(child, scope)
+
+    walk(ast.parse(source), ())
+    return found
+
+
+def test_only_the_run_finishes_a_row():
+    """A packed step that meets a missing row yields its id, and the run
+    puts the row's _correct on its stack: BasisCache._run is the one
+    place in the package that names _correct, so no step finishes a row
+    by a call down into another."""
+    assert [f"{path.name}:{scope}" for path in sorted(PACKAGE.glob("*.py"))
+            for scope in _scopes_naming(path.read_text(), "_correct")] == [
+        "canonical.py:BasisCache._run"]
+    assert _scopes_naming(
+        "class C:\n    def _aux(self):\n        self._correct(0)\n"
+        "x = c._correct\n", "_correct") == ["C._aux", ""]
 
 
 def _unused_imports(source: str) -> list[str]:
