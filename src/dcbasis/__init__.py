@@ -43,6 +43,7 @@ from .canonical import (
     expand_in_dcb,
     kl_matrix,
     membership_up_to_power,
+    product_membership,
     structure_constants,
 )
 from .criteria import (
@@ -99,6 +100,7 @@ __all__ = [
     "main1_pattern",
     "main1_witness",
     "membership_up_to_power",
+    "product_membership",
     "minor_multisegment",
     "n_pi",
     "parse_multisegment",

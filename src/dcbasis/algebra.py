@@ -372,18 +372,30 @@ def quantum_minor(rows: Iterable[int], cols: Iterable[int]) -> AlgebraElement:
     rows = tuple(rows)
     cols = tuple(cols)
     _check_indices(rows, cols)
-    # Permutations depth first, in lexicographic order: a row that cannot
-    # take the least free column ends its branch, as no later row can.
-    terms, stack = [], [((), 0)]
+    # Permutations depth first, in lexicographic order, each node with its
+    # free columns.  A row that cannot take the least free column ends its
+    # branch, as no later row can; so a node is pushed only if its row can,
+    # and then its row can take every free column.  Placing column p, the
+    # j-th free one, adds the placed columns above p as inversions: the
+    # n - 1 - p columns above p less the len(free) - 1 - j free ones.
+    n = len(cols)
+    terms = []
+    stack = [((), tuple(range(n)), 0)] if not n or rows[0] <= cols[0] else []
     while stack:
-        perm, inv = stack.pop()
-        free = [p for p in range(len(cols)) if p not in perm]
+        perm, free, inv = stack.pop()
         if not free:
             terms.append((tuple(Segment(i, cols[p] - 1) for i, p
                                 in zip(rows, perm) if i < cols[p]), inv))
-        elif rows[len(perm)] <= cols[free[0]]:
-            stack += [(perm + (p,), inv + sum(q > p for q in perm))
-                      for p in reversed(free)]
+            continue
+        r = len(perm) + 1  # the row after the one placing a column now
+        if r == n or rows[r] <= cols[free[0]]:
+            take = range(len(free) - 1, -1, -1)
+        else:  # only placing the least free column leaves r a column
+            take = (0,) if rows[r] <= cols[free[1]] else ()
+        for j in take:
+            p = free[j]
+            stack.append((perm + (p,), free[:j] + free[j + 1:],
+                          inv + n - p - len(free) + j))
 
     def fill(words: dict[Word, list[int]], k: int) -> None:
         for word, inv in terms:

@@ -38,6 +38,7 @@ from .multisegment import (
     Segment,
     Weight,
     _from_sorted,
+    cartan_pairing,
     enumerate_by_weight,
     segment_pairing,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "expand_in_dcb",
     "structure_constants",
     "membership_up_to_power",
+    "product_membership",
 ]
 
 
@@ -129,11 +131,12 @@ class BasisCache:
     No input LaurentPoly arithmetic takes is refused, and no finished row
     is computed again.
 
-    Each packed step (_aux, _correct, _sweep, _expand, _structure) is a
-    generator that reads a row as ``self._row(i) or (yield i)``: _run
-    pushes _correct(i) on its one explicit stack and sends the row back,
-    so only _run finishes a row, and no chain of rows in waiting grows the
-    Python stack.  A widening drops the stack and restarts the run's step.
+    Each packed step (_aux, _correct, _sweep, _expand, _structure, _member,
+    _product_member) is a generator that reads a row as
+    ``self._row(i) or (yield i)``: _run pushes _correct(i) on its one
+    explicit stack and sends the row back, so only _run finishes a row,
+    and no chain of rows in waiting grows the Python stack.  A widening
+    drops the stack and restarts the run's step.
 
     The rows, by id, are the cache's memo.  Each packs G*(n) at base 0, by
     a shift of its accumulators as the correction finishes it and checks
@@ -148,8 +151,11 @@ class BasisCache:
     widening drops them.
     dual_canonical decodes a row once and keeps the vector in _memo, by id,
     so _memo holds only labels a caller asked for (a dcb_table class, the
-    factors of a structure constant, the oracle's labels), never a prefix
-    or a sweep label the correction finished on the way.  The decoded copy
+    factors of a structure constant, the factors a caller multiplies
+    itself), never a prefix or a sweep label the correction finished on
+    the way.  The membership tests decode nothing: _member compares an
+    element's packed terms with the row of G*(q) by id, and
+    _product_member reads only the factors' rows.  The decoded copy
     pays only for the two factor decodes in _structure, which are there
     for perfbench's tracer and cost a table lookup per coefficient:
     without it the irreducibility oracle runs about as fast, and warm
@@ -160,8 +166,8 @@ class BasisCache:
     offset with mu, the copies of s in p, and the id of p + [s], by s and
     then by the id of p.  It lives for one run: every public entry goes
     through _run, and the outermost run (one dual_canonical miss,
-    aux_vector, expand_in_dcb or structure_constants call, or one
-    dcb_table class) opens it and drops it on return, so no product
+    aux_vector, expand_in_dcb, structure_constants or membership call, or
+    one dcb_table class) opens it and drops it on return, so no product
     outlives the call that needed it.  Only this module opens a run.
     """
 
@@ -444,19 +450,55 @@ class BasisCache:
                         push(heap, (order[p], p))
         return steps
 
-    def _expand(self, x: AlgebraElement):
-        """expand_in_dcb(x, self), a step of _run: the terms of x are
+    def _packed(self, x: AlgebraElement, k: int
+                ) -> tuple[int, dict[int, int], int]:
+        """The terms of x by id, as _resolve gives them: the terms of x are
         finished words already."""
+        return self._resolve(
+            {w: [off, y, l1] for w, off, y, l1 in _packed_terms(x, k)}, k)
+
+    def _expand(self, x: AlgebraElement):
+        """expand_in_dcb(x, self), a step of _run."""
         k = self._k
-        words = {w: [off, y, l1] for w, off, y, l1 in _packed_terms(x, k)}
-        base, acc, bound = self._resolve(words, k)
+        base, acc, bound = self._packed(x, k)
         return (yield from self._sweep(acc, base, bound, False))
 
+    def _words(self, rows: list[tuple], k: int
+               ) -> dict[tuple[Segment, ...], list[int]]:
+        """The straightened words of the product of the basis vectors with
+        the given rows, in order: each term of the first row times each
+        word of the product of the rest (the next row's terms when it is
+        the last, else the rest straightened first), as one packed word.
+        Rows sit at base 0, so a product of coefficients is the packed
+        product, bounded by the first row's largest L1 norm times the
+        largest bound of a word of the rest, cancelled words included, so
+        an overflow in the rest still fails the check in _resolve."""
+        if not rows:
+            return {(): [0, 1, 1]}
+        labels, binoms = self._labels, self._binoms
+        first = rows[0]
+        top = first[0]
+        if len(rows) == 2:
+            row = rows[1]
+            top *= row[0]
+            right = [(labels[q].segments, binoms[q], cq)
+                     for q, cq in zip(row[2::2], row[3::2])]
+        else:
+            rest = self._words(rows[1:], k)
+            top *= max(l1 for _, _, l1 in rest.values())
+            right = [(w, off, x) for w, (off, x, _) in rest.items()]
+        words: dict[tuple[Segment, ...], list[int]] = {}
+        for p, cp in zip(first[2::2], first[3::2]):
+            lhs, off = labels[p].segments, binoms[p]
+            for rhs, roff, cq in right:
+                _straighten(lhs + rhs, off + roff, cp * cq, top, k, words)
+        return words
+
     def _structure(self, m: Multisegment, n: Multisegment):
-        """structure_constants(m, n, self), a step of _run: each pair
-        of terms of the rows of G*(m) and G*(n) straightened as one packed
-        word, with no label built for a word that already has an id."""
-        k, labels, binoms = self._k, self._labels, self._binoms
+        """structure_constants(m, n, self), a step of _run: the product of
+        the rows of G*(m) and G*(n) (_words), with no label built for a
+        word that already has an id."""
+        k = self._k
         i, j = self._id(m), self._id(n)
         row_m = self._row(i) or (yield i)
         row_n = self._row(j) or (yield j)
@@ -466,18 +508,66 @@ class BasisCache:
         # decodes each once.
         self.dual_canonical(m)
         self.dual_canonical(n)
-        # Rows sit at base 0, so cp * cq is the packed product, its L1 norm
-        # at most the product of the rows' largest L1 norms.
-        top = row_m[0] * row_n[0]
-        right = [(labels[q].segments, binoms[q], cq)
-                 for q, cq in zip(row_n[2::2], row_n[3::2])]
-        words: dict[tuple[Segment, ...], list[int]] = {}
-        for p, cp in zip(row_m[2::2], row_m[3::2]):
-            lhs, off = labels[p].segments, binoms[p]
-            for rhs, roff, cq in right:
-                _straighten(lhs + rhs, off + roff, cp * cq, top, k, words)
-        base, acc, bound = self._resolve(words, k)
+        base, acc, bound = self._resolve(self._words([row_m, row_n], k), k)
         return (yield from self._sweep(acc, base, bound, False))
+
+    def _lowest(self, acc: dict[int, int], base: int, k: int
+                ) -> tuple[int, int] | None:
+        """(q, e) for the lowest id q of acc, packed at base, if its
+        coefficient is v^e and every other coefficient lies in
+        v^(e+1)Z[v], as in v^e G*(q); else None."""
+        q = min(acc, key=self._order.__getitem__)
+        y = acc[q]
+        shift = k * ((y.bit_length() - 1) // k)
+        if y != 1 << shift:
+            return None
+        low = (1 << shift + k) - 1
+        if any(x & low for j, x in acc.items() if j != q):
+            return None
+        return q, base + shift // k
+
+    def _member(self, x: AlgebraElement):
+        """membership_up_to_power(x, self), a step of _run: the shape test
+        first, then x against the row of G*(q), coefficient by coefficient
+        by id, each shifted by v^e."""
+        k = self._k
+        base, acc, _ = self._packed(x, k)
+        lowest = self._lowest(acc, base, k)
+        if lowest is None:
+            return None
+        q, e = lowest
+        row = self._row(q) or (yield q)
+        shift = k * (e - base)
+        if len(row) != 2 + 2 * len(acc) or any(
+                acc.get(j) != y << shift
+                for j, y in zip(row[2::2], row[3::2])):
+            return None
+        return -e, self._labels[q]
+
+    def _product_member(self, labels: list[Multisegment], pairs: int):
+        """product_membership(labels, self), a step of _run, pairs the sum
+        of the weight pairings: the shape test on the product P, then the
+        reversed product Q against v^(-2e - pairs) P by id.  Only the
+        factors' rows are finished."""
+        rows = []
+        for m in labels:
+            i = self._id(m)
+            rows.append(self._row(i) or (yield i))
+        k = self._k
+        base, acc, _ = self._resolve(self._words(rows, k), k)
+        lowest = self._lowest(acc, base, k)
+        if lowest is None:
+            return None
+        q, e = lowest
+        back, rev, _ = self._resolve(self._words(rows[::-1], k), k)
+        # v^(-2e - pairs) P is P packed at base - 2e - pairs; align that
+        # base with Q's by a shift of the side with the higher one.
+        d = k * (base - 2 * e - pairs - back)
+        lift, drop = (0, d) if d >= 0 else (-d, 0)
+        if len(rev) != len(acc) or any(
+                rev.get(j, 0) << lift != y << drop for j, y in acc.items()):
+            return None
+        return -e, self._labels[q]
 
 
 @dataclass(frozen=True)
@@ -575,17 +665,48 @@ def membership_up_to_power(x: AlgebraElement, cache: BasisCache
     is x: one basis vector decides.  The zero element gives None, and so
     does an x that mixes weights: G*(q) has the weight of q, so it differs
     from every such x.
+
+    By Lusztig's characterization G*(q) is the one bar-invariant vector
+    with coefficient 1 at q and every other coefficient in vZ[v].  So
+    v^-k G*(q) has every coefficient but q's in v^(1-k)Z[v]: an x with a
+    digit at or below -k off q is refused before G*(q) is asked for, and
+    then the shape test is exact.  Otherwise x is compared with the row
+    of G*(q), packed, by id; nothing is decoded.
     """
     if not x:
         return None
-    q = min((n for n, _ in x.unordered_items()),
-            key=lambda n: cache._order[cache._id(n)])
-    e = x.coefficient(q).single_power()
-    if e is None:
-        return None
-    if cache.dual_canonical(q).scaled(LaurentPoly.v_power(e)) != x:
-        return None
-    return (-e, q)
+    return cache._run(cache._member, x)
+
+
+def product_membership(labels: list[Multisegment], cache: BasisCache
+                       ) -> tuple[int, Multisegment] | None:
+    """(k, q) such that v^k G*(m_1) ... G*(m_r) = G*(q) for the labels
+    m_1, ..., m_r, or None: membership_up_to_power of the product,
+    decided from the factors' rows alone, with no row of q.
+
+    Let P be the product and Q the product in reverse order, both
+    straightened from the packed rows, q the lowest label of P and v^e
+    its coefficient there, and x = v^-e P.  The bar involution sigma
+    (anti-linear, v -> v^-1) fixes each G* and reverses products:
+    sigma(ab) = v^(wt a, wt b) sigma(b) sigma(a).  So
+    sigma(x) = v^(e + c) Q, c the sum of (wt m_i, wt m_j) over pairs
+    i < j, and x is bar-invariant exactly when Q = v^(-2e - c) P.  If
+    moreover every coefficient of x but q's lies in vZ[v], then x = G*(q)
+    by Lusztig's characterization (Lusztig 1990): x - G*(q) is
+    bar-invariant with every coefficient in vZ[v], and sigma is
+    unitriangular on the E* basis, so its lowest coefficient is
+    bar-symmetric and in vZ[v], hence 0.  The converse is plain, so the
+    test is exact.
+
+    Both conditions are needed.  Bar-invariance alone holds for every
+    square of a basis vector, and Leclerc's imaginary vectors (Leclerc
+    2003) are squares b b that are not in v^Z B*: only the vZ[v] shape
+    rules them out.  So P must pass the same shape test as
+    membership_up_to_power before Q is compared with it.
+    """
+    pairs = sum(cartan_pairing(a.weight(), b.weight())
+                for i, a in enumerate(labels) for b in labels[i + 1:])
+    return cache._run(cache._product_member, labels, pairs)
 
 
 def kl_matrix(w: Weight, cache: BasisCache

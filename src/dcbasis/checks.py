@@ -25,6 +25,7 @@ from .canonical import (
     expand_in_dcb,
     kl_matrix,
     membership_up_to_power,
+    product_membership,
     structure_constants,
 )
 from .criteria import (
@@ -306,8 +307,11 @@ def check_oracle(max_part_sum: int = 2,
     and the algebraic membership test (the product of the two dual
     canonical vectors is a basis vector up to a power of v) must agree;
     when they declare irreducibility the membership pair must be exactly
-    (b(m, n), m + n).  The cardinality law tying the two set differences
-    to the shift is checked alongside.
+    (b(m, n), m + n).  Membership is decided twice, against the basis
+    vector of the product's lowest label (membership_up_to_power) and
+    from the two factors alone (product_membership), and the two answers
+    must be equal.  The cardinality law tying the two set differences to
+    the shift is checked alongside.
     """
     cache = cache or BasisCache()
     report = SuiteReport("oracle", 0)
@@ -323,6 +327,12 @@ def check_oracle(max_part_sum: int = 2,
                 m_beta = evaluation_multisegment(beta, b)
                 member = membership_up_to_power(
                     g_alpha * cache.dual_canonical(m_beta), cache)
+                factored = product_membership([m_alpha, m_beta], cache)
+                if factored != member:
+                    report.failures.append(
+                        f"membership of the product gives {member} but "
+                        f"membership from the factors gives {factored} for "
+                        f"{alpha} @ 0 vs {beta} @ {b}")
                 combinatorial = irreducible_pair(alpha, 0, beta, b)
                 if combinatorial != (member is not None):
                     report.failures.append(
@@ -449,11 +459,9 @@ def check_frank(samples: int = 40, max_factors: int = 3, max_entry: int = 6,
                 report.failures.append(
                     f"tableau label of {ordered} differs from the "
                     f"label sum {total}")
-            ordered_product = functools.reduce(
-                operator.mul, map(cache.dual_canonical, ordered_labels))
             b_pi = sum(b_form(a, b) for a, b
                        in itertools.combinations(ordered_labels, 2))
-            member = membership_up_to_power(ordered_product, cache)
+            member = product_membership(ordered_labels, cache)
             if member != (b_pi, total):
                 report.failures.append(
                     f"strongly separated family {ordered}: membership "

@@ -37,7 +37,7 @@ from .canonical import (
     BasisCache,
     DcbTable,
     dcb_table,
-    membership_up_to_power,
+    product_membership,
     structure_constants,
 )
 from .checks import SUITES
@@ -188,13 +188,14 @@ def _pattern_text(witness: tuple[int, ...] | None) -> str:
 def _decide(alpha, a: int, beta, b: int, cache: BasisCache | None
             ) -> tuple[bool, tuple[int, ...] | None, bool]:
     """The verdict, its witness, and, given a cache, whether membership of
-    G*(m_alpha) G*(m_beta) up to a power of v agrees with the verdict."""
+    G*(m_alpha) G*(m_beta) up to a power of v agrees with the verdict,
+    decided from the two factors alone (product_membership)."""
     verdict, witness = _verdict(alpha, a, beta, b)
     if cache is None:
         return verdict, witness, True
-    product = (cache.dual_canonical(evaluation_multisegment(alpha, a))
-               * cache.dual_canonical(evaluation_multisegment(beta, b)))
-    algebraic = membership_up_to_power(product, cache) is not None
+    factors = [evaluation_multisegment(alpha, a),
+               evaluation_multisegment(beta, b)]
+    algebraic = product_membership(factors, cache) is not None
     return verdict, witness, algebraic == verdict
 
 

@@ -3,8 +3,10 @@
 import collections
 import itertools
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -311,6 +313,48 @@ def test_the_minor_walk_visits_only_admissible_permutations(monkeypatch):
     assert len(minor.items()) == 512
 
 
+def _rebuilding_minor_terms(rows, cols):
+    """(word, inversions) in the order of the earlier backtracking walk,
+    which rebuilt each node's free columns and pushed every one of them."""
+    terms, stack = [], [((), 0)]
+    while stack:
+        perm, inv = stack.pop()
+        free = [p for p in range(len(cols)) if p not in perm]
+        if not free:
+            terms.append((tuple(Segment(i, cols[p] - 1) for i, p
+                                in zip(rows, perm) if i < cols[p]), inv))
+        elif rows[len(perm)] <= cols[free[0]]:
+            stack += [(perm + (p,), inv + sum(q > p for q in perm))
+                      for p in reversed(free)]
+    return terms
+
+
+def test_the_minor_walk_matches_the_rebuilding_walk(monkeypatch):
+    """Carrying the free columns down the stack, and pushing only nodes
+    whose row can take a column, straightens the same terms in the same
+    order as the walk that rebuilt them, on random index sets of up to 9."""
+    terms, rng, nonzero = _straightened_terms(monkeypatch), random.Random(5), 0
+    for _ in range(300):
+        k = rng.randint(0, 9)
+        rows = sorted(rng.sample(range(-2, 12), k))
+        cols = sorted(rng.sample(range(-2, 12), k))
+        terms.clear()
+        quantum_minor(rows, cols)
+        want = _rebuilding_minor_terms(rows, cols)
+        assert terms == want, (rows, cols)
+        nonzero += bool(want)
+    assert nonzero > 100
+
+
+def test_an_identity_minor_of_200_indices_is_quick():
+    # The rebuilding walk took 2.0-2.4 s for its single term on a 2-core
+    # Xeon, as each of the O(n^2) dead nodes rebuilt its free columns.
+    start = time.perf_counter()
+    minor = quantum_minor(range(200), range(200))
+    assert time.perf_counter() - start < 0.25
+    assert minor == unit()
+
+
 # -- the packed kernel against the dict kernel it replaced ---------------------
 
 
@@ -582,6 +626,7 @@ def test_word_bounds_cover_the_true_norms(monkeypatch):
 # of [1]*[0] yields the one-point word [0]: degree 1 instead of 2.
 _SHORT_UNION = """
 import sys
+import time
 from dcbasis import algebra
 from dcbasis.multisegment import Segment, parse_multisegment
 

@@ -8,6 +8,7 @@ import itertools
 import json
 import os
 import pkgutil
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -23,6 +24,7 @@ from dcbasis.canonical import (
     expand_in_dcb,
     kl_matrix,
     membership_up_to_power,
+    product_membership,
     structure_constants,
 )
 from dcbasis import canonical, checks, cli, laurent
@@ -32,7 +34,14 @@ from dcbasis.algebra import (
     basis_product,
     dual_pbw,
 )
-from dcbasis.checks import _degree_pairs, check_oracle, window_weights
+from dcbasis.checks import (
+    _column_label,
+    _degree_pairs,
+    check_oracle,
+    partitions_up_to,
+    window_weights,
+)
+from dcbasis.criteria import evaluation_multisegment
 from dcbasis.laurent import (
     ExactDivisionError,
     LaurentPoly,
@@ -462,6 +471,133 @@ def test_membership_computes_one_basis_vector_of_the_product(m, n, labels):
         factors_and_sum.dual_canonical(p)
     assert (cache.labels_computed() == factors_and_sum.labels_computed()
             == labels)
+
+
+def _evaluation_cases(max_part_sum, shifts):
+    """The label pairs of check_oracle: (m_alpha at 0, m_beta at b)."""
+    parts = partitions_up_to(max_part_sum)
+    return [(evaluation_multisegment(alpha, 0),
+             evaluation_multisegment(beta, b))
+            for alpha in parts for beta in parts for b in shifts]
+
+
+def test_the_shape_test_refuses_before_any_row_of_the_product():
+    """G*(q)'s off-diagonal coefficients lie in vZ[v], so a product with a
+    digit at or below its lowest label's power elsewhere is refused with
+    no row computed: 56 of the 112 non-members of the benchmark's 396
+    oracle cases.  The others finish the row of q, and no vector but the
+    two factors is decoded."""
+    refused = members = 0
+    for m, n in _evaluation_cases(3, range(-5, 6)):
+        cache = BasisCache()
+        x = cache.dual_canonical(m) * cache.dual_canonical(n)
+        q = x.support()[0]
+        e = x.coefficient(q).single_power()
+        shaped = e is not None and all(
+            c.min_exponent() > e for p, c in x.unordered_items() if p != q)
+        before = cache.labels_computed()
+        member = membership_up_to_power(x, cache)
+        members += member is not None
+        if shaped:
+            assert cache._row(cache._id(q)) is not None
+        else:
+            assert member is None and cache.labels_computed() == before
+            refused += 1
+        assert set(cache._memo) == {cache._id(m), cache._id(n)}
+    assert (members, refused) == (284, 56)
+
+
+def test_product_membership_matches_membership_of_the_product():
+    """Partitions of size <= 4 at shifts -5..5: the same (k, q) or None."""
+    cache, answers = BasisCache(), collections.Counter()
+    for m, n in _evaluation_cases(4, range(-5, 6)):
+        member = membership_up_to_power(
+            cache.dual_canonical(m) * cache.dual_canonical(n), cache)
+        assert product_membership([m, n], cache) == member, (m, n)
+        answers[member is not None] += 1
+    assert answers == {True: 867, False: 464}
+
+
+def test_product_membership_of_flag_minor_families():
+    """Families of two and three flag minors (column sets in 1..5), with
+    their reversed products: the same answer as membership of the
+    product, members and non-members among them."""
+    cache, answers = BasisCache(), collections.Counter()
+    sets = [s for r in range(1, 4)
+            for s in itertools.combinations(range(1, 6), r)]
+    rng = random.Random(2)
+    for _ in range(150):
+        labels = [_column_label(rng.choice(sets))
+                  for _ in range(rng.randint(2, 3))]
+        product = cache.dual_canonical(labels[0])
+        for m in labels[1:]:
+            product = product * cache.dual_canonical(m)
+        member = membership_up_to_power(product, cache)
+        assert product_membership(labels, cache) == member, labels
+        answers[member is not None] += 1
+    assert answers[True] and answers[False]
+
+
+def test_product_membership_of_one_factor_and_of_a_square():
+    cache = BasisCache()
+    assert product_membership([M4], cache) == (0, M4)
+    # [0] [0] is v^-1 E*(2[0]) = v^-1 G*(2[0]); [0,1] [0,1] likewise.
+    for m in (pm("[0]"), pm("[0,1]")):
+        assert product_membership([m, m], cache) == (1, m + m)
+    assert product_membership([pm("[0]"), pm("[1]")], cache) is None
+
+
+def _tamper(cache, m):
+    """Add 2v to the first off-diagonal coefficient of m's finished row, as
+    test_checks.SkewedCache does, and forget m's decoded vector."""
+    i = cache._id(m)
+    top, total, *terms = cache._row(i)
+    at = next(a for a in range(0, len(terms), 2) if terms[a] != i)
+    terms[at + 1] += 2 << cache._k
+    cache._rows[i] = (top + 2, total + 2, *terms)
+    cache._memo.pop(i, None)
+
+
+@pytest.mark.parametrize("m, n, tampered", [
+    ("[0,2]", "[2]+[3,4]", 1),
+    ("[0,1]", "[1]+[2,3]", 1),
+    ("[-1]+[0,1]", "[0,2]", 0),
+    ("[-1]+[0,1]", "[0,1]", 0),
+])
+def test_both_membership_tests_refuse_a_tampered_factor(m, n, tampered):
+    """One factor gains 2v at one term, still in vZ[v], so the product
+    keeps its shape; the row of m + n was finished before, from the true
+    rows.  The comparison with G*(m + n) and the reversed product both
+    see the change."""
+    m, n = pm(m), pm(n)
+    cache = BasisCache()
+    g = cache.dual_canonical
+    member = (b_form(m, n), m + n)
+    assert membership_up_to_power(g(m) * g(n), cache) == member
+    assert product_membership([m, n], cache) == member
+    _tamper(cache, (m, n)[tampered])
+    x = g(m) * g(n)
+    q, e = x.support()[0], x.coefficient(m + n).single_power()
+    assert q == m + n and e == -member[0]
+    assert all(c.min_exponent() > e for p, c in x.unordered_items() if p != q)
+    assert membership_up_to_power(x, cache) is None
+    assert product_membership([m, n], cache) is None
+
+
+def test_the_oracle_suite_reports_a_factor_only_the_product_test_trusts():
+    """product_membership takes its factors to be bar-invariant.  A
+    tampered factor that still quasi-commutes with the other passes it
+    (2v on G*([-1]+[0]) does, for 15 of the 81 default cases), but not
+    the comparison with G*(q): check_oracle, which runs both, reports
+    each such case."""
+    cache = BasisCache()
+    assert check_oracle(cache=cache).ok
+    _tamper(cache, pm("[-1]+[0]"))
+    report = check_oracle(cache=cache)
+    assert report.cases == 81
+    assert sum(f.startswith("membership of the product gives None but "
+                            "membership from the factors gives (")
+               for f in report.failures) == 15
 
 
 def _old_aux_vector(m, cache):

@@ -325,6 +325,25 @@ def test_oracle_suite():
     assert report.ok, report.failures
 
 
+@pytest.mark.parametrize("name", ["membership_up_to_power",
+                                  "product_membership"])
+def test_the_oracle_suite_reports_a_flipped_membership_test(monkeypatch,
+                                                            name):
+    """check_oracle decides membership twice; flipping either answer is
+    reported at every case, and the case count does not move."""
+    membership = getattr(checks, name)
+
+    def flipped(x, cache):
+        return (None if membership(x, cache) is not None
+                else (0, Multisegment()))
+
+    monkeypatch.setattr(checks, name, flipped)
+    report = check_oracle()
+    assert report.cases == 81
+    assert sum(f.startswith("membership of the product gives ")
+               for f in report.failures) == 81
+
+
 def test_difference_size_counts_the_difference_exhaustive():
     """All 97 partitions of size 0-9, squared, at every shift in -8..8, in
     both orders."""

@@ -17,7 +17,7 @@ import pytest
 from dcbasis.algebra import AlgebraElement
 from dcbasis.canonical import BasisCache, dcb_table, structure_constants
 from dcbasis.checks import SUITES, _degree_pairs
-from dcbasis import canonical, cli, criteria
+from dcbasis import canonical, checks, cli, criteria
 from dcbasis.cli import _suite_defaults, main
 from dcbasis.laurent import LaurentPoly
 from dcbasis.multisegment import (
@@ -636,16 +636,21 @@ def _run_interleaved(*argv):
     return code, both.getvalue().splitlines()
 
 
+def _flip(monkeypatch, module):
+    """Make module's product_membership contradict every answer."""
+    membership = module.product_membership
+
+    def flipped(labels, cache):
+        return (None if membership(labels, cache) is not None
+                else (0, Multisegment()))
+
+    monkeypatch.setattr(module, "product_membership", flipped)
+
+
 @pytest.fixture
 def flipped_membership(monkeypatch):
     """Make the algebraic oracle contradict every verdict."""
-    membership = cli.membership_up_to_power
-
-    def flipped(x, cache):
-        return (None if membership(x, cache) is not None
-                else (0, Multisegment()))
-
-    monkeypatch.setattr(cli, "membership_up_to_power", flipped)
+    _flip(monkeypatch, cli)
 
 
 def test_irred_verification_failure(flipped_membership):
@@ -664,6 +669,46 @@ def test_scan_verification_failure(flipped_membership):
     payload = json.loads("\n".join(lines[:-1]))
     assert [row["verified"] for row in payload["verdicts"]] == [False] * 5
     assert lines[-1] == "verification failed at shifts [-2, -1, 0, 1, 2]"
+
+
+@pytest.mark.parametrize("argv, factors, rows", [
+    (("irred", "--alpha", "6,5,4,3,2", "--beta", "5,4,3", "--b", "2",
+      "--verify"), [("6,5,4,3,2", 0), ("5,4,3", 2)], 75),
+    (("scan", "--alpha", "3,2,1", "--beta", "2,2", "--range", "-6:6",
+      "--verify"), [("3,2,1", 0)] + [("2,2", b) for b in range(-6, 7)], 58),
+], ids=["irred", "scan"])
+def test_verify_finishes_only_the_rows_of_the_factors(capsys, monkeypatch,
+                                                      argv, factors, rows):
+    """Membership is decided from the factors' rows: the run finishes the
+    rows a cache that computed only the factors finishes, no row of a
+    product, and decodes no vector."""
+    caches = []
+
+    class Recording(BasisCache):
+        def __init__(self):
+            super().__init__()
+            caches.append(self)
+
+    monkeypatch.setattr(cli, "BasisCache", Recording)
+    assert run_cli(capsys, *argv)[0] == 0
+    (cache,) = caches
+    factors_only = BasisCache()
+    for parts, shift in factors:
+        factors_only.dual_canonical(criteria.evaluation_multisegment(
+            criteria.parse_partition(parts), shift))
+    assert cache.labels_computed() == factors_only.labels_computed() == rows
+    assert cache._memo == {}
+
+
+def test_verify_oracle_fails_when_the_membership_tests_disagree(
+        capsys, monkeypatch):
+    _flip(monkeypatch, checks)
+    code, out, err = run_cli(capsys, "verify", "--suite", "oracle", "--json")
+    payload = json.loads(out)
+    assert (code, err, payload["cases"], payload["ok"]) == (1, "", 81, False)
+    assert len(payload["failures"]) == 81
+    assert all(f.startswith("membership of the product gives ")
+               for f in payload["failures"])
 
 
 @pytest.mark.parametrize("argv, digest", [
