@@ -43,6 +43,7 @@ __all__ = [
     "unit",
     "quantum_minor",
     "minor_multisegment",
+    "render_combination",
 ]
 
 Word = tuple[Segment, ...]

@@ -45,7 +45,6 @@ from .multisegment import (
 
 __all__ = [
     "BasisCache",
-    "InvariantError",
     "DcbTable",
     "dcb_table",
     "kl_matrix",

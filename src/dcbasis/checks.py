@@ -31,6 +31,7 @@ from .canonical import (
 from .criteria import (
     CoFiniteSet,
     Partition,
+    _difference_size,
     evaluation_multisegment,
     evaluation_set,
     hook_irreducible,
@@ -283,18 +284,6 @@ def _product_row(row: dict, table) -> dict[Multisegment, LaurentPoly]:
         for p, d in table.expansion(q).unordered_items():
             product[p] = product.get(p, ZERO) + c * d
     return {p: e for p, e in product.items() if e}
-
-
-def _difference_size(self_set: CoFiniteSet, other: CoFiniteSet) -> int:
-    """|self_set - other| by popcounts, for (-inf, s] + x and (-inf, t] + y:
-    with s <= t, x moved onto y's places outside y; otherwise the s - t
-    integers of (t, s] less y's bits there, plus x outside y's bits above s."""
-    s, x = self_set.threshold, self_set._bits
-    t, y = other.threshold, other._bits
-    if s <= t:
-        return ((x >> (t - s)) & ~y).bit_count()
-    high = y >> (s - t)
-    return (s - t) - y.bit_count() + high.bit_count() + (x & ~high).bit_count()
 
 
 def check_oracle(max_part_sum: int = 2,

@@ -268,16 +268,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return PROPERTY_FAILURE if disagreements else OK
 
 
-# The verify flags, each named after the one suite parameter it sets.
-_SUITE_FLAGS = ("max_degree", "max_part_sum", "shift_range", "index_range",
-                "max_cols", "samples", "max_factors", "max_entry", "seed")
-
-
 def _suite_defaults(suite) -> dict:
     """The suite's keyword defaults, read from its signature (no cache)."""
     return {name: p.default
             for name, p in inspect.signature(suite).parameters.items()
             if name != "cache"}
+
+
+# The verify flags, each named after the one suite parameter it sets.
+_SUITE_FLAGS = tuple(dict.fromkeys(name for suite in SUITES.values()
+                                   for name in _suite_defaults(suite)))
 
 
 def _suite_kwargs(args: argparse.Namespace) -> dict:

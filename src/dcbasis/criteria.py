@@ -35,6 +35,7 @@ __all__ = [
     "strongly_separated",
     "irreducible_pair",
     "main1_pattern",
+    "main1_witness",
     "hook_irreducible",
     "irreducible_family",
 ]
@@ -92,6 +93,18 @@ class CoFiniteSet:
     def __str__(self) -> str:
         inner = "".join(f",{x}" for x in self.extras)
         return f"{{..<={self._threshold}{inner}}}"
+
+
+def _difference_size(self_set: CoFiniteSet, other: CoFiniteSet) -> int:
+    """|self_set - other| by popcounts, for (-inf, s] + x and (-inf, t] + y:
+    with s <= t, x moved onto y's places outside y; otherwise the s - t
+    integers of (t, s] less y's bits there, plus x outside y's bits above s."""
+    s, x = self_set.threshold, self_set._bits
+    t, y = other.threshold, other._bits
+    if s <= t:
+        return ((x >> (t - s)) & ~y).bit_count()
+    high = y >> (s - t)
+    return (s - t) - y.bit_count() + high.bit_count() + (x & ~high).bit_count()
 
 
 class Partition:

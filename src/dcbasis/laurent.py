@@ -197,6 +197,9 @@ class LaurentPoly:
         return self._c == other._c
 
     def __hash__(self) -> int:
+        # A constant equals its int, so it hashes as that int.
+        if self._c.keys() <= {0}:
+            return hash(self._c.get(0, 0))
         return hash(frozenset(self._c.items()))
 
     def __bool__(self) -> bool:

@@ -232,8 +232,11 @@ class Weight:
 
     def __init__(self, data: dict[int, int] | Iterable[tuple[int, int]] = ()):
         pairs = data.items() if isinstance(data, dict) else data
-        items = []
+        items, last = [], None
         for p, c in sorted(pairs):
+            if p == last:
+                raise ValueError(f"repeated position {p} in weight")
+            last = p
             if c < 0:
                 raise ValueError(f"negative count {c} at position {p}")
             if c:
@@ -468,7 +471,4 @@ def parse_weight(text: str) -> Weight:
         if not m:
             raise ValueError(f"malformed weight entry {chunk!r}")
         pairs.append((int(m.group(1)), int(m.group(2))))
-    seen = [p for p, _ in pairs]
-    if len(seen) != len(set(seen)):
-        raise ValueError(f"repeated position in weight {text!r}")
     return Weight(pairs)

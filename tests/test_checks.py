@@ -23,7 +23,6 @@ from dcbasis.checks import (
     SuiteReport,
     _auxiliary,
     _degree_pairs,
-    _difference_size,
     _product_row,
     check_eqrei,
     check_frank,
@@ -36,7 +35,7 @@ from dcbasis.checks import (
     window_multisegments,
     window_weights,
 )
-from dcbasis.criteria import Partition, evaluation_set
+from dcbasis.criteria import Partition, _difference_size, evaluation_set
 from dcbasis.laurent import ONE, ZERO, LaurentPoly
 from dcbasis.multisegment import (
     Multisegment,

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -216,6 +217,12 @@ def test_dcb_malformed_weight(capsys):
     code, _, err = run_cli(capsys, "dcb", "--weight", "abc")
     assert code == 2
     assert err == "error: malformed weight entry 'abc'\n"
+
+
+def test_dcb_repeated_weight_position(capsys):
+    code, out, err = run_cli(capsys, "dcb", "--weight", "0:1,0:2")
+    assert (code, out) == (2, "")
+    assert err == "error: repeated position 0 in weight\n"
 
 
 def test_dcb_class_size_guard(capsys):
@@ -817,6 +824,20 @@ def test_verify_defaults_from_suite_signatures():
                   "seed": 0},
         "hooks": {"max_part_sum": 6, "shift_range": (-12, 12)},
     }
+
+
+def test_verify_defines_one_flag_per_suite_parameter():
+    # _SUITE_FLAGS is read from the suite signatures; the verify parser
+    # gives each name one --flag and has no other suite flag.
+    assert sorted(cli._SUITE_FLAGS) == sorted(
+        set().union(*map(_suite_defaults, SUITES.values())))
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    flags = [action.option_strings
+             for action in subparsers.choices["verify"]._actions
+             if action.dest not in ("help", "suite", "json")]
+    assert flags == [[f"--{name.replace('_', '-')}"]
+                     for name in cli._SUITE_FLAGS]
 
 
 def test_verify_unknown_suite(capsys):

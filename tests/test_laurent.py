@@ -429,6 +429,18 @@ def test_hash_consistency(p, q):
     assert len({p, q}) == (1 if p == q else 2)
 
 
+@given(laurent_polys, st.integers(-2**70, 2**70))
+def test_hash_consistency_with_ints(p, n):
+    # A constant polynomial equals its int, 0 included, so a dict or a set
+    # takes the one for the other.
+    for c in (p, LaurentPoly(n)):
+        assert len({c, n}) == (1 if c == n else 2)
+        if c == n:
+            assert hash(c) == hash(n) and {n: "x"}.get(c) == "x"
+    assert {1: "a"}.get(LaurentPoly(1)) == "a" and len({ONE, 1}) == 1
+    assert {0: "a"}.get(LaurentPoly(0)) == "a" and len({ZERO, 0}) == 1
+
+
 if __name__ == "__main__":
     import sys
 

@@ -579,10 +579,21 @@ def test_parse_weight():
     assert parse_weight("0:1,1:2,2:1") == WORKED_WEIGHT
     assert parse_weight("-1:3") == Weight({-1: 3})
     assert parse_weight("") == Weight()
-    with pytest.raises(ValueError):
-        parse_weight("0:1,0:2")
+    for text in ("0:1,0:2", "0:0,0:2", "1:1,0:1,1:1"):
+        with pytest.raises(ValueError, match="repeated position"):
+            parse_weight(text)
     with pytest.raises(ValueError):
         parse_weight("abc")
+
+
+def test_weight_refuses_a_repeated_position():
+    # The constructor owns the rule, whatever the counts: a zero count
+    # given twice is refused as well.
+    for pairs in ([(0, 1), (0, 2)], [(0, 0), (0, 2)], [(3, 0), (3, 0)],
+                  [(1, 1), (-2, 1), (1, 1)]):
+        with pytest.raises(ValueError, match="repeated position"):
+            Weight(pairs)
+    assert Weight([(1, 2), (0, 1)]) == Weight({0: 1, 1: 2})
 
 
 @given(st.dictionaries(st.integers(-5, 5), st.integers(1, 4), max_size=4))

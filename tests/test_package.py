@@ -26,18 +26,15 @@ def _names_in_code(source: str) -> set[str]:
 
 
 def _exports(sources: dict[str, str]) -> dict[str, list[str]]:
-    """The public names of each module, by file name: those its
-    ``__all__`` lists, and those ``__init__.py`` imports from it."""
+    """The public names of each module but ``__init__.py``, by file name:
+    those its ``__all__`` lists."""
     out = {name: [] for name in sources if name != "__init__.py"}
-    for name, source in sources.items():
-        for node in ast.parse(source).body:
-            if (isinstance(node, ast.Assign) and name != "__init__.py"
+    for name in out:
+        for node in ast.parse(sources[name]).body:
+            if (isinstance(node, ast.Assign)
                     and any(isinstance(t, ast.Name) and t.id == "__all__"
                             for t in node.targets)):
                 out[name] += ast.literal_eval(node.value)
-            elif (isinstance(node, ast.ImportFrom) and node.level
-                  and name == "__init__.py"):
-                out[f"{node.module}.py"] += [a.name for a in node.names]
     return out
 
 
@@ -54,20 +51,73 @@ def _uncalled(sources: dict[str, str], tested: set[str]) -> list[str]:
                       if other != module))
 
 
+def _sources() -> dict[str, str]:
+    return {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+
+
 def test_every_public_name_has_a_caller_or_a_test():
-    """Every name of dcbasis.__all__ and of each module's __all__ is used
-    in code by another module of the package, the re-exports of
-    __init__.py aside, or is named in a test."""
-    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    """Every name of each module's __all__ is used in code by another
+    module of the package, __init__.py aside, or is named in a test."""
     tested = set().union(*(_names_in_code(path.read_text())
                            for path in (ROOT / "tests").glob("*.py")))
-    assert set(dcbasis.__all__) <= {name for names in
-                                    _exports(sources).values()
-                                    for name in names}
-    assert _uncalled(sources, tested) == []
+    assert _uncalled(_sources(), tested) == []
     # A use inside the module that exports the name does not count.
     assert _uncalled({"a.py": '__all__ = ["f"]\ndef f(): pass\nf()\n',
                       "b.py": "g = 1\n"}, set()) == ["a.py:f"]
+
+
+# The modules that dcbasis re-exports, in the order __init__.py joins them.
+_API_MODULES = ("laurent", "multisegment", "algebra", "canonical",
+                "criteria", "tableaux")
+
+
+def test_the_package_api_is_the_modules_all_joined():
+    """dcbasis.__all__ is the six modules' __all__ lists joined in order,
+    with no name twice, and each name is bound to the module's object."""
+    joined = [name for module in _API_MODULES
+              for name in getattr(dcbasis, module).__all__]
+    assert dcbasis.__all__ == joined
+    assert len(joined) == len(set(joined))
+    for module in _API_MODULES:
+        for name in getattr(dcbasis, module).__all__:
+            assert getattr(dcbasis, name) is getattr(
+                getattr(dcbasis, module), name), name
+
+
+def test_each_public_name_is_listed_by_one_module():
+    exports = _exports(_sources())
+    owners: dict[str, list[str]] = {}
+    for module, names in sorted(exports.items()):
+        for name in names:
+            owners.setdefault(name, []).append(module)
+    assert {name: found for name, found in owners.items()
+            if len(found) > 1} == {}
+    assert set(exports) >= {f"{module}.py" for module in _API_MODULES}
+
+
+# Every name that dcbasis exported while __init__.py restated the list.
+_EARLIER_API = """
+AlgebraElement BasisCache CoFiniteSet DcbTable ExactDivisionError LaurentPoly
+Multisegment Partition Segment Tableau Weight b_form cartan_pairing dcb_table
+dominates dual_pbw enumerate_by_weight evaluation_multisegment evaluation_set
+expand_in_dcb frank_condition hook_irreducible irreducible_family
+irreducible_pair join_related kl_matrix linked main1_pattern main1_witness
+membership_up_to_power product_membership minor_multisegment n_pi
+parse_multisegment parse_partition parse_segment parse_weight product_word
+quantum_integer quantum_minor render_combination rs_p_tableau
+segment_intersection segment_key segment_pairing segment_union separated
+strongly_separated structure_constants unit
+""".split()
+
+
+def test_every_earlier_package_name_still_imports():
+    assert len(_EARLIER_API) == 50
+    assert set(_EARLIER_API) <= set(dcbasis.__all__)
+    assert set(dcbasis.__all__) - set(_EARLIER_API) == {
+        "EMPTY", "InvariantError", "ONE", "V", "ZERO", "basis_product"}
+    namespace: dict = {}
+    exec("from dcbasis import *", namespace)
+    assert set(_EARLIER_API) <= set(namespace)
 
 
 def _private_methods(source: str, cls: str) -> set[str]:
@@ -97,6 +147,17 @@ def test_only_canonical_reaches_into_a_basis_cache():
                                        names)] == []
     assert _attribute_uses("cache._run(step)\n", "checks.py", names) == [
         "checks.py:1 ._run"]
+
+
+def test_only_criteria_reads_a_bitset():
+    """The bits of a co-finite set or a partition are criteria's encoding:
+    no other module of the package reads ``._bits``."""
+    assert [use for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "criteria.py"
+            for use in _attribute_uses(path.read_text(), path.name,
+                                       {"_bits"})] == []
+    assert _attribute_uses("x = s._bits >> 1\n", "checks.py",
+                           {"_bits"}) == ["checks.py:1 ._bits"]
 
 
 def _scopes_naming(source: str, attr: str) -> list[str]:
