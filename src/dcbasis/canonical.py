@@ -11,8 +11,10 @@ whose off-diagonal coefficients all lie in v*Z[v].
 from __future__ import annotations
 
 import heapq
+import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import starmap
 
 from .algebra import (
     AlgebraElement,
@@ -38,9 +40,9 @@ from .multisegment import (
     Segment,
     Weight,
     _from_sorted,
+    b_form,
     cartan_pairing,
     enumerate_by_weight,
-    segment_pairing,
 )
 
 __all__ = [
@@ -53,18 +55,6 @@ __all__ = [
     "membership_up_to_power",
     "product_membership",
 ]
-
-
-def _commutator_exponents(rest: Multisegment, s: Segment
-                          ) -> tuple[int, int]:
-    """(b(rest, s) + 1, b(s, rest) - 1) for a segment s that no segment of
-    rest lies above.  Then b(rest, s) is the number mu of copies of s in
-    rest, and b(s, rest) is mu plus (wt t, wt s) summed over the segments
-    t of rest other than s."""
-    segs = rest.segments
-    mu = segs.count(s)
-    return mu + 1, mu - 1 + sum(segment_pairing(t, s)
-                                for t in segs if t != s)
 
 
 class _Widened(Exception):
@@ -276,8 +266,9 @@ class BasisCache:
         if len(m) <= 1:
             return {self._id(m): 1}, 0, 1
         s = m.largest_segment()
-        rest = _from_sorted(m.segments[:-1])
-        forward, backward = _commutator_exponents(rest, s)
+        rest, one = _from_sorted(m.segments[:-1]), _from_sorted((s,))
+        forward = b_form(rest, one) + 1
+        backward = b_form(one, rest) - 1
         i = self._id(rest)
         row = self._row(i) or (yield i)
         products = self._products.setdefault(s, {})
@@ -577,6 +568,8 @@ class DcbTable:
     labels: tuple[Multisegment, ...]
     expansions: dict[Multisegment, AlgebraElement]
 
+    __hash__ = None  # the generated hash would hash the expansions dict
+
     def expansion(self, m: Multisegment) -> AlgebraElement:
         return self.expansions[m]
 
@@ -598,23 +591,30 @@ class DcbTable:
         return sorted(self.expansions[m].unordered_items(),
                       key=lambda term: rank[term[0]])
 
+    def to_json(self) -> str:
+        """The ``dcb --json`` text, json.dumps(self.to_json_obj(), indent=2),
+        written from the table's fixed shape, in which no list is empty.
+        Each label, and each distinct coefficient object, is rendered once;
+        the table holds every object for the whole call, so their ids stay
+        valid."""
+        names = {m: json.dumps(str(m)) for m in self.labels}
+        pair = ("            [\n              {},\n"
+                "              {}\n            ]")
+        texts: dict[int, str] = {}  # by id of a coefficient, never empty
+        rows = ",\n".join(
+            f'    {{\n      "label": {names[m]},\n      "expansion": [\n'
+            + ",\n".join(
+                f'        {{\n          "label": {names[n]},\n'
+                '          "coef": [\n'
+                + (texts.get(id(coef)) or texts.setdefault(
+                    id(coef), ",\n".join(starmap(pair.format, coef.items()))))
+                + "\n          ]\n        }" for n, coef in self.row(m))
+            + "\n      ]\n    }" for m in self.labels)
+        return (f'{{\n  "weight": {json.dumps(str(self.weight))},\n'
+                f'  "basis": [\n{rows}\n  ]\n}}')
+
     def to_json_obj(self) -> dict:
-        # Each label is rendered once.
-        names = {m: str(m) for m in self.labels}
-        return {
-            "weight": str(self.weight),
-            "basis": [
-                {
-                    "label": names[m],
-                    "expansion": [
-                        {"label": names[n],
-                         "coef": [list(p) for p in c.items()]}
-                        for n, c in self.row(m)
-                    ],
-                }
-                for m in self.labels
-            ],
-        }
+        return json.loads(self.to_json())
 
 
 def dcb_table(w: Weight, cache: BasisCache) -> DcbTable:

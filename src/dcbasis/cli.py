@@ -35,7 +35,6 @@ from .algebra import (
 )
 from .canonical import (
     BasisCache,
-    DcbTable,
     dcb_table,
     product_membership,
     structure_constants,
@@ -110,27 +109,6 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _table_json(table: DcbTable) -> str:
-    """json.dumps(table.to_json_obj(), indent=2), written from the table's
-    fixed shape, in which no list is empty.  Each label, and each distinct
-    coefficient object, is rendered once; the table holds every object
-    for the whole call, so their ids stay valid."""
-    names = {m: json.dumps(str(m)) for m in table.labels}
-    pair = "            [\n              {},\n              {}\n            ]"
-    texts: dict[int, str] = {}  # by id of a coefficient, never empty
-    rows = ",\n".join(
-        f'    {{\n      "label": {names[m]},\n      "expansion": [\n'
-        + ",\n".join(
-            f'        {{\n          "label": {names[n]},\n'
-            '          "coef": [\n'
-            + (texts.get(id(coef)) or texts.setdefault(id(coef), ",\n".join(
-                pair.format(e, c) for e, c in coef.items())))
-            + "\n          ]\n        }" for n, coef in table.row(m))
-        + "\n      ]\n    }" for m in table.labels)
-    return (f'{{\n  "weight": {json.dumps(str(table.weight))},\n'
-            f'  "basis": [\n{rows}\n  ]\n}}')
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -139,7 +117,7 @@ def cmd_dcb(args: argparse.Namespace) -> int:
     _check_class_size(weight, args.max_class_size)
     table = dcb_table(weight, BasisCache())
     if args.json:
-        print(_table_json(table))
+        print(table.to_json())
     else:
         # Each label is rendered once.
         names = {m: str(m) for m in table.labels}

@@ -1,6 +1,7 @@
 """Tests for the corrected basis, its expansions, and serialization."""
 
 import collections
+import collections.abc
 import hashlib
 import heapq
 import importlib
@@ -58,6 +59,7 @@ from dcbasis.multisegment import (
     parse_multisegment,
     parse_weight,
     segment_key,
+    segment_pairing,
 )
 from test_laurent import _divide_reference, _symmetric_reference
 
@@ -630,14 +632,19 @@ def test_aux_vector_matches_the_old_products():
 
 
 def test_commutator_exponents_match_the_bilinear_form():
-    # aux_vector reads both exponents off rest; b_form is the oracle.
+    # aux_vector takes both exponents from b_form.  No segment of rest lies
+    # above s, so b(rest, s) is the number mu of copies of s in rest, and
+    # b(s, rest) is mu plus (wt t, wt s) summed over the other segments t.
     labels = 0
     for w in window_weights(5, 0, 4):
         for m in enumerate_by_weight(w):
             s = m.largest_segment()
             rest, single = m.remove(s), Multisegment([s])
-            assert canonical._commutator_exponents(rest, s) == (
-                b_form(rest, single) + 1, b_form(single, rest) - 1), m
+            mu = rest.segments.count(s)
+            pairings = sum(segment_pairing(t, s)
+                           for t in rest.segments if t != s)
+            assert (b_form(rest, single), b_form(single, rest)) == (
+                mu, mu + pairings), m
             labels += 1
     assert labels == 623
 
@@ -1314,6 +1321,14 @@ def test_table_rows_key_each_label_once(monkeypatch):
     assert [[entry["label"] for entry in row["expansion"]]
             for row in obj["basis"]] == [[str(n) for n, _ in row]
                                          for row in rows]
+
+
+def test_a_table_is_not_hashable():
+    # Its expansions are a dict, so equal tables need not hash alike.
+    table = dcb_table(parse_weight("0:1,1:1"), BasisCache())
+    assert not isinstance(table, collections.abc.Hashable)
+    with pytest.raises(TypeError, match="unhashable type"):
+        hash(table)
 
 
 @pytest.mark.parametrize("weight", sorted(DCB_JSON_SHA256))

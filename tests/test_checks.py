@@ -1,5 +1,6 @@
 """Tests for the verification suites at small, fast bounds."""
 
+import collections
 import gc
 import hashlib
 import itertools
@@ -21,7 +22,6 @@ from dcbasis.canonical import (
 from dcbasis.checks import (
     SUITES,
     SuiteReport,
-    _auxiliary,
     _degree_pairs,
     _product_row,
     check_eqrei,
@@ -36,12 +36,14 @@ from dcbasis.checks import (
     window_weights,
 )
 from dcbasis.criteria import Partition, _difference_size, evaluation_set
-from dcbasis.laurent import ONE, ZERO, LaurentPoly
+from dcbasis.laurent import ONE, ZERO, ExactDivisionError, LaurentPoly
 from dcbasis.multisegment import (
     Multisegment,
     Segment,
     Weight,
     b_form,
+    cartan_pairing,
+    dominates,
     enumerate_by_weight,
     parse_multisegment,
 )
@@ -173,6 +175,93 @@ def test_a_suite_keeps_no_product_across_its_cases():
     assert peak < 0.875 * 2**20
 
 
+def _auxiliary(forward: dict, backward: dict, up: int, down: int) -> dict:
+    """The expansion of U(m, n) in extension_key order, read off the
+    expansions of G*(m) G*(n) and G*(n) G*(m): (v^up forward - v^down
+    backward) / (v - v^-1), or ExactDivisionError if it does not divide.
+    U(m, n) takes up = b(m, n) + 1 and down = b(n, m) - 1."""
+    v_up = LaurentPoly.v_power(up)
+    v_down = LaurentPoly.v_power(down)
+    return {p: c for p in sorted(forward.keys() | backward.keys(),
+                                 key=Multisegment.extension_key)
+            if (c := (v_up * forward.get(p, ZERO)
+                      - v_down * backward.get(p, ZERO)
+                      ).divide_by_v_minus_vinv())}
+
+
+def _old_eqrei_case(m, n, forward, backward):
+    """Reference body of check_eqrei for one pair, from the two expansions:
+    exchange symmetry, then U(m, n) itself divided out and checked for
+    coefficient 1 on m + n, bar-symmetry and the cone."""
+    failures = []
+    pairing = cartan_pairing(m.weight(), n.weight())
+    twist = LaurentPoly.v_power(-pairing)
+    for p in set(forward) | set(backward):
+        lhs = backward.get(p, ZERO)
+        rhs = twist * forward.get(p, ZERO).bar()
+        if lhs != rhs:
+            failures.append(
+                f"exchange symmetry fails for {m} | {n} at {p}: "
+                f"{lhs} != {rhs}")
+    b_mn = b_form(m, n)
+    try:
+        aux = _auxiliary(forward, backward, b_mn + 1, pairing - b_mn - 1)
+    except ExactDivisionError:
+        return failures + [
+            f"auxiliary combination of {m} | {n} is not divisible"]
+    total = m + n
+    if aux.get(total) != ONE:
+        failures.append(
+            f"auxiliary coefficient on {total} is {aux.get(total)}, "
+            f"expected 1 (factors {m} | {n})")
+    for p, c in aux.items():
+        if not c.is_bar_symmetric():
+            failures.append(
+                f"auxiliary coefficient {c} on {p} is not bar-symmetric "
+                f"(factors {m} | {n})")
+        if not dominates(total, p):
+            failures.append(
+                f"auxiliary support {p} escapes the cone over {total}")
+    return failures
+
+
+def _old_eqrei_failures(max_degree, cache):
+    """The reference failures of each failing pair, in walk order, on the
+    structure constants that check_eqrei reads."""
+    cases = {}
+    for m, n in _degree_pairs(max_degree):
+        failures = _old_eqrei_case(
+            m, n, checks.structure_constants(m, n, cache),
+            checks.structure_constants(n, m, cache))
+        if failures:
+            cases[m, n] = failures
+    return cases
+
+
+def _old_inverse_case(m, row):
+    """Reference checks that check_triangular made on the inverse's row of
+    m by itself: unit diagonal and support inside the cone."""
+    failures = []
+    if row.get(m) != ONE:
+        failures.append(f"inverse diagonal of {m} is not 1")
+    for p in row:
+        if not dominates(m, p):
+            failures.append(f"inverse row of {m} meets {p} outside the cone")
+    return failures
+
+
+def _failing_cases(suite, generator, cases, *args):
+    """The cases on which suite(*args) fails when checks.<generator>
+    yields that case alone."""
+    failing = []
+    with pytest.MonkeyPatch.context() as patch:
+        for case in cases:
+            patch.setattr(checks, generator, lambda *_, case=case: [case])
+            if not suite(*args).ok:
+                failing.append(case)
+    return failing
+
+
 def _old_auxiliary(m, n, cache):
     """Reference expansion of U(m, n): the combination of the two products
     over E*, divided coefficient by coefficient, then expanded."""
@@ -185,14 +274,19 @@ def _old_auxiliary(m, n, cache):
 
 
 def test_auxiliary_matches_the_element_level_combination():
+    """The reference U(m, n) matches the element-level one, and on a
+    correct basis the reference eqrei body passes every pair, as
+    check_eqrei does (test_each_case_of_a_suite_runs_on_its_own)."""
     cache = BasisCache()
     pairs = 0
     for m, n in _degree_pairs(5):
-        new = _auxiliary(structure_constants(m, n, cache),
-                         structure_constants(n, m, cache), b_form(m, n) + 1,
+        forward = structure_constants(m, n, cache)
+        backward = structure_constants(n, m, cache)
+        new = _auxiliary(forward, backward, b_form(m, n) + 1,
                          b_form(n, m) - 1)
         old = _old_auxiliary(m, n, cache)
         assert list(new.items()) == list(old.items()), (m, n)
+        assert _old_eqrei_case(m, n, forward, backward) == [], (m, n)
         pairs += 1
     assert pairs == 2477
 
@@ -231,16 +325,64 @@ class SkewedCache(BasisCache):
 
 def test_suites_report_a_broken_basis():
     eqrei = check_eqrei(4, SkewedCache())
-    assert (eqrei.cases, len(eqrei.failures)) == (289, 133)
+    assert (eqrei.cases, len(eqrei.failures)) == (289, 75)
     assert eqrei.failures[0] == (
         "exchange symmetry fails for [0] | [0]+[1] at [0]+[0,1]: "
         "2 != 2*v^-2")
     assert sha256(eqrei.failures) == (
-        "867e55c7e9db3bcdedcaba31c4b2bc63ab4f4badf7f35921c0ebbb9a9160f744")
+        "f861c351eb42467bfcc9c06e954ef66d4f529fc5deded448d33f7a744088efec")
     positivity = check_positivity(4, SkewedCache())
     assert len(positivity.failures) == 51
     assert sha256(positivity.failures) == (
         "0b3d80b92d21fbc68d2b0e9efe8c7e193e55a1fbdf950c8f7ca5fbaedfb64a59")
+
+
+def test_eqrei_fails_every_pair_the_reference_body_fails():
+    """On the skewed basis the reference body, which divides out U(m, n),
+    fails 48 pairs with 133 messages (check_eqrei's old output), and
+    check_eqrei run on each pair alone fails the same 48."""
+    old = _old_eqrei_failures(4, SkewedCache())
+    messages = [f for failures in old.values() for f in failures]
+    assert (len(old), len(messages)) == (48, 133)
+    assert sha256(messages) == (
+        "867e55c7e9db3bcdedcaba31c4b2bc63ab4f4badf7f35921c0ebbb9a9160f744")
+    new = _failing_cases(check_eqrei, "_degree_pairs", _degree_pairs(4), 4,
+                         SkewedCache())
+    assert new == list(old)
+
+
+def test_eqrei_fails_every_pair_whose_auxiliary_the_reference_rejects(
+        monkeypatch):
+    """Structure constants tampered in both orders at once, so exchange
+    symmetry still holds: a pair of single segments gets its leading
+    coefficient doubled, and a pair of three segments gets v^-b(m, n) on
+    a label outside the cone over m + n.  Then U(m, n) has coefficient 2
+    on m + n, or 1 outside the cone.  check_eqrei no longer divides out
+    U(m, n), but run on each pair alone it fails exactly the pairs that
+    the reference body fails."""
+    def tampered(m, n, cache):
+        expansion = structure_constants(m, n, cache)
+        total = m + n
+        if len(total) == 2:
+            expansion[total] = expansion[total] + expansion[total]
+        elif len(total) == 3:
+            for p in enumerate_by_weight(total.weight()):
+                if not dominates(total, p):
+                    expansion[p] = LaurentPoly.v_power(-b_form(m, n))
+                    break
+        return expansion
+
+    monkeypatch.setattr(checks, "structure_constants", tampered)
+    cache = BasisCache()
+    old = _old_eqrei_failures(4, cache)
+    kinds = collections.Counter(" ".join(f.split()[:2])
+                                for failures in old.values()
+                                for f in failures)
+    assert kinds == {"auxiliary coefficient": 36, "auxiliary support": 78}
+    assert len(old) == 114
+    new = _failing_cases(check_eqrei, "_degree_pairs", _degree_pairs(4), 4,
+                         cache)
+    assert new == list(old)
 
 
 def test_positivity_suite():
@@ -309,6 +451,34 @@ def test_triangular_suite_reports_a_tampered_table(monkeypatch):
     assert report.failures == [
         "matrix product at ([0]+[1], [0,1]) in class "
         f"{top.weight()} is v, expected 0"]
+
+
+def test_triangular_fails_every_class_the_inverse_checks_fail(monkeypatch):
+    """In each class with a label whose cone misses another label, that
+    label's inverse row gets diagonal 2 and an entry outside the cone.
+    check_triangular no longer checks the inverse's rows by themselves, but
+    run on each class alone it fails every class the reference checks of
+    those rows fail, and no other."""
+    def tampered(w, cache):
+        inverse = kl_matrix(w, cache)
+        for m, row in inverse.items():
+            outside = [q for q in inverse if not dominates(m, q)]
+            if outside:
+                row[m] = LaurentPoly({0: 2})
+                row[outside[0]] = LaurentPoly({1: 1})
+                break
+        return inverse
+
+    monkeypatch.setattr(checks, "kl_matrix", tampered)
+    cache = BasisCache()
+    weights = window_weights(4, 0, 3)
+    old = [w for w in weights
+           if any(_old_inverse_case(m, row)
+                  for m, row in tampered(w, cache).items())]
+    new = _failing_cases(check_triangular, "window_weights", weights, 4,
+                         cache)
+    assert new == old
+    assert 0 < len(old) < len(weights)
 
 
 def test_enumeration_cache_keeps_one_class():

@@ -100,8 +100,28 @@ LADDER_TOP = "0:1,1:2,2:2,3:2,4:2,5:1"
 def test_dcb_json_writer_matches_json_dumps(weight):
     # The five ladder classes, the 522-label class and a one-label class.
     table = dcb_table(parse_weight(weight), BasisCache())
-    assert cli._table_json(table) == json.dumps(table.to_json_obj(),
-                                                indent=2)
+    obj = _table_obj(table)
+    assert table.to_json() == json.dumps(obj, indent=2)
+    assert table.to_json_obj() == obj
+
+
+def _table_obj(table):
+    """Reference ``dcb --json`` object, built from the table's rows."""
+    names = {m: str(m) for m in table.labels}
+    return {
+        "weight": str(table.weight),
+        "basis": [
+            {
+                "label": names[m],
+                "expansion": [
+                    {"label": names[n],
+                     "coef": [list(p) for p in c.items()]}
+                    for n, c in table.row(m)
+                ],
+            }
+            for m in table.labels
+        ],
+    }
 
 
 def test_dcb_output_digest_pinned(capsys):
@@ -128,6 +148,7 @@ def test_dcb_builds_only_the_output_it_prints(monkeypatch, capsys):
     assert code == 0
     assert json.loads(out)["weight"] == "0:1,1:1"
     with monkeypatch.context() as patch:
+        patch.setattr(canonical.DcbTable, "to_json", refuse)
         patch.setattr(canonical.DcbTable, "to_json_obj", refuse)
         code, out, _ = run_cli(capsys, "dcb", "--weight", "0:1,1:1")
     assert code == 0
