@@ -170,17 +170,24 @@ def check_eqrei(max_degree: int = 4,
                 report.failures.append(
                     f"exchange symmetry fails for {m} | {n} at {p}: "
                     f"{lhs} != {rhs}")
-        total = m + n
-        for p in forward:
-            if not dominates(total, p):
-                report.failures.append(
-                    f"support {p} of {m} | {n} escapes the cone over {total}")
-        lead = forward.get(total)
-        if lead != LaurentPoly.v_power(-b_form(m, n)):
-            report.failures.append(
-                f"leading coefficient of {m} | {n} is {lead}, "
-                f"expected v^{-b_form(m, n)}")
+        report.failures.extend(_cone_and_lead(m, n, forward))
     return report
+
+
+def _cone_and_lead(m: Multisegment, n: Multisegment,
+                   product: dict[Multisegment, LaurentPoly]
+                   ) -> Iterable[str]:
+    """A message for each label of G*(m) G*(n)'s expansion ``product``
+    outside the cone over m + n, and one if the coefficient on m + n is
+    not v^-b(m, n)."""
+    total = m + n
+    for p in product:
+        if not dominates(total, p):
+            yield f"support {p} of {m} | {n} escapes the cone over {total}"
+    lead = product.get(total)
+    if lead != LaurentPoly.v_power(-b_form(m, n)):
+        yield (f"leading coefficient of {m} | {n} is {lead}, "
+               f"expected v^{-b_form(m, n)}")
 
 
 def check_positivity(max_degree: int = 4,
@@ -197,19 +204,11 @@ def check_positivity(max_degree: int = 4,
     for m, n in _degree_pairs(max_degree):
         report.cases += 1
         product = structure_constants(m, n, cache)
-        total = m + n
         for p, c in product.items():
             if not c.has_nonnegative_coefficients():
                 report.failures.append(
                     f"negative coefficient {c} on {p} in {m} | {n}")
-            if not dominates(total, p):
-                report.failures.append(
-                    f"support {p} of {m} | {n} escapes the cone over {total}")
-        lead = product.get(total)
-        if lead != LaurentPoly.v_power(-b_form(m, n)):
-            report.failures.append(
-                f"leading coefficient of {m} | {n} is {lead}, "
-                f"expected v^{-b_form(m, n)}")
+        report.failures.extend(_cone_and_lead(m, n, product))
     return report
 
 

@@ -16,8 +16,10 @@ basis vector is computed.  Exit codes: 0 on success, 1 when a property or
 cross-check fails, 2 on usage errors (parse and argument errors,
 size-guard refusals, ``verify`` bounds that select no case or that the
 suite does not take), 3 on an internal fault (any other exception, a
-ValueError from a computation included).  ``scan`` writes each row once it
-is decided, so a fault partway through exits 3 after the rows written.
+ValueError from a computation included), and 141 when the reader of
+stdout closes it early, as a shell reports a writer killed by SIGPIPE.
+``scan`` writes each row once it is decided, so a fault partway through
+exits 3 after the rows written.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 
 from .algebra import (
@@ -51,6 +54,7 @@ from .multisegment import (
 )
 
 OK, PROPERTY_FAILURE, USAGE_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
+BROKEN_PIPE = 141  # a shell's status for a writer killed by SIGPIPE
 
 
 class _UsageError(Exception):
@@ -253,15 +257,17 @@ def _suite_defaults(suite) -> dict:
             if name != "cache"}
 
 
-# The verify flags, each named after the one suite parameter it sets.
-_SUITE_FLAGS = tuple(dict.fromkeys(name for suite in SUITES.values()
-                                   for name in _suite_defaults(suite)))
+# Each suite's defaults; each verify flag sets the parameter of its name.
+_SUITE_DEFAULTS = {suite: _suite_defaults(check)
+                   for suite, check in SUITES.items()}
+_SUITE_FLAGS = tuple(dict.fromkeys(name for d in _SUITE_DEFAULTS.values()
+                                   for name in d))
 
 
 def _suite_kwargs(args: argparse.Namespace) -> dict:
     """The suite's defaults, each overridden by the flag of the same name;
     a flag the suite does not take is a usage error."""
-    kwargs = _suite_defaults(SUITES[args.suite])
+    kwargs = dict(_SUITE_DEFAULTS[args.suite])
     for name in _SUITE_FLAGS:
         value = getattr(args, name)
         if value is None:
@@ -391,24 +397,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a property-verification suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES),
                    help="which suite to run")
-    p.add_argument("--max-degree", type=int, metavar="N",
-                   help="degree bound (eqrei, positivity, triangular)")
-    p.add_argument("--max-part-sum", type=int, metavar="N",
-                   help="partition size bound (oracle, hooks)")
-    p.add_argument("--shift-range", metavar="LO:HI",
-                   help="shift range (oracle, hooks)")
-    p.add_argument("--index-range", metavar="LO:HI",
-                   help="index window (minors)")
-    p.add_argument("--max-cols", type=int, metavar="K",
-                   help="column count bound (minors)")
-    p.add_argument("--samples", type=int, metavar="K",
-                   help="number of random families (frank)")
-    p.add_argument("--max-factors", type=int, metavar="R",
-                   help="factors per family (frank)")
-    p.add_argument("--max-entry", type=int, metavar="N",
-                   help="largest column index (frank)")
-    p.add_argument("--seed", type=int, metavar="S",
-                   help="random seed (frank)")
+    for name in _SUITE_FLAGS:
+        ranged = name.endswith("_range")
+        shown = {suite: ":".join(map(str, d[name])) if ranged else d[name]
+                 for suite, d in _SUITE_DEFAULTS.items() if name in d}
+        p.add_argument(f"--{name.replace('_', '-')}",
+                       type=None if ranged else int,
+                       metavar="LO:HI" if ranged else "N",
+                       help=", ".join(f"{s} ({v})" for s, v in shown.items()))
     add_common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -423,19 +419,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DASH_VALUE_FLAGS = frozenset({"--weight", "--range", "--shift-range",
-                               "--index-range", "--rows", "--cols"})
-
-
 def _glue_dash_values(argv: list[str]) -> list[str]:
-    """Join each flag that takes numbers with a next token that starts with
-    '-' and a digit, so argparse takes it as the value; the flag's own
-    parser then checks its grammar."""
+    """Join each --flag with a next token that starts with '-' and a digit,
+    so argparse takes it as the value; the flag's own parser then checks
+    its grammar.  Every flag that takes a value takes numbers or labels."""
     out: list[str] = []
     i = 0
     while i < len(argv):
         token = argv[i]
-        if (token in _DASH_VALUE_FLAGS and i + 1 < len(argv)
+        if (token[:2] == "--" and i + 1 < len(argv)
                 and argv[i + 1][:1] == "-" and argv[i + 1][1:2].isdigit()):
             out.append(f"{token}={argv[i + 1]}")
             i += 2
@@ -451,10 +443,16 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_glue_dash_values(list(argv)))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # The reader left: the exit's own flush goes to devnull, not here.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR

@@ -85,7 +85,7 @@ class CoFiniteSet:
             self._threshold, self._bits) == (other._threshold, other._bits)
 
     def __hash__(self) -> int:
-        return hash((self._threshold, self.extras))
+        return hash((self._threshold, self._bits))
 
     def __repr__(self) -> str:
         return f"CoFiniteSet({self._threshold}, {list(self.extras)})"

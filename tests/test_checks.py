@@ -312,15 +312,28 @@ class SkewedCache(BasisCache):
     """A broken basis: G*([0]+[1]) gains 2v E*([0,1]).  It stays
     unitriangular but is no longer bar-invariant."""
 
+    def _skew(self):
+        """The packed addend and how much it grows the norms: rows pack at
+        base 0, so 2v is 2 << k."""
+        return 2 << self._k, 2
+
     def _row(self, i):
         row = super()._row(i)
         if row and self._labels[i] == SKEWED:
-            # Rows pack at base 0, so 2v is 2 << k; the norms grow by 2.
             top, total, *terms = row
             at = terms[::2].index(self._id(parse_multisegment("[0,1]")))
-            terms[2 * at + 1] += 2 << self._k
-            row = (top + 2, total + 2, *terms)
+            addend, growth = self._skew()
+            terms[2 * at + 1] += addend
+            row = (top + growth, total + growth, *terms)
         return row
+
+
+class ConstantSkewedCache(SkewedCache):
+    """G*([0]+[1]) gains 1 E*([0,1]), so -v there becomes -v + 1, which
+    is not in vZ[v]."""
+
+    def _skew(self):
+        return 1, 1
 
 
 def test_suites_report_a_broken_basis():
@@ -385,6 +398,24 @@ def test_eqrei_fails_every_pair_whose_auxiliary_the_reference_rejects(
     assert new == list(old)
 
 
+def test_positivity_reports_a_wrong_leading_coefficient(monkeypatch):
+    """Structure constants whose coefficient on m + n is multiplied by v^2
+    for pairs of single segments: positive and in the cone, but led by
+    v^(2-b(m, n))."""
+    def tampered(m, n, cache):
+        expansion = structure_constants(m, n, cache)
+        if len(m) == len(n) == 1:
+            expansion[m + n] *= LaurentPoly.v_power(2)
+        return expansion
+
+    monkeypatch.setattr(checks, "structure_constants", tampered)
+    report = check_positivity(3)
+    assert len(report.failures) == 12
+    assert all(f.startswith("leading coefficient ") for f in report.failures)
+    assert ("leading coefficient of [0] | [0] is v, expected v^-1"
+            in report.failures)
+
+
 def test_positivity_suite():
     report = check_positivity(2)
     assert report.cases == 3
@@ -395,6 +426,13 @@ def test_triangular_suite():
     report = check_triangular(3)
     assert report.cases > 0
     assert report.ok, report.failures
+
+
+def test_triangular_reports_an_off_diagonal_coefficient_outside_vzv():
+    report = check_triangular(3, ConstantSkewedCache())
+    assert report.failures == [
+        "off-diagonal coefficient -v + 1 of [0]+[1] on [0,1] "
+        "is not in vZ[v]"]
 
 
 def _dense_row(row, table, labels):
@@ -511,6 +549,18 @@ def test_the_oracle_suite_reports_a_flipped_membership_test(monkeypatch,
     assert report.cases == 81
     assert sum(f.startswith("membership of the product gives ")
                for f in report.failures) == 81
+
+
+def test_the_oracle_suite_reports_a_flipped_separation(monkeypatch):
+    irreducible_pair, calls = checks.irreducible_pair, itertools.count()
+
+    def flipped(*args):
+        return irreducible_pair(*args) != (next(calls) == 0)
+
+    monkeypatch.setattr(checks, "irreducible_pair", flipped)
+    report = check_oracle()
+    assert ("separation says False but membership says True for "
+            "2 @ 0 vs 2 @ -4") in report.failures
 
 
 def test_difference_size_counts_the_difference_exhaustive():

@@ -994,6 +994,22 @@ def test_module_entry_point():
     assert proc.stdout == "G*([5]) = E*([5])\n"
 
 
+def test_a_closed_pipe_exits_141_quietly():
+    # The reader takes one line and leaves.  The scan writes about 148 KB,
+    # more than a pipe holds, so it meets the closed pipe.
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dcbasis.cli", "scan", "--alpha", "3",
+         "--beta", "2", "--range", "-3000:3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.readline() == "b-a = -3000: IRREDUCIBLE\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == cli.BROKEN_PIPE == 141
+    assert proc.stderr.read() == ""
+    proc.stderr.close()
+
+
 @pytest.mark.skipif(shutil.which("dcbasis") is None,
                     reason="console script not on PATH")
 def test_console_script():

@@ -79,9 +79,22 @@ def test_cofinite_bitset_matches_the_tuple_constructor(threshold, extras):
     t, xs = _old_canonical(threshold, extras)
     assert (s.threshold, s.extras) == (t, xs)
     assert s == CoFiniteSet(t, xs)
-    assert hash(s) == hash((t, xs))
+    assert hash(s) == hash(CoFiniteSet(t, xs))
     assert str(s) == "{..<=%d%s}" % (t, "".join(f",{x}" for x in xs))
     assert all((x in s) is (x <= t or x in xs) for x in range(-9, 17))
+
+
+def test_hashing_a_far_extra_does_not_walk_its_span():
+    far, twin = CoFiniteSet(0, [10**7]), CoFiniteSet(0, [10**7])
+    tracemalloc.start()
+    try:
+        found = twin in {far}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found
+    # A binary string of the bitset would take 10 MB.
+    assert peak < 1 << 16
 
 
 def _set_functions_match_the_listing(a, b):
