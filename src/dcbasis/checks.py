@@ -4,11 +4,11 @@ Each suite checks one family of identities tying together the corrected
 dual basis, the auxiliary vectors, the quantum minors, and the
 combinatorial irreducibility criteria.  Most suites are exhaustive within
 explicit size bounds; the frank suite draws random families from a seeded
-generator.  Every suite returns a SuiteReport whose ``failures`` list
-holds one message per counterexample, so an empty list means the property
-held on every generated case.  A suite checks nothing that its other
-checks already imply; where it relies on such a proof, its docstring
-gives it.
+generator.  Every suite runs its cases through one loop, which returns a
+SuiteReport whose ``failures`` list holds one message per counterexample,
+so an empty list means the property held on every generated case.  A
+suite checks nothing that its other checks already imply; where it relies
+on such a proof, its docstring gives it.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .algebra import minor_multisegment, quantum_minor
+from .algebra import InvariantError, minor_multisegment, quantum_minor
 from .canonical import (
     BasisCache,
     dcb_table,
@@ -41,7 +41,7 @@ from .criteria import (
     main1_pattern,
     strongly_separated,
 )
-from .laurent import ONE, ZERO, LaurentPoly
+from .laurent import ONE, ZERO, ExactDivisionError, LaurentPoly
 from .multisegment import (
     Multisegment,
     Weight,
@@ -135,6 +135,22 @@ def _degree_pairs(max_degree: int
 # -- identity suites ---------------------------------------------------------
 
 
+def _run_suite(name: str, cases: Iterable[tuple],
+               check: Callable[..., Iterable[str]]) -> SuiteReport:
+    """The report of check(*case) over the cases, each message it yields a
+    failure.  A broken basis that raises InvariantError or
+    ExactDivisionError in a case adds one failure naming the case."""
+    report = SuiteReport(name, 0)
+    for case in cases:
+        report.cases += 1
+        try:
+            report.failures.extend(check(*case))
+        except (InvariantError, ExactDivisionError) as exc:
+            report.failures.append(f"{' | '.join(map(str, case))}: "
+                                   f"{type(exc).__name__}: {exc}")
+    return report
+
+
 def check_eqrei(max_degree: int = 4,
                 cache: BasisCache | None = None) -> SuiteReport:
     """Exchange symmetry of structure constants, and with it the three
@@ -157,9 +173,8 @@ def check_eqrei(max_degree: int = 4,
     U's support lies inside F's.
     """
     cache = cache or BasisCache()
-    report = SuiteReport("eqrei", 0)
-    for m, n in _degree_pairs(max_degree):
-        report.cases += 1
+
+    def check(m: Multisegment, n: Multisegment) -> Iterable[str]:
         forward = structure_constants(m, n, cache)
         backward = structure_constants(n, m, cache)
         twist = LaurentPoly.v_power(-cartan_pairing(m.weight(), n.weight()))
@@ -167,11 +182,11 @@ def check_eqrei(max_degree: int = 4,
             lhs = backward.get(p, ZERO)
             rhs = twist * forward.get(p, ZERO).bar()
             if lhs != rhs:
-                report.failures.append(
-                    f"exchange symmetry fails for {m} | {n} at {p}: "
-                    f"{lhs} != {rhs}")
-        report.failures.extend(_cone_and_lead(m, n, forward))
-    return report
+                yield (f"exchange symmetry fails for {m} | {n} at {p}: "
+                       f"{lhs} != {rhs}")
+        yield from _cone_and_lead(m, n, forward)
+
+    return _run_suite("eqrei", _degree_pairs(max_degree), check)
 
 
 def _cone_and_lead(m: Multisegment, n: Multisegment,
@@ -200,16 +215,15 @@ def check_positivity(max_degree: int = 4,
     coefficient on the label sum itself must be exactly v^-b(m, n).
     """
     cache = cache or BasisCache()
-    report = SuiteReport("positivity", 0)
-    for m, n in _degree_pairs(max_degree):
-        report.cases += 1
+
+    def check(m: Multisegment, n: Multisegment) -> Iterable[str]:
         product = structure_constants(m, n, cache)
         for p, c in product.items():
             if not c.has_nonnegative_coefficients():
-                report.failures.append(
-                    f"negative coefficient {c} on {p} in {m} | {n}")
-        report.failures.extend(_cone_and_lead(m, n, product))
-    return report
+                yield f"negative coefficient {c} on {p} in {m} | {n}"
+        yield from _cone_and_lead(m, n, product)
+
+    return _run_suite("positivity", _degree_pairs(max_degree), check)
 
 
 def check_triangular(max_degree: int = 5,
@@ -225,34 +239,32 @@ def check_triangular(max_degree: int = 5,
     cone need no check.
     """
     cache = cache or BasisCache()
-    report = SuiteReport("triangular", 0)
-    for w in window_weights(max_degree, 0, max_degree - 1):
-        report.cases += 1
+
+    def check(w: Weight) -> Iterable[str]:
         labels = enumerate_by_weight(w)
         table = dcb_table(w, cache)
         inverse = kl_matrix(w, cache)
         for m in labels:
             expansion = table.expansion(m)
             if not expansion.coefficient(m).is_one():
-                report.failures.append(f"diagonal of {m} is not 1")
+                yield f"diagonal of {m} is not 1"
             for p, c in expansion.items():
                 if p != m and not c.only_positive_exponents():
-                    report.failures.append(
-                        f"off-diagonal coefficient {c} of {m} on {p} "
-                        f"is not in vZ[v]")
+                    yield (f"off-diagonal coefficient {c} of {m} on {p} "
+                           f"is not in vZ[v]")
                 if not dominates(m, p):
-                    report.failures.append(
-                        f"support {p} of the vector labeled {m} escapes "
-                        f"the dominance cone")
+                    yield (f"support {p} of the vector labeled {m} escapes "
+                           f"the dominance cone")
             if (product := _product_row(inverse[m], table)) != {m: ONE}:
                 for p in labels:
                     entry = product.get(p, ZERO)
                     expected = ONE if p == m else ZERO
                     if entry != expected:
-                        report.failures.append(
-                            f"matrix product at ({m}, {p}) in class {w} "
-                            f"is {entry}, expected {expected}")
-    return report
+                        yield (f"matrix product at ({m}, {p}) in class {w} "
+                               f"is {entry}, expected {expected}")
+
+    return _run_suite("triangular", zip(window_weights(
+        max_degree, 0, max_degree - 1)), check)
 
 
 def _product_row(row: dict, table) -> dict[Multisegment, LaurentPoly]:
@@ -281,49 +293,41 @@ def check_oracle(max_part_sum: int = 2,
     the shift is checked alongside.
     """
     cache = cache or BasisCache()
-    report = SuiteReport("oracle", 0)
     partitions = partitions_up_to(max_part_sum)
     lo, hi = shift_range
-    for alpha in partitions:
+
+    def check(alpha: Partition, beta: Partition, b: int) -> Iterable[str]:
         m_alpha = evaluation_multisegment(alpha, 0)
-        g_alpha = cache.dual_canonical(m_alpha)
-        i_set = evaluation_set(alpha, 0)
-        for beta in partitions:
-            for b in range(lo, hi + 1):
-                report.cases += 1
-                m_beta = evaluation_multisegment(beta, b)
-                member = membership_up_to_power(
-                    g_alpha * cache.dual_canonical(m_beta), cache)
-                factored = product_membership([m_alpha, m_beta], cache)
-                if factored != member:
-                    report.failures.append(
-                        f"membership of the product gives {member} but "
-                        f"membership from the factors gives {factored} for "
-                        f"{alpha} @ 0 vs {beta} @ {b}")
-                combinatorial = irreducible_pair(alpha, 0, beta, b)
-                if combinatorial != (member is not None):
-                    report.failures.append(
-                        f"separation says {combinatorial} but membership "
-                        f"says {member is not None} for "
-                        f"{alpha} @ 0 vs {beta} @ {b}")
-                if main1_pattern(alpha, 0, beta, b) == combinatorial:
-                    report.failures.append(
-                        f"pattern criterion disagrees with separation for "
-                        f"{alpha} @ 0 vs {beta} @ {b}")
-                j_set = evaluation_set(beta, b)
-                n_ij = _difference_size(i_set, j_set)
-                n_ji = _difference_size(j_set, i_set)
-                if n_ij != n_ji - b:
-                    report.failures.append(
-                        f"cardinality law fails for {alpha} @ 0 vs "
-                        f"{beta} @ {b}: {n_ij} != {n_ji} - {b}")
-                if member is not None:
-                    expected = (b_form(m_alpha, m_beta), m_alpha + m_beta)
-                    if member != expected:
-                        report.failures.append(
-                            f"membership pair {member} differs from "
-                            f"{expected} for {alpha} @ 0 vs {beta} @ {b}")
-    return report
+        m_beta = evaluation_multisegment(beta, b)
+        member = membership_up_to_power(cache.dual_canonical(m_alpha)
+                                        * cache.dual_canonical(m_beta), cache)
+        factored = product_membership([m_alpha, m_beta], cache)
+        if factored != member:
+            yield (f"membership of the product gives {member} but "
+                   f"membership from the factors gives {factored} for "
+                   f"{alpha} @ 0 vs {beta} @ {b}")
+        combinatorial = irreducible_pair(alpha, 0, beta, b)
+        if combinatorial != (member is not None):
+            yield (f"separation says {combinatorial} but membership "
+                   f"says {member is not None} for "
+                   f"{alpha} @ 0 vs {beta} @ {b}")
+        if main1_pattern(alpha, 0, beta, b) == combinatorial:
+            yield (f"pattern criterion disagrees with separation for "
+                   f"{alpha} @ 0 vs {beta} @ {b}")
+        i_set, j_set = evaluation_set(alpha, 0), evaluation_set(beta, b)
+        n_ij = _difference_size(i_set, j_set)
+        n_ji = _difference_size(j_set, i_set)
+        if n_ij != n_ji - b:
+            yield (f"cardinality law fails for {alpha} @ 0 vs "
+                   f"{beta} @ {b}: {n_ij} != {n_ji} - {b}")
+        if member is not None:
+            expected = (b_form(m_alpha, m_beta), m_alpha + m_beta)
+            if member != expected:
+                yield (f"membership pair {member} differs from "
+                       f"{expected} for {alpha} @ 0 vs {beta} @ {b}")
+
+    return _run_suite("oracle", itertools.product(
+        partitions, partitions, range(lo, hi + 1)), check)
 
 
 def check_minors(index_range: tuple[int, int] = (1, 4),
@@ -337,27 +341,25 @@ def check_minors(index_range: tuple[int, int] = (1, 4),
     its column index the minor must vanish.
     """
     cache = cache or BasisCache()
-    report = SuiteReport("minors", 0)
     lo, hi = index_range
     indices = range(lo, hi + 1)
-    width = hi - lo + 1
-    limit = max_cols if max_cols is not None else width
-    for k in range(1, min(limit, width) + 1):
-        for rows in itertools.combinations(indices, k):
-            for cols in itertools.combinations(indices, k):
-                report.cases += 1
-                minor = quantum_minor(rows, cols)
-                if any(i > j for i, j in zip(rows, cols)):
-                    if minor:
-                        report.failures.append(
-                            f"minor {rows} x {cols} should vanish")
-                    continue
-                label = minor_multisegment(rows, cols)
-                if minor != cache.dual_canonical(label):
-                    report.failures.append(
-                        f"minor {rows} x {cols} differs from the basis "
-                        f"vector labeled {label}")
-    return report
+    limit = len(indices) if max_cols is None else min(max_cols, len(indices))
+
+    def check(rows: tuple, cols: tuple) -> Iterable[str]:
+        minor = quantum_minor(rows, cols)
+        if any(i > j for i, j in zip(rows, cols)):
+            if minor:
+                yield f"minor {rows} x {cols} should vanish"
+            return
+        label = minor_multisegment(rows, cols)
+        if minor != cache.dual_canonical(label):
+            yield (f"minor {rows} x {cols} differs from the basis "
+                   f"vector labeled {label}")
+
+    return _run_suite("minors", (
+        case for k in range(1, limit + 1)
+        for case in itertools.product(
+            itertools.combinations(indices, k), repeat=2)), check)
 
 
 def _column_label(columns: Iterable[int]) -> Multisegment:
@@ -382,11 +384,18 @@ def check_frank(samples: int = 40, max_factors: int = 3, max_entry: int = 6,
     v^-b of the basis vector labeled by the sum of the factor labels.
     """
     cache = cache or BasisCache()
-    report = SuiteReport("frank", 0)
     rng = random.Random(seed)
+    universe = list(range(1, max_entry + 1))
 
-    def check_family(sets: list[frozenset[int]]) -> None:
-        report.cases += 1
+    def families() -> Iterable[list[frozenset[int]]]:
+        yield [frozenset({2, 3, 5}), frozenset({1, 4})]
+        yield from ([frozenset(subset)] for r in range(1, 5)
+                    for subset in itertools.combinations(range(1, 5), r))
+        for _ in range(samples):
+            yield [frozenset(rng.sample(universe, rng.randint(1, max_entry)))
+                   for _ in range(rng.randint(2, max_factors))]
+
+    def check(sets: list[frozenset[int]]) -> Iterable[str]:
         labels = [_column_label(s) for s in sets]
         if frank_condition(sets):
             product = functools.reduce(
@@ -396,15 +405,13 @@ def check_frank(samples: int = 40, max_factors: int = 3, max_entry: int = 6,
             kappa = expansion.get(target)
             exponent = kappa.single_power() if kappa is not None else None
             if exponent is None:
-                report.failures.append(
-                    f"family {sets}: coefficient on {target} is "
-                    f"{kappa}, not a pure power of v")
+                yield (f"family {sets}: coefficient on {target} is "
+                       f"{kappa}, not a pure power of v")
             else:
                 for p, c in expansion.items():
                     if p != target and c.min_exponent() <= exponent:
-                        report.failures.append(
-                            f"family {sets}: coefficient {c} on {p} is not "
-                            f"in vZ[v] after normalization")
+                        yield (f"family {sets}: coefficient {c} on {p} is "
+                               f"not in vZ[v] after normalization")
         cofinite = [CoFiniteSet(0, s) for s in sets]
         if all(strongly_separated(a, b)
                for a, b in itertools.combinations(cofinite, 2)):
@@ -420,33 +427,18 @@ def check_frank(samples: int = 40, max_factors: int = 3, max_entry: int = 6,
             ordered_labels = [_column_label(s) for s in ordered]
             total = sum(ordered_labels, Multisegment())
             if not frank_condition(ordered):
-                report.failures.append(
-                    f"strongly separated family {ordered} is not frank")
+                yield f"strongly separated family {ordered} is not frank"
             elif n_pi(ordered) != total:
-                report.failures.append(
-                    f"tableau label of {ordered} differs from the "
-                    f"label sum {total}")
+                yield (f"tableau label of {ordered} differs from the "
+                       f"label sum {total}")
             b_pi = sum(b_form(a, b) for a, b
                        in itertools.combinations(ordered_labels, 2))
             member = product_membership(ordered_labels, cache)
             if member != (b_pi, total):
-                report.failures.append(
-                    f"strongly separated family {ordered}: membership "
-                    f"{member} differs from ({b_pi}, {total})")
+                yield (f"strongly separated family {ordered}: membership "
+                       f"{member} differs from ({b_pi}, {total})")
 
-    check_family([frozenset({2, 3, 5}), frozenset({1, 4})])
-    for r in range(1, 5):
-        for subset in itertools.combinations(range(1, 5), r):
-            check_family([frozenset(subset)])
-    universe = list(range(1, max_entry + 1))
-    for _ in range(samples):
-        r = rng.randint(2, max_factors)
-        family = []
-        for _ in range(r):
-            size = rng.randint(1, max_entry)
-            family.append(frozenset(rng.sample(universe, size)))
-        check_family(family)
-    return report
+    return _run_suite("frank", zip(families()), check)
 
 
 def check_hooks(max_part_sum: int = 6,
@@ -457,17 +449,16 @@ def check_hooks(max_part_sum: int = 6,
     irreducibility of the self-product at that shift must hold exactly
     when the absolute shift is not a hook length of the partition.
     """
-    report = SuiteReport("hooks", 0)
     lo, hi = shift_range
-    for alpha in partitions_up_to(max_part_sum):
-        for shift in range(lo, hi + 1):
-            report.cases += 1
-            if hook_irreducible(alpha, shift) != irreducible_pair(
-                    alpha, 0, alpha, shift):
-                report.failures.append(
-                    f"hook and separation criteria disagree for "
-                    f"{alpha} at shift {shift}")
-    return report
+
+    def check(alpha: Partition, shift: int) -> Iterable[str]:
+        if hook_irreducible(alpha, shift) != irreducible_pair(
+                alpha, 0, alpha, shift):
+            yield (f"hook and separation criteria disagree for "
+                   f"{alpha} at shift {shift}")
+
+    return _run_suite("hooks", itertools.product(
+        partitions_up_to(max_part_sum), range(lo, hi + 1)), check)
 
 
 SUITES = {

@@ -13,11 +13,14 @@ Every command accepts ``--json``.  ``dcb`` prints a whole weight class,
 and ``decompose`` counts the class of its product; in both,
 ``--max-class-size N`` refuses a class of more than N labels before any
 basis vector is computed.  Exit codes: 0 on success, 1 when a property or
-cross-check fails, 2 on usage errors (parse and argument errors,
-size-guard refusals, ``verify`` bounds that select no case or that the
-suite does not take), 3 on an internal fault (any other exception, a
-ValueError from a computation included), and 141 when the reader of
-stdout closes it early, as a shell reports a writer killed by SIGPIPE.
+cross-check fails (a ``verify`` case in which the basis core raises
+InvariantError or ExactDivisionError is one failure that names the
+case), 2 on usage errors (parse and argument errors, size-guard
+refusals, ``verify`` bounds that select no case or that the suite does
+not take), 3 on an internal fault (any other exception, a ValueError
+from a computation or either core exception outside a ``verify`` case
+included), and 141 when the reader of stdout closes it early, as a
+shell reports a writer killed by SIGPIPE.
 ``scan`` writes each row once it is decided, so a fault partway through
 exits 3 after the rows written.
 """
@@ -399,7 +402,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="which suite to run")
     for name in _SUITE_FLAGS:
         ranged = name.endswith("_range")
-        shown = {suite: ":".join(map(str, d[name])) if ranged else d[name]
+        shown = {suite: "no bound" if d[name] is None
+                 else ":".join(map(str, d[name])) if ranged else d[name]
                  for suite, d in _SUITE_DEFAULTS.items() if name in d}
         p.add_argument(f"--{name.replace('_', '-')}",
                        type=None if ranged else int,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from dcbasis.algebra import AlgebraElement
+from dcbasis.algebra import AlgebraElement, InvariantError
 from dcbasis.canonical import BasisCache, dcb_table, structure_constants
 from dcbasis.checks import SUITES, _degree_pairs
 from dcbasis import canonical, checks, cli, criteria
@@ -861,6 +861,15 @@ def test_verify_defines_one_flag_per_suite_parameter():
                      for name in cli._SUITE_FLAGS]
 
 
+def test_verify_help_writes_what_a_none_default_means(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--help"])
+    out = capsys.readouterr().out
+    assert excinfo.value.code == 0
+    assert "None" not in out
+    assert "minors (no bound)" in out
+
+
 def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--suite", "nonsense"])
@@ -962,6 +971,36 @@ def test_value_error_inside_a_computation_is_internal(capsys, monkeypatch,
     assert (code, out) == (cli.INTERNAL_ERROR, "")
     assert err == ("internal error: ValueError: join relation needs "
                    "disjoint sets\n")
+
+
+def _plant(monkeypatch, fault):
+    """Make the structure constants of the pair [0] | [1] raise fault."""
+    def planted(m, n, cache):
+        if (str(m), str(n)) == ("[0]", "[1]"):
+            raise fault
+        return structure_constants(m, n, cache)
+
+    monkeypatch.setattr(checks, "structure_constants", planted)
+
+
+def test_core_fault_in_a_verify_case_fails_that_case(capsys, monkeypatch):
+    """A broken basis in one case is a property failure that names the
+    case, and the suite runs its other cases."""
+    _plant(monkeypatch, InvariantError("planted"))
+    code, out, err = run_cli(capsys, "verify", "--suite", "positivity",
+                             "--max-degree", "2", "--json")
+    assert (code, err) == (cli.PROPERTY_FAILURE, "")
+    assert json.loads(out) == {
+        "suite": "positivity", "cases": 3, "ok": False,
+        "failures": ["[0] | [1]: InvariantError: planted"]}
+
+
+def test_other_fault_in_a_verify_case_is_internal(capsys, monkeypatch):
+    _plant(monkeypatch, ZeroDivisionError("planted"))
+    code, out, err = run_cli(capsys, "verify", "--suite", "positivity",
+                             "--max-degree", "2", "--json")
+    assert (code, out) == (cli.INTERNAL_ERROR, "")
+    assert err == "internal error: ZeroDivisionError: planted\n"
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -191,6 +191,31 @@ def test_only_the_run_finishes_a_row():
         "x = c._correct\n", "_correct") == ["C._aux", ""]
 
 
+def _top_level_scopes(source: str, found) -> list[str]:
+    """The top-level functions and classes of the source, by name and in
+    source order, in which found(node) holds for some node."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and any(map(found, ast.walk(node)))]
+
+
+def test_only_the_loop_builds_a_report():
+    """_run_suite is the one place in checks.py that makes a SuiteReport
+    and counts its cases and failures, so every suite turns a broken basis
+    in one case into a failure that names the case."""
+    source = (PACKAGE / "checks.py").read_text()
+    assert _top_level_scopes(source, lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "SuiteReport")) == ["_run_suite"]
+    assert _top_level_scopes(source, lambda node: (
+        isinstance(node, ast.Attribute)
+        and node.attr in ("cases", "failures"))) == [
+        "SuiteReport", "_run_suite"]
+    assert _top_level_scopes(
+        "def f():\n    def g():\n        r.cases += 1\nclass C:\n    pass\n",
+        lambda node: isinstance(node, ast.Attribute)) == ["f"]
+
+
 def _unused_imports(source: str) -> list[str]:
     """The names that a module imports and never uses: not in code, and
     not in ``__all__``, so a re-export counts as a use."""
