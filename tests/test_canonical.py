@@ -265,6 +265,100 @@ def test_a_structure_constant_widens_on_its_own_bound():
         structure_constants(m, n, BasisCache()).items())
 
 
+def _shifted(m, b):
+    return Multisegment((s + b, e + b) for s, e in m.segments)
+
+
+class _NoTranslates(dict):
+    """A translation index that keeps nothing, so every row is computed."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _computing():
+    """A cache on the path the copies replace: it computes every row."""
+    cache = BasisCache()
+    cache._classes = _NoTranslates()
+    return cache
+
+
+def _copies(cache):
+    """The ids of cache's rows that were copied from a translate: every
+    finished row but the ones its translation index holds."""
+    sources = set(cache._classes.values())
+    return [i for i, row in enumerate(cache._rows)
+            if row is not None and i not in sources]
+
+
+def test_a_translate_is_copied_as_the_correction_computes_it():
+    """G*(m + b) is G*(m) shifted by b: on the window classes of
+    check_triangular's default degree, at shifts -3, 1 and 4, a cache that
+    has finished every G*(m) copies each G*(m + b), computing no row, and
+    the copy equals the row a cache that computes every row writes."""
+    labels = [m for w in window_weights(5) for m in enumerate_by_weight(w)]
+    warm = BasisCache()
+    for m in labels:
+        warm.dual_canonical(m)
+    sources, copies = len(warm._classes), len(_copies(warm))
+    shifted = {_shifted(m, b) for m in labels for b in (-3, 1, 4)}
+    for n in shifted:
+        fresh = _computing()
+        assert warm.dual_canonical(n) == fresh.dual_canonical(n), n
+        assert warm._row(warm._id(n))[:2] == fresh._row(fresh._id(n))[:2], n
+    assert len(warm._classes) == sources
+    assert len(_copies(warm)) - copies == len(shifted - set(labels)) == 1502
+
+
+def test_a_widening_after_copies_repacks_them_exactly():
+    """Rows copied at width 4 are re-packed by the widening that
+    structure_constants forces, as in
+    test_a_structure_constant_widens_on_its_own_bound, and rows copied
+    after it read the re-packed source: each decodes to the row computed
+    afresh."""
+    m, n = pm("2[0]+[2]"), pm("2[1]")
+    narrow = BasisCache()
+    narrow._k = 4
+    for b in (0, -2, 3):
+        narrow.dual_canonical(_shifted(m, b))
+        narrow.dual_canonical(_shifted(n, b))
+    assert narrow._k == 4
+    before = _copies(narrow)
+    assert before
+    structure_constants(m, n, narrow)
+    assert narrow._k > 4
+    narrow.dual_canonical(_shifted(m, 7))
+    after = _copies(narrow)
+    assert set(before) < set(after)
+    narrow._memo.clear()
+    fresh = _computing()
+    for i in after:
+        label = narrow._labels[i]
+        assert narrow.dual_canonical(label) == fresh.dual_canonical(label)
+
+
+@pytest.mark.parametrize("offset", [0, -5, 3])
+def test_a_class_computes_the_same_rows_at_every_offset(offset):
+    """dcb_table of the 235-label class finishes 559 rows at any offset,
+    544 computed and 15 copied from a translate met on the way."""
+    w = Weight((p + offset, c) for p, c in
+               parse_weight("0:1,1:2,2:2,3:2,4:2,5:1").items())
+    cache = BasisCache()
+    dcb_table(w, cache)
+    assert (len(cache._classes), len(_copies(cache))) == (544, 15)
+
+
+def test_the_oracle_cases_compute_one_row_per_translation_class():
+    """The benchmark's 396 oracle cases on one cache finish 459 rows: 210
+    computed, one per translation class, and 249 copied (584 were
+    computed when every row was)."""
+    cache = BasisCache()
+    for m, n in _evaluation_cases(3, range(-5, 6)):
+        membership_up_to_power(
+            cache.dual_canonical(m) * cache.dual_canonical(n), cache)
+    assert (len(cache._classes), len(_copies(cache))) == (210, 249)
+
+
 def test_expand_round_trip():
     cache = BasisCache()
     coeffs = {M2: lp({3: 2}), M4: lp({-1: 1, 1: 1}), M5: lp(-5)}
@@ -380,8 +474,8 @@ def test_correction_queues_only_labels_that_need_a_step(monkeypatch):
     monkeypatch.setattr(canonical, "heapq", CountingHeapq)
     table = dcb_table(parse_weight("0:1,1:2,2:2,3:2,4:2,5:1"), Recording())
     assert len(table.labels) == 235
-    # Queueing every label a correction meets puts 9,954 on its heaps.
-    assert len(queued) == 2883
+    # Queueing every label a correction meets puts 9,929 on its heaps.
+    assert len(queued) == 2866
     assert all(queued)
 
 
@@ -460,8 +554,8 @@ def test_membership_matches_the_expansion_on_non_members():
 
 
 @pytest.mark.parametrize("m, n, labels", [
-    ("[1]+[2,3]", "[2]+[3,4]", 16),
-    ("[0]+[1,2]", "[1]+[2]+[0,3]", 13),
+    ("[1]+[2,3]", "[2]+[3,4]", 14),
+    ("[0]+[1,2]", "[1]+[2]+[0,3]", 12),
 ])
 def test_membership_computes_one_basis_vector_of_the_product(m, n, labels):
     m, n = pm(m), pm(n)
@@ -682,8 +776,8 @@ def test_aux_vector_straightens_one_product_per_support_label(monkeypatch):
     cache = BasisCache()
     table = dcb_table(parse_weight("0:1,1:2,2:2,3:2,4:2,5:1"), cache)
     assert len(table.labels) == 235
-    assert len(calls) == 550
-    assert len(set(calls)) == 550
+    assert len(calls) == 541
+    assert len(set(calls)) == 541
     # Each is E*([s]) E*(p) with no segment of p above s.
     assert all(segment_key(t) <= segment_key(s)
                for s, segs in calls for t in segs)
@@ -721,7 +815,7 @@ def test_product_memo_matches_the_product_it_replaced():
         assert top > max(sum(abs(c) for _, c in x.items())
                          for x in decoded.values())
         pairs[cache].add((s, label.segments))
-    assert len(pairs[default]) == len(pairs[narrow]) == 608
+    assert len(pairs[default]) == len(pairs[narrow]) == 317
 
 
 def test_no_product_outlives_its_run(monkeypatch):
@@ -1321,6 +1415,18 @@ def test_table_rows_key_each_label_once(monkeypatch):
     assert [[entry["label"] for entry in row["expansion"]]
             for row in obj["basis"]] == [[str(n) for n, _ in row]
                                          for row in rows]
+
+
+def test_the_json_object_holds_one_string_per_label():
+    table = dcb_table(parse_weight("0:1,1:2,2:2,3:2,4:2,5:1"), BasisCache())
+    obj = table.to_json_obj()
+    strings = collections.defaultdict(set)
+    for row in obj["basis"]:
+        for entry in [row, *row["expansion"]]:
+            strings[entry["label"]].add(id(entry["label"]))
+    assert len(strings) == len(table.labels)
+    assert all(len(ids) == 1 for ids in strings.values())
+    assert json.dumps(obj, indent=2) == table.to_json()
 
 
 def test_a_table_is_not_hashable():

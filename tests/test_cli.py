@@ -701,9 +701,9 @@ def test_scan_verification_failure(flipped_membership):
 
 @pytest.mark.parametrize("argv, factors, rows", [
     (("irred", "--alpha", "6,5,4,3,2", "--beta", "5,4,3", "--b", "2",
-      "--verify"), [("6,5,4,3,2", 0), ("5,4,3", 2)], 75),
+      "--verify"), [("6,5,4,3,2", 0), ("5,4,3", 2)], 72),
     (("scan", "--alpha", "3,2,1", "--beta", "2,2", "--range", "-6:6",
-      "--verify"), [("3,2,1", 0)] + [("2,2", b) for b in range(-6, 7)], 58),
+      "--verify"), [("3,2,1", 0)] + [("2,2", b) for b in range(-6, 7)], 24),
 ], ids=["irred", "scan"])
 def test_verify_finishes_only_the_rows_of_the_factors(capsys, monkeypatch,
                                                       argv, factors, rows):

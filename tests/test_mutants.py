@@ -67,15 +67,21 @@ MUTANTS = [
      "y, low = (x << k2) - x, off - kk - 1",
      FAILS | {"triangular": "pass", "eqrei pairs": [22, True]}),
     ("backward exponent + 2", "canonical.py",
-     "backward = b_form(one, rest) - 1", "backward = b_form(one, rest) + 1",
+     "backward = mu - 1 + sum(", "backward = mu + 1 + sum(",
      FAILS | {"eqrei pairs": [289, True]}),
     # mu = b(rest, s) read as 0 in the forward exponent only; every suite
     # but minors meets an aux numerator that does not divide.
     # Known gap, with no item to close it yet: a minor's segments start at
     # distinct rows, so no label that minors asks for repeats a segment.
     ("mu read as 0", "canonical.py",
-     "forward = b_form(rest, one) + 1", "forward = 1",
+     "forward = mu + 1", "forward = 1",
      FAILS | {"minors": "pass", "eqrei pairs": [196, True]}),
+    # A row copied from its translate at the wrong shift misses its own
+    # label, which the copy's diagonal check reports.
+    ("translate shifted one too far", "canonical.py",
+     "d = anchor - labels[j].segments[0].start",
+     "d = anchor - labels[j].segments[0].start + 1",
+     FAILS | {"eqrei pairs": [251, True]}),
     # Known gap: triangular checks no bar-invariance (ROADMAP item 2).
     ("symmetric part mirrors only e < -1", "laurent.py",
      "        if e:\n            t += c << k * (-e - base)",
@@ -105,27 +111,6 @@ GAPS = [
 ]
 
 
-@pytest.mark.parametrize("name, module, target, replacement, pinned",
-                         MUTANTS, ids=[m[0] for m in MUTANTS])
-def test_mutant_outcomes_pinned(tmp_path, name, module, target,
-                                replacement, pinned):
-    src = tmp_path / "src"
-    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-    path = src / "dcbasis" / module
-    text = path.read_text()
-    assert text.count(target) == 1, (module, target)
-    path.write_text(text.replace(target, replacement))
-    done = subprocess.run(
-        [sys.executable, "-c", BATTERY, str(src)],
-        env={"PYTHONPATH": f"{src}{os.pathsep}{TESTS}",
-             "PYTHONDONTWRITEBYTECODE": "1"},
-        capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    outcomes = json.loads(done.stdout)
-    assert outcomes == pinned
-    assert any(outcomes[suite] != "pass" for suite in SUITES)
-
-
 def _mutated(tmp_path, module, target, replacement):
     """A copy of src/ with target replaced in the given module."""
     src = tmp_path / "src"
@@ -146,6 +131,18 @@ def _run(src, *args):
         capture_output=True, text=True, timeout=60)
 
 
+@pytest.mark.parametrize("name, module, target, replacement, pinned",
+                         MUTANTS, ids=[m[0] for m in MUTANTS])
+def test_mutant_outcomes_pinned(tmp_path, name, module, target,
+                                replacement, pinned):
+    src = _mutated(tmp_path, module, target, replacement)
+    done = _run(src, "-c", BATTERY, str(src))
+    assert done.returncode == 0, done.stderr
+    outcomes = json.loads(done.stdout)
+    assert outcomes == pinned
+    assert any(outcomes[suite] != "pass" for suite in SUITES)
+
+
 @pytest.mark.parametrize("name, module, target, replacement", GAPS,
                          ids=[g[0] for g in GAPS])
 def test_known_gaps_pass_every_suite(tmp_path, name, module, target,
@@ -164,10 +161,12 @@ def test_known_gaps_pass_every_suite(tmp_path, name, module, target,
      "[0] | [0]: InvariantError: G*(2[0]) has coefficient 0 at 2[0], not 1"),
     ("mu read as 0", 196,
      "[0] | [0]: ExactDivisionError: 1 - v^-1 is not divisible by v - v^-1"),
+    ("translate shifted one too far", 251,
+     "[0] | [1]: InvariantError: G*([1]) has coefficient 0 at [1], not 1"),
 ])
 def test_verify_names_each_case_that_a_broken_basis_breaks(
         tmp_path, name, failures, first):
-    """Three mutants break the basis so that the core raises: verify still
+    """Four mutants break the basis so that the core raises: verify still
     prints its report, with one failure for each case it breaks, named in
     walk order, and exits 1."""
     module, target, replacement = next(m[1:4] for m in MUTANTS
